@@ -80,7 +80,7 @@ class AspApplication(Application):
         extra_per_row = int(max(0.0, 3.0 * n * scale - 2.0 * n))
         row_int_ops = INT_OPS_PER_ELEMENT * n * scale
         row_mem_seconds = MEM_SECONDS_PER_ELEMENT * n * scale
-        aget_range, _aput_range, _account, _aupdate = ctx.bulk_ops()
+        aget_range, _aput_range, _account = ctx.bulk_ops()
         compute = ctx.compute
         minimum = np.minimum
         add = np.add

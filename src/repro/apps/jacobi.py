@@ -74,7 +74,7 @@ class JacobiApplication(Application):
         row_flops = FLOPS_PER_CELL * n * scale
         row_int_ops = INT_OPS_PER_CELL * n * scale
         row_mem_seconds = MEM_SECONDS_PER_CELL * n * scale
-        aget_range, aput_range, account_accesses, _update = ctx.bulk_ops()
+        aget_range, aput_range, account_accesses = ctx.bulk_ops()
         compute = ctx.compute
 
         current, following = a_rows, b_rows

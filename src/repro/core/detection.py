@@ -118,8 +118,9 @@ class DetectionStrategy:
     def access_fast_plan(self) -> str | None:
         """Fast-plan key for fused memory-side access charging, or None.
 
-        The memory subsystem open-codes the present-page charging of the
-        stateless strategies straight into its ``get``/``put`` hot paths.
+        The memory subsystem charges resident accesses of the stateless
+        strategies inline: open-coded in its scalar ``get``/``put`` hot
+        paths, and through one range block (``_fused_range_charges``).
         That is only sound when this instance's ``detect_access`` is the
         stock fast implementation of a strategy the memory layer knows:
         a subclass override, an active :func:`reference_detection` patch,

@@ -62,11 +62,12 @@ class MemorySubsystem:
         self._base_cycles = cost_model.software.access_base_cycles
         self._detect = protocol.detect_access
         # -- fused access fast path (the batched-replay substrate).  When
-        # the protocol can prove its present-page charging is open-codable
-        # (stateless detection, fixed homes, stock implementations — see
-        # ``access_fast_plan``), the scalar/range primitives below charge
-        # resident accesses inline and the run primitives batch whole
-        # same-page runs through the strategy's ``detect_access_run``.
+        # the protocol can prove that charging a resident access inline is
+        # byte-identical to ``detect_access`` (stateless detection, fixed
+        # homes, stock implementations — see ``access_fast_plan``), the
+        # scalar/range primitives below charge resident accesses inline and
+        # the run primitives batch whole same-page runs through the
+        # strategy's ``detect_access_run``.
         # Every miss, every unusual page and every disabled configuration
         # falls back to the exact ``_detect`` path, byte for byte.
         self._fast_plan = protocol.access_fast_plan()
@@ -106,9 +107,6 @@ class MemorySubsystem:
             address = obj.address + lo * obj.slot_size
             size = max(1, (hi - lo) * obj.slot_size)
         return self.page_manager.pages_for_range(address, size)
-
-    def _charge_base(self, ctx: AccessContext, count: int) -> None:
-        ctx.charge_cpu(self.cost_model.access_base_seconds(count))
 
     def _cache_entry(self, node: int, obj: SharedEntity) -> CachedObject:
         cache = self.caches[node]
@@ -178,9 +176,12 @@ class MemorySubsystem:
         last = (address + slot_size - 1) // page_size
         plan = self._fast_plan
         if plan is not None and first == last:
-            # fused fast path: identical charges in identical order to the
-            # detect path below, open-coded for the resident single-page
-            # access that dominates every workload
+            # resident single-page access: the charges of the detect path
+            # below, in the same order.  This block and put's stay
+            # open-coded rather than calling _fused_range_charges: they run
+            # ~1.08M times per benchmark ``scenarios`` pass, and routing them
+            # through the helper measured 16.47 -> 16.07 cells/s there (won
+            # 1 of 10 A/B pairs)
             rhome = self._home_by_page.get(first)
             if rhome is not None and (
                 rhome == node or first in self._tables[node]._present
@@ -224,6 +225,7 @@ class MemorySubsystem:
         last = (address + slot_size - 1) // page_size
         plan = self._fast_plan
         if plan is not None and first == last:
+            # resident single-page access (see get)
             rhome = self._home_by_page.get(first)
             if rhome is not None and (
                 rhome == node or first in self._tables[node]._present
@@ -259,11 +261,14 @@ class MemorySubsystem:
     def _fused_range_charges(
         self, ctx: AccessContext, node: int, first: int, last: int, count: int
     ) -> bool:
-        """Charge a fully-resident range access inline (fast-plan path).
+        """Charge *count* accesses to the resident pages [first, last] inline.
 
-        Returns False — with nothing charged — whenever the exact
-        ``_detect`` path must run instead: no plan, unregistered page, or
-        any page of [first, last] not readable from *node*.
+        The one copy of the range charge block: ``get_range``,
+        ``put_range`` and ``account_accesses`` call it (the prepared
+        :meth:`make_range_updater` closure evaluates the same expressions
+        once per span).  Returns False — with nothing charged — whenever
+        the exact ``_detect`` path must run instead: no plan, unregistered
+        page, or any page of [first, last] not readable from *node*.
         """
         plan = self._fast_plan
         if plan is None:
@@ -323,45 +328,7 @@ class MemorySubsystem:
         page_size = self._page_size
         first = address // page_size
         last = (address + count * slot_size - 1) // page_size
-        # open-coded :meth:`_fused_range_charges` (one call per element-range
-        # is hot enough that the extra frame shows up in every app profile);
-        # that method remains the readable spec of this block
-        plan = self._fast_plan
-        fused = False
-        if plan is not None and (rhome := self._home_by_page.get(first)) is not None:
-            remote = rhome != node
-            if not remote or (
-                first in self._tables[node]._present
-                if first == last
-                else self._tables[node]._present.issuperset(range(first, last + 1))
-            ):
-                fused = True
-                charge = (self._base_cycles * count) / self._freq
-                try:
-                    ctx._pending_cpu += charge
-                except AttributeError:
-                    ctx.charge_cpu(charge)
-                stats = self._dsm_stats
-                stats.accesses += count
-                if remote:
-                    stats.remote_accesses += count
-                if plan == "inline_check":
-                    stats.inline_checks += count
-                    charge = (self._check_cycles * count) / self._freq
-                    try:
-                        ctx._pending_cpu += charge
-                    except AttributeError:
-                        ctx.charge_cpu(charge)
-                elif plan == "hoisted":
-                    n_pages = last - first + 1
-                    checks = n_pages if n_pages > 1 else 1
-                    stats.inline_checks += checks
-                    charge = (self._check_cycles * checks) / self._freq
-                    try:
-                        ctx._pending_cpu += charge
-                    except AttributeError:
-                        ctx.charge_cpu(charge)
-        if not fused:
+        if not self._fused_range_charges(ctx, node, first, last, count):
             pages = (first,) if first == last else range(first, last + 1)
             ctx.charge_cpu((self._base_cycles * count) / self._freq)
             self._detect(ctx, node, pages, count, False)
@@ -396,43 +363,7 @@ class MemorySubsystem:
         page_size = self._page_size
         first = address // page_size
         last = (address + count * slot_size - 1) // page_size
-        # open-coded :meth:`_fused_range_charges` (see get_range)
-        plan = self._fast_plan
-        fused = False
-        if plan is not None and (rhome := self._home_by_page.get(first)) is not None:
-            remote = rhome != node
-            if not remote or (
-                first in self._tables[node]._present
-                if first == last
-                else self._tables[node]._present.issuperset(range(first, last + 1))
-            ):
-                fused = True
-                charge = (self._base_cycles * count) / self._freq
-                try:
-                    ctx._pending_cpu += charge
-                except AttributeError:
-                    ctx.charge_cpu(charge)
-                stats = self._dsm_stats
-                stats.accesses += count
-                if remote:
-                    stats.remote_accesses += count
-                if plan == "inline_check":
-                    stats.inline_checks += count
-                    charge = (self._check_cycles * count) / self._freq
-                    try:
-                        ctx._pending_cpu += charge
-                    except AttributeError:
-                        ctx.charge_cpu(charge)
-                elif plan == "hoisted":
-                    n_pages = last - first + 1
-                    checks = n_pages if n_pages > 1 else 1
-                    stats.inline_checks += checks
-                    charge = (self._check_cycles * checks) / self._freq
-                    try:
-                        ctx._pending_cpu += charge
-                    except AttributeError:
-                        ctx.charge_cpu(charge)
-        if not fused:
+        if not self._fused_range_charges(ctx, node, first, last, count):
             pages = (first,) if first == last else range(first, last + 1)
             ctx.charge_cpu((self._base_cycles * count) / self._freq)
             self._detect(ctx, node, pages, count, True)
@@ -474,41 +405,8 @@ class MemorySubsystem:
                 size = 1
         first = address // page_size
         last = (address + size - 1) // page_size
-        # open-coded :meth:`_fused_range_charges` (see get_range)
-        plan = self._fast_plan
-        if plan is not None and (rhome := self._home_by_page.get(first)) is not None:
-            remote = rhome != node
-            if not remote or (
-                first in self._tables[node]._present
-                if first == last
-                else self._tables[node]._present.issuperset(range(first, last + 1))
-            ):
-                charge = (self._base_cycles * count) / self._freq
-                try:
-                    ctx._pending_cpu += charge
-                except AttributeError:
-                    ctx.charge_cpu(charge)
-                stats = self._dsm_stats
-                stats.accesses += count
-                if remote:
-                    stats.remote_accesses += count
-                if plan == "inline_check":
-                    stats.inline_checks += count
-                    charge = (self._check_cycles * count) / self._freq
-                    try:
-                        ctx._pending_cpu += charge
-                    except AttributeError:
-                        ctx.charge_cpu(charge)
-                elif plan == "hoisted":
-                    n_pages = last - first + 1
-                    checks = n_pages if n_pages > 1 else 1
-                    stats.inline_checks += checks
-                    charge = (self._check_cycles * checks) / self._freq
-                    try:
-                        ctx._pending_cpu += charge
-                    except AttributeError:
-                        ctx.charge_cpu(charge)
-                return
+        if self._fused_range_charges(ctx, node, first, last, count):
+            return
         pages = (first,) if first == last else range(first, last + 1)
         ctx.charge_cpu((self._base_cycles * count) / self._freq)
         self._detect(ctx, node, pages, count, write)
@@ -526,171 +424,18 @@ class MemorySubsystem:
     ) -> None:
         """Fetch-modify-store over slots [lo, hi) in one call.
 
-        Executes — charge for charge, counter for counter, byte for byte —
-        exactly the sequence
-
-        .. code-block:: python
-
-            values = get_range(obj, lo, hi)
-            new = transform(values)
-            if new is not None:
-                put_range(obj, lo, hi, new)
-            if extra_obj is not None and extra > 0:
-                account_accesses(extra_obj, extra)
-
-        but in a single Python frame when every touched page is resident
-        (the dominant case in relaxation-style inner loops, which otherwise
-        pay three extra frames per row).  ``transform`` receives the freshly
-        read values and returns the values to write back, or ``None`` to
-        skip the write entirely; the pending-CPU float additions happen in
-        the same order as the unfused calls, so the result is bit-identical.
-        Any condition the fused path cannot prove (no fast plan, an absent
-        page, bounds needing validation) falls back to literally the
-        sequence above.
+        ``transform`` receives the freshly read values and returns the
+        values to write back, or ``None`` to skip the write entirely;
+        *extra* detection-only accesses to the whole of *extra_obj* are
+        accounted last.  This is the spec — and the fallback — of the
+        fused closure :meth:`make_range_updater` prepares.
         """
-        count = hi - lo
-        plan = self._fast_plan
-        fast = False
-        remote = eremote = False
-        first = last = efirst = elast = 0
-        if plan is not None and 0 <= lo < hi <= obj.num_slots:
-            slot_size = obj.slot_size
-            address = obj.address + lo * slot_size
-            page_size = self._page_size
-            first = address // page_size
-            last = (address + count * slot_size - 1) // page_size
-            rhome = self._home_by_page.get(first)
-            if rhome is not None:
-                remote = rhome != node
-                if not remote or (
-                    first in self._tables[node]._present
-                    if first == last
-                    else self._tables[node]._present.issuperset(range(first, last + 1))
-                ):
-                    if extra_obj is None or extra <= 0:
-                        fast = True
-                    else:
-                        eaddress = extra_obj.address
-                        efirst = eaddress // page_size
-                        elast = (eaddress + extra_obj.size_bytes - 1) // page_size
-                        erhome = self._home_by_page.get(efirst)
-                        if erhome is not None:
-                            eremote = erhome != node
-                            if not eremote or (
-                                efirst in self._tables[node]._present
-                                if efirst == elast
-                                else self._tables[node]._present.issuperset(
-                                    range(efirst, elast + 1)
-                                )
-                            ):
-                                fast = True
-        if not fast:
-            values = self.get_range(ctx, node, obj, lo, hi)
-            new = transform(values)
-            if new is not None:
-                self.put_range(ctx, node, obj, lo, hi, new)
-            if extra_obj is not None and extra > 0:
-                self.account_accesses(ctx, node, extra_obj, extra)
-            return
-        freq = self._freq
-        base = self._base_cycles
-        check = self._check_cycles
-        stats = self._dsm_stats
-        # -- the read's charges (same block as get_range's fused path)
-        charge = (base * count) / freq
-        try:
-            ctx._pending_cpu += charge
-        except AttributeError:
-            ctx.charge_cpu(charge)
-        stats.accesses += count
-        if remote:
-            stats.remote_accesses += count
-        if plan == "inline_check":
-            stats.inline_checks += count
-            charge = (check * count) / freq
-            try:
-                ctx._pending_cpu += charge
-            except AttributeError:
-                ctx.charge_cpu(charge)
-        elif plan == "hoisted":
-            n_pages = last - first + 1
-            checks = n_pages if n_pages > 1 else 1
-            stats.inline_checks += checks
-            charge = (check * checks) / freq
-            try:
-                ctx._pending_cpu += charge
-            except AttributeError:
-                ctx.charge_cpu(charge)
-        if obj.home_node == node:
-            values = obj.main_read_range(lo, hi)
-        else:
-            values = self._cache_entry(node, obj).read_range(lo, hi)
+        values = self.get_range(ctx, node, obj, lo, hi)
         new = transform(values)
         if new is not None:
-            if isinstance(new, np.ndarray):
-                if new.ndim and len(new) != count:
-                    raise ValueError(
-                        f"put_range of {count} slots received {len(new)} values"
-                    )
-            elif np.ndim(new) and len(new) != count:
-                raise ValueError(
-                    f"put_range of {count} slots received {len(new)} values"
-                )
-            # -- the write-back's charges: identical pages, identical block
-            charge = (base * count) / freq
-            try:
-                ctx._pending_cpu += charge
-            except AttributeError:
-                ctx.charge_cpu(charge)
-            stats.accesses += count
-            if remote:
-                stats.remote_accesses += count
-            if plan == "inline_check":
-                stats.inline_checks += count
-                charge = (check * count) / freq
-                try:
-                    ctx._pending_cpu += charge
-                except AttributeError:
-                    ctx.charge_cpu(charge)
-            elif plan == "hoisted":
-                n_pages = last - first + 1
-                checks = n_pages if n_pages > 1 else 1
-                stats.inline_checks += checks
-                charge = (check * checks) / freq
-                try:
-                    ctx._pending_cpu += charge
-                except AttributeError:
-                    ctx.charge_cpu(charge)
-            if obj.home_node == node:
-                obj.main_write_range(lo, hi, new)
-            else:
-                self._cache_entry(node, obj).write_range(lo, hi, new)
+            self.put_range(ctx, node, obj, lo, hi, new)
         if extra_obj is not None and extra > 0:
-            # -- the detection-only accesses (account_accesses, full span)
-            charge = (base * extra) / freq
-            try:
-                ctx._pending_cpu += charge
-            except AttributeError:
-                ctx.charge_cpu(charge)
-            stats.accesses += extra
-            if eremote:
-                stats.remote_accesses += extra
-            if plan == "inline_check":
-                stats.inline_checks += extra
-                charge = (check * extra) / freq
-                try:
-                    ctx._pending_cpu += charge
-                except AttributeError:
-                    ctx.charge_cpu(charge)
-            elif plan == "hoisted":
-                n_pages = elast - efirst + 1
-                checks = n_pages if n_pages > 1 else 1
-                stats.inline_checks += checks
-                charge = (check * checks) / freq
-                try:
-                    ctx._pending_cpu += charge
-                except AttributeError:
-                    ctx.charge_cpu(charge)
+            self.account_accesses(ctx, node, extra_obj, extra)
 
     def make_range_updater(
         self,
@@ -707,31 +452,26 @@ class MemorySubsystem:
         like ``update_range(ctx, node, obj, lo, hi, transform, extra_obj,
         extra)`` — charge for charge, counter for counter.  The point is
         relaxation-style loops that hit the *same* span once per outer
-        iteration: everything run-constant in ``update_range``'s gate (the
-        page span, the home lookup, the plan branch, the charge amounts —
-        computed here with the identical expressions, so the floats are
-        bit-equal) is resolved once at preparation, and each call only
-        re-checks what can actually change between calls: that the fast
-        path is still enabled, page presence, and the per-call extra
-        object's span.  Any failed check delegates to :meth:`update_range`
-        itself.
+        iteration: everything run-constant in the charges
+        :meth:`_fused_range_charges` would make for the read, the
+        write-back and the extra accounting (the page span, the home
+        lookup, the plan branch, the charge amounts — computed here with
+        the identical expressions, so the floats are bit-equal) is resolved
+        once at preparation, and each call only re-checks what can actually
+        change between calls: that the fast path is still enabled, page
+        presence, and the per-call extra object's span.  Any failed check
+        delegates to :meth:`update_range` itself.
         """
         plan = self._fast_plan
         count = hi - lo
         update_range = self.update_range
-        if plan is None or not (0 <= lo < hi <= obj.num_slots):
-
-            def update(transform, extra_obj=None):
-                update_range(ctx, node, obj, lo, hi, transform, extra_obj, extra)
-
-            return update
         page_size = self._page_size
         slot_size = obj.slot_size
         address = obj.address + lo * slot_size
         first = address // page_size
         last = (address + count * slot_size - 1) // page_size
         rhome = self._home_by_page.get(first)
-        if rhome is None:
+        if plan is None or rhome is None or not (0 <= lo < hi <= obj.num_slots):
 
             def update(transform, extra_obj=None):
                 update_range(ctx, node, obj, lo, hi, transform, extra_obj, extra)
@@ -752,8 +492,8 @@ class MemorySubsystem:
         cache_entry = self._cache_entry
         inline = plan == "inline_check"
         hoisted = plan == "hoisted"
-        # identical expressions to update_range's per-call ones, evaluated
-        # once: same operands, same operations, bit-equal results
+        # identical expressions to _fused_range_charges' per-call ones,
+        # evaluated once: same operands, same operations, bit-equal results
         c_base = (base * count) / freq
         c_check = 0.0
         hoist_checks = 0
@@ -796,7 +536,7 @@ class MemorySubsystem:
                 ):
                     update_range(ctx, node, obj, lo, hi, transform, extra_obj, extra)
                     return
-            # -- the read's charges (same block as update_range's fast path)
+            # -- the read's charges (get_range's _fused_range_charges block)
             try:
                 ctx._pending_cpu += c_base
             except AttributeError:

@@ -143,8 +143,10 @@ class ConsistencyProtocol(DsmProtocolHooks):
         """Fast-plan key for fused memory-side access charging, or None.
 
         Non-None only when the protocol can prove that the memory
-        subsystem's open-coded present-page charging is byte-identical to
-        routing every access through :meth:`detect_access` (see
+        subsystem's inline charging of resident accesses (its scalar
+        ``get``/``put`` fast paths, ``_fused_range_charges`` and the
+        prepared range updater) is byte-identical to routing every access
+        through :meth:`detect_access` (see
         ``DetectionStrategy.access_fast_plan``).  Plain protocols refuse.
         """
         return None

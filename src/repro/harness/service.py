@@ -362,6 +362,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceServer"  # type: ignore[assignment]
     protocol_version = "HTTP/1.1"
+    # headers and body go out in two writes; with Nagle on, the body waits
+    # for the client's delayed ACK (~40 ms) on every kept-alive request
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         if self.server.verbose:
@@ -371,12 +374,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ----------------------------------------------------------
     def _send(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(
+            status, json.dumps(payload, sort_keys=True), "application/json"
+        )
 
     def _send_text(self, status: int, body: str, content_type: str) -> None:
         data = body.encode("utf-8")

@@ -307,13 +307,13 @@ class JavaThreadContext(AccessContext):
     def bulk_ops(self) -> tuple:
         """Pre-bound bulk primitives for hot per-row application loops.
 
-        Returns ``(get_range, put_range, account_accesses, update_range)``
-        partials that are call-for-call identical to :meth:`aget_range` /
-        :meth:`aput_range` / :meth:`account_accesses` /
-        :meth:`aupdate_range` — same charges, same counters, same data
-        movement — minus one Python frame per call.  The range bounds must
-        be passed explicitly (no ``hi=None`` default).  Worth using only in
-        loops issuing thousands of range accesses.
+        Returns ``(get_range, put_range, account_accesses)`` partials that
+        are call-for-call identical to :meth:`aget_range` /
+        :meth:`aput_range` / :meth:`account_accesses` — same charges, same
+        counters, same data movement — minus one Python frame per call.
+        The range bounds must be passed explicitly (no ``hi=None``
+        default).  Worth using only in loops issuing thousands of range
+        accesses.
         """
         memory = self._memory
         node = self._marcel.node_id
@@ -321,36 +321,17 @@ class JavaThreadContext(AccessContext):
             partial(memory.get_range, self, node),
             partial(memory.put_range, self, node),
             partial(memory.account_accesses, self, node),
-            partial(memory.update_range, self, node),
-        )
-
-    def aupdate_range(
-        self,
-        array: JavaArray,
-        lo: int,
-        hi: int,
-        transform,
-        extra_obj=None,
-        extra: int = 0,
-    ) -> None:
-        """Fused fetch-modify-store on [lo, hi) (see ``memory.update_range``).
-
-        Equivalent to ``aget_range`` + ``transform`` + ``aput_range`` (when
-        the transform returns values) + ``account_accesses(extra_obj,
-        extra)``, in that order, with identical charges and counters.
-        """
-        self._memory.update_range(
-            self, self._marcel.node_id, array, lo, hi, transform,
-            extra_obj=extra_obj, extra=extra,
         )
 
     def make_range_updater(self, array: JavaArray, lo: int, hi: int, extra: int = 0):
-        """Prepared :meth:`aupdate_range` closure for a fixed span.
+        """Prepared fetch-modify-store closure for a fixed span.
 
-        Returns ``update(transform, extra_obj=None)`` with all the
-        run-constant gate work of ``memory.update_range`` resolved once
-        (see ``memory.make_range_updater``) — for loops that revisit the
-        same span every iteration.
+        Returns ``update(transform, extra_obj=None)``: ``aget_range`` +
+        ``transform`` + ``aput_range`` (when the transform returns values)
+        + ``account_accesses(extra_obj, extra)``, in that order, with the
+        run-constant charge work resolved once (see
+        ``memory.make_range_updater``) — for loops that revisit the same
+        span every iteration.
         """
         return self._memory.make_range_updater(
             self, self._marcel.node_id, array, lo, hi, extra=extra

@@ -1,5 +1,6 @@
 """The sweep service: request parsing, lifecycle, and the HTTP round-trip."""
 
+import http.client
 import json
 import threading
 import time
@@ -186,6 +187,24 @@ def test_http_submit_poll_fetch_round_trip(server):
     assert json.dumps(cell["report"], sort_keys=True) == json.dumps(
         serial[label], sort_keys=True
     )
+
+
+def test_kept_alive_requests_do_not_stall(server):
+    # ten requests on one connection; a response held back by Nagle's
+    # algorithm waits ~40 ms for the client's delayed ACK every time
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        start = time.perf_counter()
+        for _ in range(10):
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        elapsed = time.perf_counter() - start
+    finally:
+        connection.close()
+    assert elapsed < 0.2, f"10 kept-alive requests took {elapsed * 1e3:.0f} ms"
 
 
 def test_http_errors(server):
