@@ -13,25 +13,17 @@ import json
 
 import pytest
 
-from repro.harness.sweep import (
-    sweep_balancer,
-    sweep_check_cost,
-    sweep_page_size,
-    sweep_threads_per_node,
-)
-
 
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_pagesize(benchmark, bench_preset, bench_session, results_dir):
     """A1: Jacobi under page sizes from 1 KiB to 16 KiB."""
     result = benchmark.pedantic(
-        sweep_page_size,
-        args=("jacobi",),
+        bench_session.ablation,
+        args=("page_size", "jacobi"),
         kwargs={
             "num_nodes": 8,
-            "page_sizes": (1024, 4096, 16384),
+            "values": (1024, 4096, 16384),
             "workload": bench_preset.jacobi,
-            "session": bench_session,
         },
         rounds=1,
         iterations=1,
@@ -56,13 +48,12 @@ def test_ablation_pagesize(benchmark, bench_preset, bench_session, results_dir):
 def test_ablation_checkcost(benchmark, bench_preset, bench_session, results_dir):
     """A2: sweep the in-line check cost; java_ic only wins when checks are ~free."""
     result = benchmark.pedantic(
-        sweep_check_cost,
-        args=("asp",),
+        bench_session.ablation,
+        args=("check_cost", "asp"),
         kwargs={
             "num_nodes": 4,
-            "check_cycles": (0.5, 2.0, 8.0, 32.0),
+            "values": (0.5, 2.0, 8.0, 32.0),
             "workload": bench_preset.asp,
-            "session": bench_session,
         },
         rounds=1,
         iterations=1,
@@ -81,13 +72,12 @@ def test_ablation_checkcost(benchmark, bench_preset, bench_session, results_dir)
 def test_ablation_threads_per_node(benchmark, bench_preset, bench_session, results_dir):
     """A3: several application threads per node (paper future work)."""
     result = benchmark.pedantic(
-        sweep_threads_per_node,
-        args=("jacobi",),
+        bench_session.ablation,
+        args=("threads", "jacobi"),
         kwargs={
             "num_nodes": 4,
-            "threads_per_node": (1, 2, 4),
+            "values": (1, 2, 4),
             "workload": bench_preset.jacobi,
-            "session": bench_session,
         },
         rounds=1,
         iterations=1,
@@ -104,13 +94,12 @@ def test_ablation_threads_per_node(benchmark, bench_preset, bench_session, resul
 def test_ablation_loadbalancer(benchmark, bench_preset, bench_session, results_dir):
     """A4: thread-placement policy for the Barnes benchmark."""
     result = benchmark.pedantic(
-        sweep_balancer,
-        args=("barnes",),
+        bench_session.ablation,
+        args=("balancer", "barnes"),
         kwargs={
             "num_nodes": 4,
-            "policies": ("round_robin", "block", "random"),
+            "values": ("round_robin", "block", "random"),
             "workload": bench_preset.barnes,
-            "session": bench_session,
         },
         rounds=1,
         iterations=1,

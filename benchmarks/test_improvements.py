@@ -6,22 +6,21 @@ import json
 
 import pytest
 
-from repro.harness.experiment import run_comparison
 from repro.harness.figures import FIGURE_APPS
 from repro.harness.report import improvement_table
+from repro.harness.session import Session
 
 
-def _summary(bench_preset, session=None):
+def _summary(bench_preset, session: Session):
     comparisons = {}
     for cluster, counts in (("myrinet", [1, 4, 12]), ("sci", [1, 3, 6])):
         comparisons[cluster] = {}
         for app in sorted(FIGURE_APPS.values()):
-            comparisons[cluster][app] = run_comparison(
+            comparisons[cluster][app] = session.comparison(
                 app,
                 cluster,
                 node_counts=counts,
                 workload=bench_preset.workload_for(app),
-                session=session,
             )
     return comparisons
 

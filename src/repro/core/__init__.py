@@ -13,8 +13,9 @@ A protocol is the composition of two orthogonal layers:
 
 The paper's two protocols are the compositions ``java_ic`` =
 inline-check × fixed and ``java_pf`` = page-fault × fixed; the extension
-family (``java_ic_hoisted``, ``java_hybrid``, ``java_ic_mig``) lives in
-:mod:`repro.core.extra`.  All comply with the Java Memory Model: node-level
+family (``java_ic_hoisted``, ``java_hybrid``, ``java_ic_mig``,
+``java_ic_loc``) is registered next to them in the table at the end of
+:mod:`repro.core.protocol`.  All comply with the Java Memory Model: node-level
 caches, invalidation on monitor entry and a flush of field-granularity
 modifications to the objects' home nodes on monitor exit
 (:mod:`repro.core.jmm`).

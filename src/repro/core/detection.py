@@ -167,27 +167,6 @@ class DetectionStrategy:
         """
         return False
 
-    def detect_access_run_reference(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        page: int,
-        n: int,
-        write: bool,
-        base_seconds: float,
-        extra: int = 0,
-        extra_base_seconds: float = 0.0,
-    ) -> bool:
-        """Readable twin of :meth:`detect_access_run`: the literal loop."""
-        pages = (page,)
-        for _ in range(n):
-            ctx.charge_cpu(base_seconds)
-            self.detect_access_reference(ctx, node_id, pages, 1, write)
-            if extra:
-                ctx.charge_cpu(extra_base_seconds)
-                self.detect_access_reference(ctx, node_id, pages, extra, write)
-        return True
-
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         """Acquire-side invalidation action of this detection mechanism."""
         raise NotImplementedError

@@ -19,10 +19,9 @@ instance.  The registry makes protocols selectable by name from the runtime
 and the experiment harness: :func:`register_composed` declares a new
 protocol as a (detection, home-policy) pair — the built-in family
 (``java_ic``, ``java_pf``, ``java_ic_hoisted``, ``java_hybrid``,
-``java_ic_mig``) is registered exactly that way by
-:mod:`repro.core.java_ic`, :mod:`repro.core.java_pf` and
-:mod:`repro.core.extra` — while :func:`register_protocol` still accepts
-plain factories for fully custom protocol classes.
+``java_ic_mig``, ``java_ic_loc``) is registered exactly that way by the
+table at the end of this module — while :func:`register_protocol` still
+accepts plain factories for fully custom protocol classes.
 """
 
 from __future__ import annotations
@@ -30,16 +29,26 @@ from __future__ import annotations
 from abc import abstractmethod
 from contextlib import contextmanager
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
 
 from repro.cluster.costs import CostModel
 from repro.core.context import AccessContext
+from repro.core.detection import (
+    DetectionStrategy,
+    HoistedCheckDetection,
+    HybridDetection,
+    InlineCheckDetection,
+    PageFaultDetection,
+    detection_by_name,
+)
+from repro.core.home_policy import (
+    FixedHomePolicy,
+    HomePolicy,
+    LocalityAwareHomePolicy,
+    MigratoryHomePolicy,
+    home_policy_by_name,
+)
 from repro.dsm.page_manager import PageManager
 from repro.dsm.protocol_api import DsmProtocolHooks
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.detection import DetectionStrategy
-    from repro.core.home_policy import HomePolicy
 
 
 class ConsistencyProtocol(DsmProtocolHooks):
@@ -187,8 +196,8 @@ class ComposedProtocol(ConsistencyProtocol):
         self,
         page_manager: PageManager,
         cost_model: CostModel,
-        detection: type["DetectionStrategy"],
-        home_policy: type["HomePolicy"],
+        detection: type[DetectionStrategy],
+        home_policy: type[HomePolicy],
         name: str,
     ):
         super().__init__(page_manager, cost_model)
@@ -286,7 +295,6 @@ def reference_detection() -> Iterator[None]:
     ``finally`` block, so the fast path comes back even when the context
     body — or the patching pass itself — raises.
     """
-    _ensure_builtins()
     patched: list[tuple] = []
     try:
         seen = set()
@@ -312,8 +320,6 @@ def reference_detection() -> Iterator[None]:
 
 def _detection_bearing_classes(factory) -> list[type]:
     """Classes of *factory* that may carry a swappable ``detect_access``."""
-    from repro.core.detection import DetectionStrategy
-
     if isinstance(factory, ComposedProtocolFactory):
         root: type | None = factory.detection_class
         stop = DetectionStrategy
@@ -399,9 +405,6 @@ def register_composed(
     Returns the registered factory (whose ``detection_class`` /
     ``home_policy_class`` stay inspectable).
     """
-    from repro.core.detection import DetectionStrategy, detection_by_name
-    from repro.core.home_policy import HomePolicy, home_policy_by_name
-
     if isinstance(detection, str):
         detection = detection_by_name(detection)
     if not (isinstance(detection, type) and issubclass(detection, DetectionStrategy)):
@@ -436,10 +439,6 @@ def create_protocol(
     name: str, page_manager: PageManager, cost_model: CostModel
 ) -> ConsistencyProtocol:
     """Instantiate the protocol registered under *name*."""
-    # Importing the built-in protocols lazily avoids import cycles and makes
-    # sure they are always available even if the caller imports this module
-    # directly.
-    _ensure_builtins()
     key = name.lower()
     try:
         factory = _REGISTRY[key]
@@ -451,7 +450,6 @@ def create_protocol(
 
 def available_protocols() -> list[str]:
     """Names of all registered protocols."""
-    _ensure_builtins()
     return sorted(_REGISTRY)
 
 
@@ -462,7 +460,6 @@ def protocol_composition(name: str) -> dict[str, str] | None:
     through :func:`register_composed`; protocols registered as plain
     factories (fully custom classes) have no inspectable layers.
     """
-    _ensure_builtins()
     factory = _REGISTRY.get(name.lower())
     if isinstance(factory, ComposedProtocolFactory):
         return {
@@ -472,6 +469,46 @@ def protocol_composition(name: str) -> dict[str, str] | None:
     return None
 
 
-def _ensure_builtins() -> None:
-    # imported for their registration side effect
-    from repro.core import extra, java_ic, java_pf  # noqa: F401
+# ---------------------------------------------------------------------------
+# the built-in protocol family: one (detection, home policy) pair per name
+# ---------------------------------------------------------------------------
+# java_ic — paper Section 3.2.  Every get/put executes an explicit check
+# of whether the object has a copy on the local node; if it does not,
+# the page containing it is brought into the local cache.  No page is
+# ever protected, so remote-object loading never involves a page fault
+# or an mprotect call; the price is one check per access, local or remote.
+register_composed("java_ic", InlineCheckDetection, FixedHomePolicy)
+
+# java_pf — paper Section 3.3.  Pages are READ/WRITE only on their home
+# node and protected elsewhere, with protection re-established on each
+# monitor entry.  The first access to a non-resident page faults; the
+# handler requests the page from its home and re-opens access with
+# mprotect.  Local accesses cost nothing extra.
+register_composed("java_pf", PageFaultDetection, FixedHomePolicy)
+
+# java_ic_hoisted — in-line checks with compiler-style check hoisting:
+# when a loop provably accesses one object (e.g. one Java array) the
+# check moves out of the loop and is paid once per bulk access instead
+# of once per element.  Against java_ic and java_pf it measures how much
+# of java_pf's win a smarter compiler could have recovered.
+register_composed("java_ic_hoisted", HoistedCheckDetection, FixedHomePolicy)
+
+# java_hybrid — adaptive per-page detection: every (node, page) starts
+# under in-line checks and is promoted to fault-based handling once the
+# node has observed enough accesses to it.  Dense pages stop paying the
+# per-access check, sparse pages never pay fault setup (paper Section 6).
+register_composed("java_hybrid", HybridDetection, FixedHomePolicy)
+
+# java_ic_mig — in-line checks over migratory homes: a page written
+# exclusively and repeatedly by one remote node is re-homed to it, after
+# which that node's accesses are local and its replica survives
+# invalidations.  Exercises the PM2 migration machinery the paper lists
+# as future work.
+register_composed("java_ic_mig", InlineCheckDetection, MigratoryHomePolicy)
+
+# java_ic_loc — in-line checks over locality-aware homes: on
+# hierarchical topologies a page repeatedly written from outside its
+# home's island is pulled into the writer's island, so the backbone link
+# stops carrying its transfers.  On the paper's single-switch platforms
+# it behaves exactly like java_ic modulo the never-firing write observer.
+register_composed("java_ic_loc", InlineCheckDetection, LocalityAwareHomePolicy)

@@ -13,7 +13,7 @@ class PageProtection(enum.Enum):
     any access faults) and fully accessible (``PROT_READ | PROT_WRITE``).
     ``READ_ONLY`` is provided for completeness because DSM-PM2 supports
     protocols (e.g. sequential consistency) that distinguish read and write
-    faults; the extended protocols in :mod:`repro.core.extra` use it.
+    faults.
     """
 
     NONE = "none"

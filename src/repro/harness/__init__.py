@@ -34,11 +34,6 @@ On top of that sit the paper-specific layers:
 * :mod:`~repro.harness.calibration` — checks the cost model against the
   constants the paper publishes and the improvements it reports;
 * :mod:`~repro.harness.cli` — the ``hyperion-sim`` command-line interface.
-
-The historical module-level wrappers (``run_cell``, ``run_comparison``,
-``run_sweep`` and the four ``sweep_*`` functions) still exist in their
-modules as deprecated shims but are no longer part of this package's public
-surface; new code goes through :class:`Session`.
 """
 
 from repro.harness.spec import ExperimentSpec, run_spec
@@ -47,7 +42,6 @@ from repro.harness.executor import Executor, ParallelExecutor, SerialExecutor
 from repro.harness.store import ResultStore, StoreSchemaError
 from repro.harness.session import CellResult, Session, SessionResult, default_session
 from repro.harness.experiment import (
-    ExperimentCell,
     ProtocolComparison,
     comparison_specs,
     fill_comparison,
@@ -91,7 +85,6 @@ __all__ = [
     "default_session",
     "run_spec",
     # comparisons
-    "ExperimentCell",
     "ProtocolComparison",
     "comparison_specs",
     "fill_comparison",

@@ -138,16 +138,6 @@ def _add_sanitize_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fast_forward_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fast-forward",
-        action="store_true",
-        help="price contention-free compute/wait phases analytically instead "
-        "of event by event (identical results, fewer host-side events; "
-        "ignored when an event trace is recorded)",
-    )
-
-
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry",
@@ -235,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--nodes", type=int, default=4)
     run.add_argument("--scale", default="bench", choices=["testing", "bench", "paper"])
     run.add_argument("--verify", action="store_true")
-    _add_fast_forward_flag(run)
     run.add_argument(
         "--trace-out",
         default=None,
@@ -275,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override one pattern parameter (repeatable); see `scenario list`",
     )
     scenario_run.add_argument("--verify", action="store_true")
-    _add_fast_forward_flag(scenario_run)
     scenario_run.add_argument("--json", action="store_true")
     scenario_run.add_argument(
         "--trace-out",
@@ -498,7 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override one pattern parameter (syn-* apps only, repeatable)",
     )
-    _add_fast_forward_flag(profile)
     profile.add_argument(
         "--sort", default="cumulative", choices=sorted(PROFILE_SORT_KEYS),
         help="cProfile sort key for the per-cell tables",
@@ -816,7 +803,7 @@ def cmd_run(args) -> int:
     # works for the paper benchmarks and the generated syn-* scenarios alike
     sanitize = args.sanitize or bool(args.sanitize_out)
     telemetry = args.telemetry or bool(args.telemetry_out) or bool(args.chrome_out)
-    if args.trace_out or sanitize or telemetry or args.fast_forward:
+    if args.trace_out or sanitize or telemetry:
         spec = ExperimentSpec(
             app=args.app,
             cluster=args.cluster,
@@ -826,7 +813,6 @@ def cmd_run(args) -> int:
             verify=args.verify,
             sanitize=sanitize,
             telemetry=telemetry,
-            fast_forward=args.fast_forward,
         )
         if args.trace_out:
             report = _run_with_trace(spec, args.trace_out)
@@ -904,7 +890,6 @@ def cmd_scenario(args) -> int:
             verify=args.verify,
             sanitize=sanitize,
             telemetry=telemetry,
-            fast_forward=args.fast_forward,
         )
         if args.trace_out:
             if args.jobs != 1 or args.cache_dir:
@@ -1043,7 +1028,6 @@ def cmd_profile(args) -> int:
             protocol=args.protocol,
             num_nodes=args.nodes,
             workload=workload,
-            fast_forward=args.fast_forward,
         )
         for app in apps
     ]

@@ -209,7 +209,7 @@ def generate_figure(
 ) -> FigureData:
     """Regenerate one of the paper's figures.
 
-    ``workload`` accepts the same forms as :func:`repro.harness.experiment.run_cell`
+    ``workload`` accepts the same forms as :meth:`repro.harness.session.Session.cell`
     (a preset name, a :class:`WorkloadPreset`, a workload object or None for
     the bench preset).  ``session`` selects the executor and result cache;
     the default is serial and storeless.

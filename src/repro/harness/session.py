@@ -28,10 +28,8 @@ session's executor and store reach every code path:
 ``session.job(...)``         sharded, resumable sweep -> ``SweepJob``
 ===========================  ==============================================
 
-The historical module-level wrappers (``run_cell``, ``run_comparison``, the
-four ``sweep_*`` functions) are deprecated shims that delegate here; new
-code constructs a :class:`Session` (or :meth:`Session.from_options`) and
-calls its methods.
+Callers construct a :class:`Session` (or :meth:`Session.from_options`) and
+call its methods.
 
 Every cell a session runs is also available as a :class:`CellResult` — the
 common record (spec, report, cached-flag, sanitizer) that sweep shards,
@@ -465,5 +463,5 @@ _DEFAULT_SESSION = Session()
 
 
 def default_session() -> Session:
-    """The serial, storeless session the legacy entry points fall back to."""
+    """The serial, storeless session used when a caller passes no session."""
     return _DEFAULT_SESSION

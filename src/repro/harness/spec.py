@@ -12,8 +12,7 @@ one naming the ``"myrinet"`` preset and one carrying the equivalent
 :func:`run_spec` turns a spec into an :class:`~repro.hyperion.runtime.ExecutionReport`.
 It is a *pure* function of the spec (the simulator is deterministic given the
 config's seed), defined at module level so that process-pool executors can
-pickle it; every executor and the legacy ``run_cell`` entry point route
-through it.
+pickle it; every executor routes through it.
 """
 
 from __future__ import annotations
@@ -121,12 +120,6 @@ class ExperimentSpec:
     #: ``cached`` instead of a re-execution.  The ledger surfaces on
     #: ``ExecutionReport.telemetry``.
     telemetry: bool = field(default=False, compare=False)
-    #: price contention-free compute/read phases analytically instead of one
-    #: engine event at a time (see ``Engine.try_fast_advance``).  The
-    #: simulated outcome is byte-identical — the determinism suite pins it —
-    #: so like ``verify``/``sanitize``/``telemetry`` the flag is excluded
-    #: from the cell's identity: cache keys MUST NOT distinguish the modes.
-    fast_forward: bool = field(default=False, compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -260,7 +253,6 @@ def run_spec_runtime(spec: ExperimentSpec) -> "tuple[ExecutionReport, HyperionRu
         config=spec.effective_config(),
         sanitize=spec.sanitize,
         telemetry=spec.telemetry,
-        fast_forward=spec.fast_forward,
     )
     collector = runtime.telemetry
     if collector is not None:

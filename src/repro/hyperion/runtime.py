@@ -104,11 +104,6 @@ class ExecutionReport:
     #: are an implementation detail of the kernel, not of the simulated
     #: machine.  Consumed by :mod:`repro.perf` for throughput reporting.
     events_processed: int = 0
-    #: host-side diagnostic: events the engine priced analytically instead
-    #: of dispatching (zero unless the run opted into fast-forward mode).
-    #: ``events_processed + events_fast_forwarded`` is invariant across
-    #: modes; like ``events_processed`` it is NOT part of :meth:`to_dict`.
-    events_fast_forwarded: int = 0
     #: consistency-sanitizer findings when the run was executed with
     #: ``sanitize=True`` (None otherwise).  Host-side like
     #: ``events_processed``: deliberately NOT part of :meth:`to_dict` — the
@@ -206,7 +201,6 @@ class HyperionRuntime:
         config: RuntimeConfig | None = None,
         sanitize: bool = False,
         telemetry: bool = False,
-        fast_forward: bool = False,
     ):
         self.config = config or RuntimeConfig()
         if protocol is not None:
@@ -230,10 +224,6 @@ class HyperionRuntime:
 
         trace = TraceRecorder(max_records=200_000) if self.config.trace else None
         self.engine = Engine(trace=trace)
-        # Analytic fast-forward is a host-side execution mode, not part of
-        # RuntimeConfig: the simulated outcome is byte-identical either way,
-        # so cache keys and config dictionaries must not distinguish it.
-        self.engine.fast_forward = bool(fast_forward)
         self.topology = cluster.topology_factory(self.num_nodes, cluster.network)
         self.isoaddr = IsoAddressAllocator(
             num_nodes=self.num_nodes,
@@ -383,7 +373,6 @@ class HyperionRuntime:
             console=list(self.javaapi.console),
             result=main_result,
             events_processed=self.engine.events_processed,
-            events_fast_forwarded=self.engine.events_elided,
             sanitizer=self.sanitizer.report() if self.sanitizer is not None else None,
         )
 

@@ -142,9 +142,7 @@ class Profiler:
         cell = CellProfile(
             label=spec.label(),
             wall_seconds=wall,
-            # fast-forwarded events are simulated work the host never paid
-            # for; counting them keeps events/sec comparable across modes
-            events=report.events_processed + report.events_fast_forwarded,
+            events=report.events_processed,
             execution_seconds=report.execution_seconds,
             report=report,
             profile_text=text,

@@ -4,7 +4,7 @@ Each :class:`ScenarioPattern` bundles a generator with its workload class
 and registers a dedicated :class:`~repro.scenarios.runner.SyntheticApplication`
 subclass under ``syn-<pattern>`` in the ordinary application registry.  From
 that point on the harness cannot tell a generated scenario from a paper
-benchmark: ``available_apps()`` lists it, ``ExperimentSpec``/``run_cell``
+benchmark: ``available_apps()`` lists it, ``ExperimentSpec``/``Session.cell``
 run it, the result store caches it and ``ExperimentMatrix`` grids over it.
 
 The public helpers (:func:`available_scenarios`, :func:`scenario_workload`,

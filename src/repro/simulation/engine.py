@@ -40,11 +40,6 @@ class Engine:
         #: see :class:`repro.obs.ledger.EngineInstrument`).  Like ``trace``,
         #: a non-None hook moves :meth:`run` off its hot configuration.
         self.metrics = None
-        #: opt-in analytic fast-forward (see :meth:`try_fast_advance`);
-        #: runtimes set this from ``ExperimentSpec.fast_forward``.
-        self.fast_forward = False
-        self._events_elided = 0
-        self._until: float | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -56,11 +51,6 @@ class Engine:
     def events_processed(self) -> int:
         """Total number of events delivered so far (diagnostic)."""
         return self._events_processed
-
-    @property
-    def events_elided(self) -> int:
-        """Events priced analytically by :meth:`try_fast_advance` (diagnostic)."""
-        return self._events_elided
 
     @property
     def queue_length(self) -> int:
@@ -104,39 +94,6 @@ class Engine:
         event._scheduled = True
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, self._seq, event))
-
-    def try_fast_advance(self, target: float, events: int = 1) -> bool:
-        """Advance the clock to *target* analytically, eliding *events* events.
-
-        This is the engine half of the opt-in fast-forward mode: a caller
-        that knows the exact virtual time its next event(s) would fire at —
-        and that no other scheduled event could run first — may price the
-        phase in closed form instead of round-tripping through the heap.
-        The advance is refused (returns ``False``, state untouched) unless
-        every condition for byte-identical behaviour holds:
-
-        * :attr:`fast_forward` is set (the mode is opt-in per run);
-        * no trace recorder is attached (a trace must list every event);
-        * *target* does not overshoot an active ``run(until=...)`` deadline;
-        * no queued event fires at or before *target* — the strict ``<=``
-          matters: an event scheduled at exactly *target* with an earlier
-          sequence number would have been delivered first.
-
-        On success the elided events are counted in :attr:`events_elided`
-        so ``events_processed + events_elided`` is invariant across modes.
-        """
-        if not self.fast_forward or self.trace is not None:
-            return False
-        if target < self._now:
-            return False
-        if self._until is not None and target > self._until:
-            return False
-        queue = self._queue
-        if queue and queue[0][0] <= target:
-            return False
-        self._now = target
-        self._events_elided += events
-        return True
 
     def step(self) -> float:
         """Process the next event; return the new virtual time."""
@@ -182,7 +139,6 @@ class Engine:
         failures = self._failures
         processed = self._events_processed
         exhausted = False
-        self._until = until
         try:
             if until is None and trace is None and metrics is None:
                 # the hot configuration: no deadline, no tracing
@@ -219,7 +175,6 @@ class Engine:
                     exhausted = True
         finally:
             self._events_processed = processed
-            self._until = None
         if exhausted and self.strict_deadlock and self._processes:
             waiting = [p for p in self._processes if p.is_alive]
             if waiting:

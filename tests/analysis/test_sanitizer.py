@@ -26,7 +26,6 @@ from repro.core.protocol import register_composed, unregister_protocol
 from repro.harness.session import Session
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.store import ResultStore
-from repro.harness.sweep import sweep_check_cost
 from repro.hyperion.runtime import RuntimeConfig
 
 GOLDEN_PATH = Path(__file__).parent.parent / "scenarios" / "golden_cells.json"
@@ -190,10 +189,11 @@ def test_session_never_serves_sanitize_from_cache(tmp_path):
 
 
 def test_sweep_collects_sanitizer_reports():
-    result = sweep_check_cost(
+    result = Session().ablation(
+        "check_cost",
         "jacobi",
         num_nodes=2,
-        check_cycles=(2.0, 8.0),
+        values=(2.0, 8.0),
         workload=WorkloadPreset.testing(),
         sanitize=True,
     )

@@ -7,7 +7,6 @@ import pytest
 from repro.apps.workloads import WorkloadPreset
 from repro.cluster.presets import myrinet_cluster
 from repro.harness.executor import Executor, ParallelExecutor, SerialExecutor
-from repro.harness.experiment import run_cell, run_comparison
 from repro.harness.matrix import ExperimentMatrix
 from repro.harness.session import Session
 from repro.harness.spec import ExperimentSpec, run_spec
@@ -267,30 +266,28 @@ def test_cache_key_stable_for_non_dataclass_workloads():
 
 
 # ---------------------------------------------------------------------------
-# wrappers route through sessions
+# coordinate-level entry points share the session's executor and store
 # ---------------------------------------------------------------------------
 def test_run_cell_accepts_session(tmp_path):
     store = ResultStore(tmp_path)
     executor = CountingExecutor()
     session = Session(executor=executor, store=store)
-    first = run_cell("pi", "myrinet", "java_pf", 1, workload="testing", session=session)
-    second = run_cell("pi", "myrinet", "java_pf", 1, workload="testing", session=session)
+    first = session.cell("pi", "myrinet", "java_pf", 1, workload="testing")
+    second = session.cell("pi", "myrinet", "java_pf", 1, workload="testing")
     assert executor.simulated == 1
     assert first.to_dict() == second.to_dict()
 
 
 def test_run_comparison_accepts_session(tmp_path, testing_preset):
     session = Session(store=ResultStore(tmp_path))
-    comparison = run_comparison(
-        "jacobi", "myrinet", node_counts=[1, 2], workload=testing_preset.jacobi,
-        session=session,
+    comparison = session.comparison(
+        "jacobi", "myrinet", node_counts=[1, 2], workload=testing_preset.jacobi
     )
     assert set(dict(comparison.series("java_pf"))) == {1, 2}
     # the comparison's four cells are now cached
     rerun = Session(executor=CountingExecutor(), store=ResultStore(tmp_path))
-    again = run_comparison(
-        "jacobi", "myrinet", node_counts=[1, 2], workload=testing_preset.jacobi,
-        session=rerun,
+    again = rerun.comparison(
+        "jacobi", "myrinet", node_counts=[1, 2], workload=testing_preset.jacobi
     )
     assert rerun.executor.simulated == 0
     assert again.improvements() == comparison.improvements()

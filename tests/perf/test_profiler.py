@@ -26,6 +26,7 @@ def test_profiler_captures_wall_and_events():
     assert profile.label == "pi/myrinet/java_pf/n2"
     assert profile.wall_seconds > 0
     assert profile.events > 0
+    assert profile.events == profile.report.events_processed
     assert profile.events_per_second > 0
     assert profile.execution_seconds == profile.report.execution_seconds
     assert profile.profile_text == ""
