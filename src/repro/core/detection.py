@@ -118,13 +118,15 @@ class DetectionStrategy:
     def access_fast_plan(self) -> str | None:
         """Fast-plan key for fused memory-side access charging, or None.
 
-        The memory subsystem charges resident accesses of the stateless
-        strategies inline: open-coded in its scalar ``get``/``put`` hot
-        paths, and through one range block (``_fused_range_charges``).
-        That is only sound when this instance's ``detect_access`` is the
-        stock fast implementation of a strategy the memory layer knows:
-        a subclass override, an active :func:`reference_detection` patch,
-        or a stateful strategy (hybrid) must all return None here so every
+        The memory subsystem charges resident accesses inline: open-coded
+        in its scalar ``get``/``put`` hot paths, and through one range
+        block (``_fused_range_charges``).  Under the ``"hybrid"`` plan it
+        charges the check only while a touched page is unpromoted and then
+        calls :meth:`HybridDetection._observe`, exactly as
+        ``detect_access`` does.  All of that is only sound when this
+        instance's ``detect_access`` is the stock fast implementation of a
+        strategy the memory layer knows: a subclass override or an active
+        :func:`reference_detection` patch must return None here so every
         access takes the exact polymorphic path.
         """
         cls = type(self)
@@ -799,6 +801,72 @@ class HybridDetection(DetectionStrategy):
         self._observe(node_id, pages, count)
         return len(missing)
 
+    def detect_access_run(
+        self,
+        ctx: AccessContext,
+        node_id: int,
+        page: int,
+        n: int,
+        write: bool,
+        base_seconds: float,
+        extra: int = 0,
+        extra_base_seconds: float = 0.0,
+    ) -> bool:
+        # Fused run path (see InlineCheckDetection's), replaying the
+        # per-page state element by element: each access (and each extra
+        # accounting access, with count=extra) pays the check while the
+        # page is unpromoted, then adds to the density, promoting at the
+        # threshold — the order _observe applies after a scalar access.
+        # Density and promotion are written back once, at the end.
+        if self.access_fast_plan() is None:
+            return False
+        try:
+            remote = self._home_by_page[page] != node_id
+        except KeyError:
+            raise KeyError(f"page {page} has not been registered") from None
+        if remote and page not in self._tables[node_id]._present:
+            return False
+        try:
+            pending = ctx._pending_cpu
+        except AttributeError:
+            return False
+        density = self._density[node_id]
+        promoted = self._promoted[node_id]
+        seen = density.get(page, 0)
+        dense = page in promoted
+        threshold = self.DENSITY_THRESHOLD
+        freq = self._freq
+        check_1 = self._check_cycles / freq
+        check_e = (self._check_cycles * extra) / freq
+        checks = 0
+        for _ in range(n):
+            pending += base_seconds
+            if not dense:
+                pending += check_1
+                checks += 1
+            seen += 1
+            if seen >= threshold:
+                dense = True
+            if extra:
+                pending += extra_base_seconds
+                if not dense:
+                    pending += check_e
+                    checks += extra
+                seen += extra
+                if seen >= threshold:
+                    dense = True
+        density[page] = seen
+        if dense:
+            promoted.add(page)
+        stats = self.stats
+        total = n + n * extra
+        stats.accesses += total
+        if remote:
+            stats.remote_accesses += total
+        stats.inline_checks += checks
+        ctx._pending_cpu = pending
+        return True
+
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         """Invalidate per mode: drop unpromoted pages, re-protect promoted.
 
@@ -830,11 +898,13 @@ class HybridDetection(DetectionStrategy):
 #: *defining* the implementation: a subclass that inherits one of these is
 #: covered (it runs the very same code), a subclass that overrides
 #: ``detect_access`` is not (``access_fast_plan`` walks the MRO to the
-#: defining class), and stateful strategies (hybrid) are deliberately absent.
+#: defining class).  The hybrid plan carries per-page state, so the memory
+#: layer updates it (``_observe``) after each fused charge.
 _FAST_PLAN_BY_IMPL: dict[type, str] = {
     InlineCheckDetection: "inline_check",
     PageFaultDetection: "page_fault",
     HoistedCheckDetection: "hoisted",
+    HybridDetection: "hybrid",
 }
 
 

@@ -63,20 +63,29 @@ class MemorySubsystem:
         self._detect = protocol.detect_access
         # -- fused access fast path (the batched-replay substrate).  When
         # the protocol can prove that charging a resident access inline is
-        # byte-identical to ``detect_access`` (stateless detection, fixed
-        # homes, stock implementations — see ``access_fast_plan``), the
-        # scalar/range primitives below charge resident accesses inline and
-        # the run primitives batch whole same-page runs through the
-        # strategy's ``detect_access_run``.
+        # byte-identical to ``detect_access`` (a stock detection
+        # implementation — see ``access_fast_plan``), the scalar/range
+        # primitives below charge resident accesses inline and the run
+        # primitives batch whole same-page runs through the strategy's
+        # ``detect_access_run``.  The hybrid plan checks only unpromoted
+        # pages and observes every fused access (``_observe``); a policy
+        # that observes writes gets its hook (``_note_write``) called after
+        # every fused write, and then multi-page spans, put runs and the
+        # prepared updater take the exact path, since a re-home can split
+        # an object's homes or land in the middle of a run.
         # Every miss, every unusual page and every disabled configuration
         # falls back to the exact ``_detect`` path, byte for byte.
-        self._fast_plan = protocol.access_fast_plan()
+        plan = self._fast_plan = protocol.access_fast_plan()
         strategy = protocol.detection_strategy()
         self._detect_run = (
             strategy.detect_access_run
-            if strategy is not None and self._fast_plan is not None
+            if strategy is not None and plan is not None
             else None
         )
+        self._note_write = protocol.write_observer() if plan is not None else None
+        if plan == "hybrid":
+            self._promoted = strategy._promoted
+            self._observe = strategy._observe
         self._home_by_page = page_manager._home_by_page
         self._tables = page_manager.tables
         self._dsm_stats = page_manager.stats
@@ -94,6 +103,7 @@ class MemorySubsystem:
         """
         self._fast_plan = None
         self._detect_run = None
+        self._note_write = None
 
     # ------------------------------------------------------------------
     # helpers
@@ -194,12 +204,16 @@ class MemorySubsystem:
                 stats.accesses += 1
                 if rhome != node:
                     stats.remote_accesses += 1
-                if plan != "page_fault":
+                if plan != "page_fault" and (
+                    plan != "hybrid" or first not in self._promoted[node]
+                ):
                     stats.inline_checks += 1
                     try:
                         ctx._pending_cpu += self._check_seconds
                     except AttributeError:
                         ctx.charge_cpu(self._check_seconds)
+                if plan == "hybrid":
+                    self._observe(node, (first,), 1)
                 if obj.home_node == node:
                     return obj.main_read(index)
                 return self._cache_entry(node, obj).read(index)
@@ -238,12 +252,19 @@ class MemorySubsystem:
                 stats.accesses += 1
                 if rhome != node:
                     stats.remote_accesses += 1
-                if plan != "page_fault":
+                if plan != "page_fault" and (
+                    plan != "hybrid" or first not in self._promoted[node]
+                ):
                     stats.inline_checks += 1
                     try:
                         ctx._pending_cpu += self._check_seconds
                     except AttributeError:
                         ctx.charge_cpu(self._check_seconds)
+                if plan == "hybrid":
+                    self._observe(node, (first,), 1)
+                note = self._note_write
+                if note is not None:
+                    note(ctx, node, (first,))
                 if obj.home_node == node:
                     obj.main_write(index, value)
                     return
@@ -259,19 +280,32 @@ class MemorySubsystem:
 
     # -- bulk accesses ---------------------------------------------------------
     def _fused_range_charges(
-        self, ctx: AccessContext, node: int, first: int, last: int, count: int
+        self,
+        ctx: AccessContext,
+        node: int,
+        first: int,
+        last: int,
+        count: int,
+        write: bool,
     ) -> bool:
         """Charge *count* accesses to the resident pages [first, last] inline.
 
         The one copy of the range charge block: ``get_range``,
         ``put_range`` and ``account_accesses`` call it (the prepared
         :meth:`make_range_updater` closure evaluates the same expressions
-        once per span).  Returns False — with nothing charged — whenever
-        the exact ``_detect`` path must run instead: no plan, unregistered
-        page, or any page of [first, last] not readable from *node*.
+        once per span).  A *write* then reaches the policy's write hook,
+        before the caller moves any data.  Returns False — with nothing
+        charged — whenever the exact ``_detect`` path must run instead: no
+        plan, unregistered page, any page of [first, last] not readable
+        from *node*, or a multi-page span while homes can move.
         """
         plan = self._fast_plan
         if plan is None:
+            return False
+        note = self._note_write
+        if note is not None and first != last:
+            # a re-home can give one object's pages different homes, so
+            # the first page's home no longer classifies the span
             return False
         rhome = self._home_by_page.get(first)
         if rhome is None:
@@ -314,6 +348,20 @@ class MemorySubsystem:
                 ctx._pending_cpu += charge
             except AttributeError:
                 ctx.charge_cpu(charge)
+        elif plan == "hybrid":
+            # the check is paid while any page of the span is unpromoted
+            promoted = self._promoted[node]
+            span = range(first, last + 1)
+            if not (first in promoted if first == last else promoted.issuperset(span)):
+                stats.inline_checks += count
+                charge = (self._check_cycles * count) / self._freq
+                try:
+                    ctx._pending_cpu += charge
+                except AttributeError:
+                    ctx.charge_cpu(charge)
+            self._observe(node, span, count)
+        if write and note is not None:
+            note(ctx, node, (first,))
         return True
 
     def get_range(
@@ -328,7 +376,7 @@ class MemorySubsystem:
         page_size = self._page_size
         first = address // page_size
         last = (address + count * slot_size - 1) // page_size
-        if not self._fused_range_charges(ctx, node, first, last, count):
+        if not self._fused_range_charges(ctx, node, first, last, count, False):
             pages = (first,) if first == last else range(first, last + 1)
             ctx.charge_cpu((self._base_cycles * count) / self._freq)
             self._detect(ctx, node, pages, count, False)
@@ -363,7 +411,7 @@ class MemorySubsystem:
         page_size = self._page_size
         first = address // page_size
         last = (address + count * slot_size - 1) // page_size
-        if not self._fused_range_charges(ctx, node, first, last, count):
+        if not self._fused_range_charges(ctx, node, first, last, count, True):
             pages = (first,) if first == last else range(first, last + 1)
             ctx.charge_cpu((self._base_cycles * count) / self._freq)
             self._detect(ctx, node, pages, count, True)
@@ -405,7 +453,7 @@ class MemorySubsystem:
                 size = 1
         first = address // page_size
         last = (address + size - 1) // page_size
-        if self._fused_range_charges(ctx, node, first, last, count):
+        if self._fused_range_charges(ctx, node, first, last, count, write):
             return
         pages = (first,) if first == last else range(first, last + 1)
         ctx.charge_cpu((self._base_cycles * count) / self._freq)
@@ -460,7 +508,9 @@ class MemorySubsystem:
         once at preparation, and each call only re-checks what can actually
         change between calls: that the fast path is still enabled, page
         presence, and the per-call extra object's span.  Any failed check
-        delegates to :meth:`update_range` itself.
+        delegates to :meth:`update_range` itself.  Under the hybrid plan,
+        or while homes can move, the charges are not run-constant, and the
+        closure is :meth:`update_range` from the start.
         """
         plan = self._fast_plan
         count = hi - lo
@@ -471,7 +521,13 @@ class MemorySubsystem:
         first = address // page_size
         last = (address + count * slot_size - 1) // page_size
         rhome = self._home_by_page.get(first)
-        if plan is None or rhome is None or not (0 <= lo < hi <= obj.num_slots):
+        if (
+            plan is None
+            or plan == "hybrid"
+            or self._note_write is not None
+            or rhome is None
+            or not (0 <= lo < hi <= obj.num_slots)
+        ):
 
             def update(transform, extra_obj=None):
                 update_range(ctx, node, obj, lo, hi, transform, extra_obj, extra)
@@ -710,14 +766,16 @@ class MemorySubsystem:
         accesses are written-flagged, matching the unbatched interpreter).
         Unlike reads, the data movement is not elidable: every element is
         written to the home copy or recorded dirty in the node cache, so
-        monitor-exit flushes carry identical bytes.
+        monitor-exit flushes carry identical bytes.  While homes can move,
+        a re-home may land mid-run, so every element goes through
+        :meth:`put`.
         """
         if len(values) != len(slots):
             raise ValueError(
                 f"put_run of {len(slots)} slots received {len(values)} values"
             )
         detect_run = self._detect_run
-        if detect_run is None:
+        if detect_run is None or self._note_write is not None:
             put = self.put
             if extra:
                 account = self.account_accesses

@@ -154,9 +154,19 @@ class ConsistencyProtocol(DsmProtocolHooks):
         Non-None only when the protocol can prove that the memory
         subsystem's inline charging of resident accesses (its scalar
         ``get``/``put`` fast paths, ``_fused_range_charges`` and the
-        prepared range updater) is byte-identical to routing every access
-        through :meth:`detect_access` (see
-        ``DetectionStrategy.access_fast_plan``).  Plain protocols refuse.
+        prepared range updater), followed by :meth:`write_observer` on
+        writes, is byte-identical to routing every access through
+        :meth:`detect_access` (see ``DetectionStrategy.access_fast_plan``).
+        Plain protocols refuse.
+        """
+        return None
+
+    def write_observer(self):
+        """The ``note_write(ctx, node_id, pages)`` hook writes must reach.
+
+        None when no layer observes writes (fixed homes).  The fused access
+        path calls the hook itself after charging a resident write, where
+        :meth:`detect_access` would have called it.
         """
         return None
 
@@ -188,8 +198,10 @@ class ComposedProtocol(ConsistencyProtocol):
     ``detect_access`` *is* the strategy's bound method — exactly the code
     (and the number of attribute hops) the former monolithic protocols ran.
     A policy that observes writes gets a minimal closure wrapping the
-    strategy call; that closure is the only hot-path price of migratory
-    homes, and only protocols composed with such a policy pay it.
+    strategy call, and the memory layer's fused path calls the policy's
+    hook itself (:meth:`write_observer`); those calls are the only
+    hot-path price of migratory homes, and only protocols composed with
+    such a policy pay it.
     """
 
     def __init__(
@@ -259,15 +271,19 @@ class ComposedProtocol(ConsistencyProtocol):
         self.detection.on_monitor_enter(ctx, node_id)
 
     def access_fast_plan(self) -> str | None:
-        """Delegate to the detection layer; write-observing policies refuse.
+        """Delegate to the detection layer.
 
-        A policy that observes writes (migratory homes) hooks every write
-        through ``note_write`` — fusing accesses around that hook would skip
-        its bookkeeping, so such compositions always take the exact path.
+        A policy that observes writes (migratory homes) does not refuse:
+        the fused path calls its ``note_write`` through
+        :meth:`write_observer` after every resident write, and takes the
+        exact path for multi-page spans, whose pages may have been re-homed
+        apart.
         """
-        if self.home_policy.observes_writes:
-            return None
         return self.detection.access_fast_plan()
+
+    def write_observer(self):
+        policy = self.home_policy
+        return policy.note_write if policy.observes_writes else None
 
     def detection_strategy(self):
         return self.detection

@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cluster.topology import CrossbarTopology, MultiClusterTopology
 from repro.core.context import AccessContext, RecordingContext
+from repro.core.detection import HybridDetection
 from repro.hyperion.objects import JavaArray
 
 
@@ -220,7 +223,21 @@ def _drive_primitives(rig, ctx) -> list:
     return out
 
 
-@pytest.mark.parametrize("protocol", ["java_ic", "java_pf", "java_ic_hoisted"])
+def _hybrid_state(rig):
+    detection = rig.protocol.detection
+    return detection._density, detection._promoted
+
+
+#: the topology each oracle protocol runs on: the locality-aware policy
+#: observes writes only across islands, and on 3 nodes the default two-island
+#: multicluster puts node 2 on an island of its own
+_ORACLE_TOPOLOGY = {"java_ic_loc": MultiClusterTopology}
+
+
+@pytest.mark.parametrize(
+    "protocol",
+    ["java_ic", "java_pf", "java_ic_hoisted", "java_hybrid", "java_ic_mig", "java_ic_loc"],
+)
 def test_fast_plan_primitives_match_the_detect_path(rig_factory, protocol):
     """Every fused primitive charges and counts exactly like ``_detect``.
 
@@ -228,12 +245,14 @@ def test_fast_plan_primitives_match_the_detect_path(rig_factory, protocol):
     same way and then routed through the exact polymorphic path.  The
     charge log of a ``RecordingContext`` exercises the ``charge_cpu``
     fallback; the pending-CPU float of a ``PendingContext`` exercises the
-    inline additions, and must be bit-equal.
+    inline additions, and must be bit-equal.  The hybrid's per-page
+    density and promotions must match as well.
     """
+    topology = _ORACLE_TOPOLOGY.get(protocol, CrossbarTopology)
     results = {}
     for fast in (True, False):
         for context_type in (RecordingContext, PendingContext):
-            rig = rig_factory(protocol=protocol)
+            rig = rig_factory(protocol=protocol, topology_factory=topology)
             if fast:
                 assert rig.memory._fast_plan is not None
             else:
@@ -246,15 +265,157 @@ def test_fast_plan_primitives_match_the_detect_path(rig_factory, protocol):
                 else (ctx._pending_cpu.hex(), ctx._pending_wait.hex())
             )
             stats = dataclasses.asdict(rig.page_manager.stats)
-            results[fast, context_type] = (data, charges, stats)
+            hybrid = _hybrid_state(rig) if protocol == "java_hybrid" else None
+            results[fast, context_type] = (data, charges, stats, hybrid)
     for context_type in (RecordingContext, PendingContext):
-        fast_data, fast_charges, fast_stats = results[True, context_type]
-        ref_data, ref_charges, ref_stats = results[False, context_type]
+        fast_data, fast_charges, fast_stats, fast_hybrid = results[True, context_type]
+        ref_data, ref_charges, ref_stats, ref_hybrid = results[False, context_type]
         assert fast_stats == ref_stats
         assert fast_data == ref_data
         assert fast_charges == ref_charges
-    # the scenario must reach every path: fetches, checks, remote accesses
-    stats = results[True, PendingContext][2]
+        assert fast_hybrid == ref_hybrid
+    # the scenario must reach every path: fetches, checks, remote accesses,
+    # and the state the stateful compositions carry
+    _data, _charges, stats, hybrid = results[True, PendingContext]
     assert stats["page_fetches"] > 0 and stats["remote_accesses"] > 0
     if protocol != "java_pf":
         assert stats["inline_checks"] > 0
+    if protocol == "java_hybrid":
+        assert sum(len(pages) for pages in hybrid[1]) >= 4
+    if protocol in ("java_ic_mig", "java_ic_loc"):
+        assert stats["page_rehomes"] >= 3
+    else:
+        assert stats["page_rehomes"] == 0
+
+
+def _run_pair(rig_factory, protocol, drive):
+    """*drive* on a fast rig and on a ``disable_access_fast_path`` twin."""
+    out = []
+    for fast in (True, False):
+        rig = rig_factory(protocol=protocol)
+        if not fast:
+            rig.memory.disable_access_fast_path()
+        ctx = PendingContext(0)
+        data = drive(rig, ctx, fast)
+        out.append(
+            (
+                data,
+                ctx._pending_cpu.hex(),
+                ctx._pending_wait.hex(),
+                dataclasses.asdict(rig.page_manager.stats),
+            )
+        )
+    return out
+
+
+def test_mixed_home_span_takes_the_exact_path(rig_factory):
+    """A re-home that splits one object's homes must not fool the span check.
+
+    Three exclusive writes from node 0 re-home the first page of a
+    three-page array homed on node 1, so the span's first page is local to
+    node 0 while the other two are remote and absent.  Classifying the span
+    by its first page would skip their fetch and undercount remote
+    accesses.
+    """
+
+    def drive(rig, ctx, fast):
+        memory = rig.memory
+        wide = rig.heap.new_array("double", 1500, home_node=1, page_aligned=True)
+        for value in (1.0, 2.0, 3.0):
+            memory.put(ctx, 0, wide, 0, value)
+        first = wide.address // rig.isoaddr.page_size
+        assert rig.page_manager._home_by_page[first] == 0
+        values = memory.get_range(ctx, 0, wide, 0, 1500).tolist()
+        memory.account_accesses(ctx, 0, wide, 5)
+        memory.account_accesses(ctx, 0, wide, 2, write=True)
+        return values
+
+    fast, ref = _run_pair(rig_factory, "java_ic_mig", drive)
+    assert fast == ref
+    stats = fast[3]
+    assert stats["page_rehomes"] == 1
+    assert stats["page_fetches"] == 3  # the first page, then the other two
+
+
+def test_migratory_put_run_rehomes_mid_run(rig_factory):
+    """A ``put_run`` whose page is re-homed part-way equals scalar puts."""
+    slots = list(range(8))
+    values = [float(v) for v in range(8)]
+
+    def drive(rig, ctx, fast):
+        memory = rig.memory
+        obj = rig.heap.new_array("double", 64, home_node=1)
+        if fast:
+            memory.put_run(ctx, 0, obj, slots, values, extra=1)
+        else:
+            for slot, value in zip(slots, values):
+                memory.put(ctx, 0, obj, slot, value)
+                memory.account_accesses(ctx, 0, obj, 1, lo=slot, hi=slot + 1, write=True)
+        memory.update_main_memory(ctx, 0)
+        return obj.main_read_range(0, 64).tolist()
+
+    fast, ref = _run_pair(rig_factory, "java_ic_mig", drive)
+    assert fast == ref
+    stats = fast[3]
+    assert stats["page_rehomes"] == 1
+    # the re-home landed mid-run: only the accesses before it were remote
+    assert 0 < stats["remote_accesses"] < stats["accesses"]
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    write=st.booleans(),
+    remote=st.booleans(),
+    to_threshold=st.integers(min_value=-2, max_value=6),
+    extra=st.integers(min_value=0, max_value=3),
+    slots=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=12),
+)
+def test_hybrid_runs_match_scalar_accesses(
+    rig_factory, write, remote, to_threshold, extra, slots
+):
+    """``get_run``/``put_run`` replay the hybrid's promotion bit for bit.
+
+    The page starts resident, a few accesses short of (or just past)
+    :data:`HybridDetection.DENSITY_THRESHOLD`; the run on a fast rig must
+    equal the scalar ``get``/``put`` plus ``account_accesses(extra)``
+    sequence on an exact-path twin in pending CPU time, DSM counters,
+    density and promotion.
+    """
+    values = [float(slot) for slot in slots]
+    results = []
+    for fast in (True, False):
+        rig = rig_factory(protocol="java_hybrid")
+        memory = rig.memory
+        if not fast:
+            memory.disable_access_fast_path()
+        obj = rig.heap.new_array("double", 64, home_node=1 if remote else 0)
+        ctx = PendingContext(0)
+        # fetch the page and bring its density near the threshold
+        start = HybridDetection.DENSITY_THRESHOLD - to_threshold
+        memory.account_accesses(ctx, 0, obj, start, lo=0, hi=1)
+        if fast and write:
+            memory.put_run(ctx, 0, obj, slots, values, extra=extra)
+        elif fast:
+            memory.get_run(ctx, 0, obj, slots, extra=extra)
+        else:
+            for slot, value in zip(slots, values):
+                if write:
+                    memory.put(ctx, 0, obj, slot, value)
+                else:
+                    memory.get(ctx, 0, obj, slot)
+                if extra:
+                    memory.account_accesses(
+                        ctx, 0, obj, extra, lo=slot, hi=slot + 1, write=write
+                    )
+        data = None
+        if write:
+            memory.update_main_memory(ctx, 0)
+            data = obj.main_read_range(0, 64).tolist()
+        density, promoted = _hybrid_state(rig)
+        stats = dataclasses.asdict(rig.page_manager.stats)
+        results.append((ctx._pending_cpu.hex(), stats, density, promoted, data))
+    assert results[0] == results[1]
