@@ -10,7 +10,9 @@ All simulations route through a shared :class:`repro.harness.session.Session`
 ``HYPERION_BENCH_JOBS`` fans cells out over that many worker processes, and
 ``HYPERION_BENCH_CACHE`` points at a result-store directory so repeated
 benchmark runs reuse earlier simulations.  Both default to off, keeping the
-timed numbers comparable across machines.
+timed numbers comparable across machines.  A third, ``HYPERION_BENCH_RECORD=1``,
+writes the regenerated data into the committed ``results/`` directory instead
+of a temporary one.
 """
 
 from __future__ import annotations
@@ -56,10 +58,17 @@ def bench_session() -> Session:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """Directory where benchmarks drop their regenerated figure data."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def results_dir(tmp_path_factory) -> Path:
+    """Directory where benchmarks drop their regenerated figure data.
+
+    The committed ``results/`` directory only with ``HYPERION_BENCH_RECORD=1``
+    (re-recording the artifacts); otherwise a temporary directory, so a plain
+    test run leaves the working tree clean.
+    """
+    if os.environ.get("HYPERION_BENCH_RECORD") == "1":
+        RESULTS_DIR.mkdir(exist_ok=True)
+        return RESULTS_DIR
+    return tmp_path_factory.mktemp("results")
 
 
 def record_figure(benchmark, figure_data, results_dir: Path) -> None:

@@ -16,6 +16,10 @@ the ``get``/``put`` primitives of the memory subsystem):
 * :class:`~repro.apps.asp.AspApplication` — all-pairs shortest paths
   (Floyd's algorithm) with per-iteration row broadcast.
 
+TSP memoises its pure search kernel per process; :func:`clear_search_memo`
+empties that memo (host timing of repeated cells calls it, see
+:class:`repro.perf.Profiler`).
+
 Workload sizes are configured through :class:`~repro.apps.workloads.WorkloadPreset`
 (``paper()``, ``bench()`` and ``testing()`` scales).
 """
@@ -25,7 +29,7 @@ from repro.apps.barnes import BarnesApplication
 from repro.apps.base import Application, app_class, available_apps, create_app
 from repro.apps.jacobi import JacobiApplication
 from repro.apps.pi import PiApplication
-from repro.apps.tsp import TspApplication
+from repro.apps.tsp import TspApplication, clear_search_memo
 
 # Importing the scenario registry publishes the generated ``syn-*``
 # applications alongside the paper benchmarks; every entry point that can
@@ -52,6 +56,7 @@ __all__ = [
     "BarnesApplication",
     "TspApplication",
     "AspApplication",
+    "clear_search_memo",
     "WorkloadPreset",
     "PiWorkload",
     "JacobiWorkload",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from typing import Any
 
+from repro.apps import clear_search_memo
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.hyperion.runtime import ExecutionReport
 
@@ -83,7 +84,9 @@ class Profiler:
         across them (``timeit``-style best-of-N — the minimum is the run
         least disturbed by the host, which is the right estimator for a
         deterministic workload on a noisy machine).  The run is identical
-        every time, so which repeat's report is kept does not matter.
+        every time, so which repeat's report is kept does not matter.  App
+        kernel memos (TSP's search) are cleared before every timed run, so
+        each repeat times the full computation rather than a memo hit.
     warmup:
         Untimed runs before the timed ones, so byte-code, allocator and
         import effects don't land in the first measurement.
@@ -120,6 +123,7 @@ class Profiler:
         wall = None
         report = None
         for _ in range(self.repeats):
+            clear_search_memo()
             t0 = time.perf_counter()
             if self.with_cprofile and profile is None:
                 # capture the profile on the first timed run only; with

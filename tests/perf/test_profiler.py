@@ -57,6 +57,24 @@ def test_profiling_does_not_change_results():
     )
 
 
+def test_every_timed_run_starts_with_an_empty_search_memo(monkeypatch):
+    """Repeats of a TSP cell time the search, not hits in its memo."""
+    import repro.perf.profiler as profiler_module
+    from repro.apps.tsp import branch_and_bound
+
+    memo_sizes = []
+
+    def run_spec(spec):
+        memo_sizes.append(branch_and_bound.cache_info().currsize)
+        return spec.run()
+
+    monkeypatch.setattr(profiler_module, "run_spec", run_spec)
+    Profiler(with_cprofile=False, repeats=3, warmup=1).profile_spec(_spec("tsp"))
+    assert len(memo_sizes) == 4
+    assert memo_sizes[1:] == [0, 0, 0]
+    assert branch_and_bound.cache_info().currsize > 0
+
+
 def test_profile_specs_and_report_aggregation():
     specs = [_spec("pi"), _spec("jacobi")]
     profiles = profile_specs(specs)
