@@ -16,8 +16,9 @@ the ``get``/``put`` primitives of the memory subsystem):
 * :class:`~repro.apps.asp.AspApplication` — all-pairs shortest paths
   (Floyd's algorithm) with per-iteration row broadcast.
 
-TSP memoises its pure search kernel per process; :func:`clear_search_memo`
-empties that memo (host timing of repeated cells calls it, see
+TSP memoises its search kernel and Barnes-Hut its octree build and force
+walk, each in a bounded per-process memo; :func:`clear_kernel_memos` empties
+all three (host timing of repeated cells calls it, see
 :class:`repro.perf.Profiler`).
 
 Workload sizes are configured through :class:`~repro.apps.workloads.WorkloadPreset`
@@ -25,11 +26,11 @@ Workload sizes are configured through :class:`~repro.apps.workloads.WorkloadPres
 """
 
 from repro.apps.asp import AspApplication
-from repro.apps.barnes import BarnesApplication
+from repro.apps.barnes import BarnesApplication, step_memo, tree_memo
 from repro.apps.base import Application, app_class, available_apps, create_app
 from repro.apps.jacobi import JacobiApplication
 from repro.apps.pi import PiApplication
-from repro.apps.tsp import TspApplication, clear_search_memo
+from repro.apps.tsp import TspApplication, branch_and_bound
 
 # Importing the scenario registry publishes the generated ``syn-*``
 # applications alongside the paper benchmarks; every entry point that can
@@ -46,6 +47,14 @@ from repro.apps.workloads import (
     WorkloadPreset,
 )
 
+
+def clear_kernel_memos() -> None:
+    """Empty every app kernel memo: TSP's search, Barnes-Hut's trees and walks."""
+    branch_and_bound.cache_clear()
+    tree_memo.cache_clear()
+    step_memo.cache_clear()
+
+
 __all__ = [
     "Application",
     "app_class",
@@ -56,7 +65,7 @@ __all__ = [
     "BarnesApplication",
     "TspApplication",
     "AspApplication",
-    "clear_search_memo",
+    "clear_kernel_memos",
     "WorkloadPreset",
     "PiWorkload",
     "JacobiWorkload",

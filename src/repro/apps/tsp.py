@@ -16,8 +16,9 @@ The DFS below a prefix is :func:`branch_and_bound`, a pure function of
 ``(distance matrix, prefix, prefix length, bound)`` memoised in a bounded
 per-process LRU.  The simulated cost of a search (its DSM accesses and
 computation) is charged by ``TspApplication._search`` on every call, so
-reports are identical whether the memo hit or not.  :func:`clear_search_memo`
-empties it, for host timing that must measure the search itself.
+reports are identical whether the memo hit or not.
+:func:`repro.apps.clear_kernel_memos` empties it, for host timing that must
+measure the search itself.
 """
 
 from __future__ import annotations
@@ -144,11 +145,6 @@ def branch_and_bound(
             node = node[4]
         best_tour = tuple(prefix) + tuple(reversed(suffix))
     return local_best, best_tour, candidates
-
-
-def clear_search_memo() -> None:
-    """Forget every memoised :func:`branch_and_bound` result."""
-    branch_and_bound.cache_clear()
 
 
 @register_app

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from typing import Any
 
-from repro.apps import clear_search_memo
+from repro.apps import clear_kernel_memos
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.hyperion.runtime import ExecutionReport
 
@@ -85,8 +85,9 @@ class Profiler:
         least disturbed by the host, which is the right estimator for a
         deterministic workload on a noisy machine).  The run is identical
         every time, so which repeat's report is kept does not matter.  App
-        kernel memos (TSP's search) are cleared before every timed run, so
-        each repeat times the full computation rather than a memo hit.
+        kernel memos (TSP's search, Barnes-Hut's tree and force walk) are
+        cleared before every timed run, so each repeat times the full
+        computation rather than a memo hit.
     warmup:
         Untimed runs before the timed ones, so byte-code, allocator and
         import effects don't land in the first measurement.
@@ -123,7 +124,7 @@ class Profiler:
         wall = None
         report = None
         for _ in range(self.repeats):
-            clear_search_memo()
+            clear_kernel_memos()
             t0 = time.perf_counter()
             if self.with_cprofile and profile is None:
                 # capture the profile on the first timed run only; with

@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import clear_search_memo
+from repro.apps import clear_kernel_memos
 from repro.apps.tsp import branch_and_bound
 from repro.harness.spec import ExperimentSpec, run_spec
 
@@ -68,7 +68,7 @@ def test_reports_identical_with_cold_and_warm_memo():
         )
         for protocol in ("java_ic", "java_pf")
     ]
-    clear_search_memo()
+    clear_kernel_memos()
     cold = [run_spec(spec).to_dict() for spec in specs]
     hits_before = branch_and_bound.cache_info().hits
     warm = [run_spec(spec).to_dict() for spec in specs]

@@ -58,21 +58,25 @@ def test_profiling_does_not_change_results():
 
 
 def test_every_timed_run_starts_with_an_empty_search_memo(monkeypatch):
-    """Repeats of a TSP cell time the search, not hits in its memo."""
+    """Repeats of a TSP or Barnes-Hut cell time the kernels, not memo hits."""
     import repro.perf.profiler as profiler_module
+    from repro.apps.barnes import step_memo, tree_memo
     from repro.apps.tsp import branch_and_bound
 
+    memos = (branch_and_bound, tree_memo, step_memo)
     memo_sizes = []
 
     def run_spec(spec):
-        memo_sizes.append(branch_and_bound.cache_info().currsize)
+        memo_sizes.append(tuple(memo.cache_info().currsize for memo in memos))
         return spec.run()
 
     monkeypatch.setattr(profiler_module, "run_spec", run_spec)
-    Profiler(with_cprofile=False, repeats=3, warmup=1).profile_spec(_spec("tsp"))
-    assert len(memo_sizes) == 4
-    assert memo_sizes[1:] == [0, 0, 0]
-    assert branch_and_bound.cache_info().currsize > 0
+    for app, app_memos in (("tsp", memos[:1]), ("barnes", memos[1:])):
+        memo_sizes.clear()
+        Profiler(with_cprofile=False, repeats=3, warmup=1).profile_spec(_spec(app))
+        assert len(memo_sizes) == 4
+        assert memo_sizes[1:] == [(0, 0, 0)] * 3
+        assert all(memo.cache_info().currsize > 0 for memo in app_memos)
 
 
 def test_profile_specs_and_report_aggregation():
