@@ -37,8 +37,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +45,12 @@ from typing import Any
 
 from repro.harness.session import Session, SessionResult
 from repro.harness.spec import ExperimentSpec
-from repro.harness.store import ResultStore, report_from_payload, report_to_payload
+from repro.harness.store import (
+    ResultStore,
+    report_from_payload,
+    report_to_payload,
+    write_json_atomic,
+)
 from repro.obs.metrics import DEFAULT_HOST_SECONDS_BUCKETS, MetricsRegistry
 from repro.perf.clock import host_clock, peak_rss_bytes
 from repro.util.validation import check_positive
@@ -290,17 +293,6 @@ class SweepJob:
         assert self.checkpoint_dir is not None
         return self.checkpoint_dir / "job.json"
 
-    def _atomic_write(self, path: Path, payload: dict) -> None:
-        assert self.checkpoint_dir is not None
-        fd, tmp = tempfile.mkstemp(dir=self.checkpoint_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-
     def _prepare_checkpoints(self) -> set[int]:
         """Create/validate the checkpoint dir; return resumable shard indices.
 
@@ -333,7 +325,7 @@ class SweepJob:
         else:
             for stale in self.checkpoint_dir.glob("shard-*.json"):
                 stale.unlink()
-        self._atomic_write(
+        write_json_atomic(
             manifest_path,
             {
                 "schema": CHECKPOINT_SCHEMA,
@@ -388,7 +380,7 @@ class SweepJob:
             "job_key": self.job_key(),
             **outcome,
         }
-        self._atomic_write(self._shard_path(outcome["shard"]), payload)
+        write_json_atomic(self._shard_path(outcome["shard"]), payload)
 
     # ------------------------------------------------------------------
     # execution

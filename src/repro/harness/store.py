@@ -75,6 +75,26 @@ QUARANTINE_DIR = "quarantine"
 TELEMETRY_DIR = "telemetry"
 
 
+def write_json_atomic(path: Path, payload: Any) -> None:
+    """Write *payload* to *path* as compact JSON; readers never see a partial file.
+
+    The payload is encoded with ``json.dumps`` — the C encoder, which
+    ``json.dump`` never uses — and lands in one write to a temporary file in
+    the target's directory that ``os.replace`` then renames over *path*.
+    Every store file (manifest, entries, telemetry ledgers) and every sweep
+    checkpoint goes through here; readers only ever ``json.loads`` the bytes.
+    """
+    text = json.dumps(payload)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 class StoreSchemaError(RuntimeError):
     """The store directory was written by an incompatible version."""
 
@@ -208,7 +228,7 @@ class ResultStore:
                         "store_version": STORE_VERSION,
                         "entry_schema": CACHE_SCHEMA_VERSION,
                     }
-                    self._atomic_write(self.manifest_path, payload)
+                    write_json_atomic(self.manifest_path, payload)
                     return
         try:
             manifest = self.manifest()
@@ -382,7 +402,7 @@ class ResultStore:
         """
         path = self.telemetry_path_for(spec.cache_key())
         self.telemetry_root.mkdir(exist_ok=True)
-        self._atomic_write(path, payload)
+        write_json_atomic(path, payload)
         self.metrics.counter(
             "store_telemetry_puts_total", "Telemetry ledgers persisted."
         ).inc()
@@ -397,18 +417,8 @@ class ResultStore:
         return payload if isinstance(payload, dict) else None
 
     def _write_entry(self, key: str, payload: dict) -> None:
-        self._atomic_write(self.path_for(key), payload)
+        write_json_atomic(self.path_for(key), payload)
         self._read_cache[key] = payload["report"]
-
-    def _atomic_write(self, path: Path, payload: dict) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=2)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "ResultStore":

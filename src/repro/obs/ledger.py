@@ -7,7 +7,8 @@ cell's :class:`~repro.obs.metrics.MetricsRegistry` and
 *instruments* the hot layers call without importing this package:
 
 * the engine calls ``metrics.record_event(kind, depth)`` per dispatched
-  event (the no-telemetry fast path is untouched);
+  event (the no-telemetry fast path is untouched), counted locally and
+  folded into the registry at :meth:`finalize`;
 * the page manager calls ``telemetry.observe_fetch(...)`` per fetch group
   with the virtual round-trip latency;
 * the monitor manager calls ``telemetry.observe_acquire(...)`` with the
@@ -53,9 +54,14 @@ TELEMETRY_VERSION = 1
 
 
 class EngineInstrument:
-    """Per-event hook the engine calls on its (telemetry-only) slow path."""
+    """Per-event hook the engine calls on its (telemetry-only) slow path.
 
-    __slots__ = ("events", "queue_depth")
+    Counts locally — a plain ``kind -> count`` dict and the peak queue
+    depth as an int — and :meth:`fold` writes both into the registry once,
+    at finalize, instead of paying a label-keyed metric update per event.
+    """
+
+    __slots__ = ("events", "queue_depth", "counts", "peak_depth")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.events = registry.counter(
@@ -64,16 +70,30 @@ class EngineInstrument:
         self.queue_depth = registry.gauge(
             "sim_event_queue_depth_peak", "Peak pending-event queue depth."
         )
+        self.counts: dict[str, int] = {}
+        #: -1 until the first event, so an idle engine leaves no gauge series
+        self.peak_depth = -1
 
     def record_event(self, kind: str, depth: int) -> None:
-        self.events.inc(1, kind=kind)
-        self.queue_depth.set_max(depth)
+        counts = self.counts
+        counts[kind] = counts.get(kind, 0) + 1
+        if depth > self.peak_depth:
+            self.peak_depth = depth
+
+    def fold(self) -> None:
+        """Move the local counts into the registry (done once, at finalize)."""
+        for kind, count in self.counts.items():
+            self.events.inc(float(count), kind=kind)
+        if self.peak_depth >= 0:
+            self.queue_depth.set_max(self.peak_depth)
+        self.counts = {}
+        self.peak_depth = -1
 
 
 class DsmInstrument:
     """Inline DSM hook: virtual-time page-fetch latency by island scope."""
 
-    __slots__ = ("fetch_latency",)
+    __slots__ = ("fetch_latency", "_observe")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.fetch_latency = registry.histogram(
@@ -81,19 +101,18 @@ class DsmInstrument:
             "Virtual round-trip latency of page-fetch groups by island scope.",
             DEFAULT_LATENCY_BUCKETS,
         )
+        self._observe = self.fetch_latency.observer("scope")
 
     def observe_fetch(
         self, intra_island: bool, latency: float, pages: int, nbytes: int
     ) -> None:
-        self.fetch_latency.observe(
-            latency, scope="intra" if intra_island else "inter"
-        )
+        self._observe(latency, "intra" if intra_island else "inter")
 
 
 class MonitorInstrument:
     """Inline monitor hook: virtual time blocked acquiring a monitor lock."""
 
-    __slots__ = ("acquire_latency",)
+    __slots__ = ("acquire_latency", "_observe")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.acquire_latency = registry.histogram(
@@ -101,11 +120,10 @@ class MonitorInstrument:
             "Virtual time spent blocked acquiring a monitor lock.",
             DEFAULT_LATENCY_BUCKETS,
         )
+        self._observe = self.acquire_latency.observer("contended")
 
     def observe_acquire(self, latency: float, contended: bool) -> None:
-        self.acquire_latency.observe(
-            latency, contended="true" if contended else "false"
-        )
+        self._observe(latency, "true" if contended else "false")
 
 
 class TelemetryCollector:
@@ -247,6 +265,7 @@ class TelemetryCollector:
         """Snapshot the finished run into a :class:`RunTelemetry`."""
         from repro.perf.profiler import CellProfile
 
+        self.engine_instrument.fold()
         self._snapshot_stats(report)
         trace = runtime.engine.trace
         profile = CellProfile(

@@ -173,6 +173,30 @@ class Histogram:
         series[1] += value
         series[2] += 1
 
+    def observer(self, label: str):
+        """A fast ``observe(value, label_value)`` for a one-label family.
+
+        Each label value's series slot is looked up on its first
+        observation — so a series exists exactly when :meth:`observe` would
+        have created it — and updated in place afterwards with the same
+        bucket logic, skipping the per-call label-key sort.
+        """
+        buckets = self.buckets
+        num_buckets = len(buckets)
+        slots: dict[str, list] = {}
+
+        def observe(value: float, label_value: str) -> None:
+            series = slots.get(label_value)
+            if series is None:
+                series = slots[label_value] = self._slot(((label, label_value),))
+            index = bisect_left(buckets, value)
+            if index < num_buckets:
+                series[0][index] += 1
+            series[1] += value
+            series[2] += 1
+
+        return observe
+
     def merge_series(
         self, labels: dict[str, object], counts: list[int], total: float, count: int
     ) -> None:

@@ -38,7 +38,10 @@ def _cached_script(
     Scripts are pure functions of the key (generators are seeded by the
     workload) and :class:`AccessScript` is a frozen dataclass, so sharing one
     validated instance across repeated runs of the same spec is safe — and it
-    removes the generate+validate cost from every run after the first.
+    removes the generate+validate cost from every run after the first.  A
+    built-in generator's script arrives validated by ``ScriptBuilder.build``,
+    so the ``validate()`` here is a no-op for it and a real check only for a
+    custom pattern that returns an unvalidated script.
     """
     return pattern.generate(workload, num_threads, num_nodes).validate()
 

@@ -120,12 +120,25 @@ class AccessScript:
     def validate(self) -> "AccessScript":
         """Check every op refers to a declared object and an in-range slot.
 
-        Runs once per generated script, but over *every* op of every
-        thread — for bulk-heavy patterns that is tens of thousands of slot
-        checks, so the loop binds the per-object slot counts once (instead
-        of re-reading the ``num_slots`` property per check) and bounds-checks
-        run ops with C-speed ``min``/``max``, only walking a run's slots to
-        name the offender after a violation is detected.
+        The script is frozen, so a passing check is final: it marks the
+        instance and later calls return at once.  That is what lets the
+        runner's cache validate whatever a pattern returns while a built-in
+        generator's :meth:`ScriptBuilder.build` output is walked only once.
+        """
+        if "_validated" not in self.__dict__:
+            self._check()
+            object.__setattr__(self, "_validated", True)
+        return self
+
+    def _check(self) -> None:
+        """The walk behind :meth:`validate`.
+
+        It covers *every* op of every thread — for bulk-heavy patterns that
+        is tens of thousands of slot checks, so the loop binds the per-object
+        slot counts once (instead of re-reading the ``num_slots`` property
+        per check) and bounds-checks run ops with C-speed ``min``/``max``,
+        only walking a run's slots to name the offender after a violation is
+        detected.
         """
         if not self.layout:
             raise ValueError("a script needs at least one declared object")
@@ -201,7 +214,6 @@ class AccessScript:
                     raise ValueError(f"thread {tid}: negative compute {op!r}")
             if depth != 0:
                 raise ValueError(f"thread {tid}: {depth} unmatched lock(s)")
-        return self
 
     # ------------------------------------------------------------------
     @property

@@ -1,10 +1,13 @@
-"""Concurrency, corruption and schema behaviour of the ResultStore."""
+"""Concurrency, corruption, schema and on-disk format of the ResultStore."""
 
+import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.harness.jobs import SweepJob
+from repro.harness.matrix import ExperimentMatrix
 from repro.harness.session import Session
 from repro.harness.spec import ExperimentSpec
 from repro.harness.store import (
@@ -143,3 +146,89 @@ def test_write_behind_context_manager_flushes(tmp_path):
     with ResultStore(root, write_behind=True) as store:
         Session(store=store).run_one(spec)
     assert ResultStore(root).get(spec) is not None
+
+
+# ---------------------------------------------------------------------------
+# on-disk format: compact C-encoded JSON, old indented files still read
+# ---------------------------------------------------------------------------
+def test_entry_and_ledger_round_trip_through_the_compact_writer(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    spec = ExperimentSpec(
+        "syn-hot-lock", "myrinet", "java_hybrid", 2, "testing", telemetry=True
+    )
+    report = Session(store=store).run_one(spec)
+    entry_text = store.path_for(spec.cache_key()).read_text()
+    ledger_text = store.telemetry_path_for(spec.cache_key()).read_text()
+    for text in (entry_text, ledger_text):
+        assert "\n" not in text  # one compact line, no indentation
+        assert text == json.dumps(json.loads(text))
+    # JSON turns the per-node int keys into strings; otherwise equal
+    entry = json.loads(json.dumps(store._entry_payload(spec, report)))
+    assert json.loads(entry_text) == entry
+    assert json.loads(ledger_text) == report.telemetry.to_dict()
+    cached = ResultStore(tmp_path / "store").get(spec)
+    assert cached is not None and cached.to_dict() == report.to_dict()
+
+
+def test_truncated_compact_entry_is_quarantined(tmp_path):
+    store = ResultStore(tmp_path / "store")
+    spec = _spec()
+    Session(store=store).run_one(spec)
+    path = store.path_for(spec.cache_key())
+    text = path.read_text()
+    assert "\n" not in text
+    path.write_text(text[:-1])  # only the closing brace is lost
+    fresh = ResultStore(tmp_path / "store")
+    assert fresh.get(spec) is None
+    assert fresh.quarantined == 1
+    assert not path.exists()
+
+
+def _rewrite_indented(path):
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+
+
+def test_resumed_job_reads_old_indented_store_files(tmp_path):
+    specs = (
+        ExperimentMatrix()
+        .apps("pi", "jacobi")
+        .clusters("myrinet")
+        .protocols("java_ic")
+        .nodes(1, 2)
+        .workload("testing")
+        .build()
+    )
+    root, ckpt = tmp_path / "store", tmp_path / "ckpt"
+    first = SweepJob(specs, store=ResultStore(root), checkpoint_dir=ckpt, shard_size=2)
+    expected = first.run().to_dict()
+    # the layout older versions wrote: every store file indented
+    store = ResultStore(root)
+    for spec in specs:
+        _rewrite_indented(store.path_for(spec.cache_key()))
+    _rewrite_indented(store.manifest_path)
+    # lose one shard checkpoint, so its cells must come from the store
+    (ckpt / "shard-0001.json").unlink()
+    store = ResultStore(root)
+    job = SweepJob(specs, store=store, checkpoint_dir=ckpt, shard_size=2, resume=True)
+    assert job.run().to_dict() == expected
+    assert job.progress.resumed_cells == len(specs) - 2
+    assert job.progress.executed_cells == 0  # both cells were store hits
+    assert store.quarantine_entries() == []
+
+
+def test_checkpoint_files_keep_the_json_dump_layout(tmp_path):
+    """Shard and manifest checkpoints stay byte-identical to ``json.dump``'s
+    default output, the layout they had before the shared writer."""
+    ckpt = tmp_path / "ckpt"
+    SweepJob([_spec(), _spec(nodes=2)], checkpoint_dir=ckpt, shard_size=1).run()
+    files = sorted(ckpt.glob("*.json"))
+    assert [path.name for path in files] == [
+        "job.json",
+        "shard-0000.json",
+        "shard-0001.json",
+    ]
+    for path in files:
+        text = path.read_text()
+        legacy = io.StringIO()
+        json.dump(json.loads(text), legacy)
+        assert text == legacy.getvalue(), path.name

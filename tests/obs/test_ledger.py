@@ -7,9 +7,14 @@ The telemetry satellite's guarantees, encoded as tests:
 * the same cell run twice produces byte-identical metrics and spans;
 * serial and parallel executors produce the same ledgers;
 * a cache-hit cell gets a ``cached`` stub with zero engine metrics;
-* the main track's phase spans partition ``execution_seconds`` exactly.
+* the main track's phase spans partition ``execution_seconds`` exactly;
+* the inline instruments conserve what the run's stats count: fetch
+  latency sums equal the island fetch seconds, and every monitor enter is
+  one acquire observation;
+* the metrics and spans of three pinned cells keep their digests.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -19,7 +24,8 @@ from repro.harness.session import Session
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.store import ResultStore
 from repro.obs.chrometrace import chrome_trace_events
-from repro.obs.ledger import RunTelemetry, phase_table
+from repro.obs.ledger import EngineInstrument, RunTelemetry, phase_table
+from repro.obs.metrics import MetricsRegistry
 
 
 def _spec(**overrides):
@@ -177,3 +183,97 @@ def test_cached_stub_shape():
     assert payload["metrics"] == {"families": {}}
     assert payload["host"]["wall_seconds"] == 0.0
     assert payload["trace_summary"] is None
+
+
+# ---------------------------------------------------------------------------
+# conservation and pinned content
+# ---------------------------------------------------------------------------
+#: sha256 of the compact, key-sorted JSON of ``{"metrics", "spans"}`` for
+#: three telemetered cells, one per instrumented path: the page-fault
+#: protocol's fetches, a contended monitor under the composed protocol, and
+#: migratory homes across islands.  The instruments count locally and fold
+#: at finalize; these digests prove the ledger content is what per-event
+#: registry updates produced.
+PINNED_LEDGER_DIGESTS = {
+    ("asp", "myrinet", "java_pf"):
+        "d605d305b16e150af43abebe3c84182300e17e0c55a3ca33fd862dd7ce1cd70e",
+    ("syn-hot-lock", "myrinet2x8", "java_hybrid"):
+        "8ae9f99a4649f54ac465ec144151fe952fed1d164db2871c49b2f2108577497d",
+    ("syn-migratory", "myrinet2x8", "java_ic_mig"):
+        "b5347a973088ffe81173f9ea07b444bea9a4d99cfedea8072475d78da2c90c87",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_reports():
+    return {
+        cell: run_spec(
+            _spec(app=cell[0], cluster=cell[1], protocol=cell[2], num_nodes=4)
+        )
+        for cell in PINNED_LEDGER_DIGESTS
+    }
+
+
+def _series(families, name):
+    return {
+        tuple(sorted(entry["labels"].items())): entry
+        for entry in families[name]["series"]
+    }
+
+
+@pytest.mark.parametrize("cell", list(PINNED_LEDGER_DIGESTS), ids="/".join)
+def test_ledger_content_matches_pinned_digest(pinned_reports, cell):
+    telemetry = pinned_reports[cell].telemetry
+    blob = json.dumps(
+        {"metrics": telemetry.metrics, "spans": telemetry.spans},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_LEDGER_DIGESTS[cell]
+
+
+@pytest.mark.parametrize("cell", list(PINNED_LEDGER_DIGESTS), ids="/".join)
+def test_fetch_histogram_sums_equal_island_fetch_seconds(pinned_reports, cell):
+    families = pinned_reports[cell].telemetry.metrics["families"]
+    histogram = _series(families, "dsm_fetch_latency_virtual_seconds")
+    seconds = _series(families, "dsm_island_fetch_virtual_seconds_total")
+    assert set(histogram) <= set(seconds)
+    for labels, entry in seconds.items():
+        observed = histogram.get(labels, {"sum": 0.0})["sum"]
+        assert observed == entry["value"], labels  # exact, not approx
+    if cell[1] == "myrinet2x8":
+        assert len(histogram) == 2  # both scopes exercised
+
+
+@pytest.mark.parametrize("cell", list(PINNED_LEDGER_DIGESTS), ids="/".join)
+def test_monitor_acquires_equal_monitor_enters(pinned_reports, cell):
+    families = pinned_reports[cell].telemetry.metrics["families"]
+    acquires = _series(families, "monitor_acquire_virtual_seconds")
+    enters = _series(families, "monitor_enters_total")
+    total = sum(entry["count"] for entry in acquires.values())
+    assert total == enters[(("kind", "total"),)]["value"]
+    contended = acquires.get((("contended", "true"),), {"count": 0})["count"]
+    assert contended == enters[(("kind", "contended"),)]["value"]
+    if cell[0] == "syn-hot-lock":
+        assert contended > 0
+
+
+def test_engine_instrument_folds_once_and_leaves_no_series_when_idle():
+    registry = MetricsRegistry()
+    instrument = EngineInstrument(registry)
+    instrument.fold()
+    families = registry.to_dict()["families"]
+    assert families["sim_events_dispatched_total"]["series"] == []
+    assert families["sim_event_queue_depth_peak"]["series"] == []
+    for kind, depth in (("Timeout", 3), ("Process", 7), ("Timeout", 0)):
+        instrument.record_event(kind, depth)
+    instrument.fold()
+    instrument.fold()  # a second fold adds nothing
+    families = registry.to_dict()["families"]
+    assert families["sim_events_dispatched_total"]["series"] == [
+        {"labels": {"kind": "Process"}, "value": 1.0},
+        {"labels": {"kind": "Timeout"}, "value": 2.0},
+    ]
+    assert families["sim_event_queue_depth_peak"]["series"] == [
+        {"labels": {}, "value": 7}
+    ]

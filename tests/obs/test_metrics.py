@@ -47,6 +47,19 @@ def test_histogram_bucket_placement():
     assert payload["sum"] == pytest.approx(104.5)
 
 
+def test_histogram_observer_matches_observe():
+    values = [("intra", 3e-6), ("inter", 0.5), ("intra", 1e-6), ("intra", 7.0)]
+    reference = Histogram("latency", buckets=(1e-6, 1e-5, 1.0))
+    fast = Histogram("latency", buckets=(1e-6, 1e-5, 1.0))
+    observe = fast.observer("scope")
+    assert fast.to_dict()["series"] == []  # no series before an observation
+    for scope, value in values:
+        reference.observe(value, scope=scope)
+        observe(value, scope)
+    assert fast.to_dict() == reference.to_dict()
+    assert fast.count(scope="intra") == 3 and fast.sum(scope="inter") == 0.5
+
+
 def test_registry_get_or_create_and_kind_mismatch():
     registry = MetricsRegistry()
     counter = registry.counter("a_total", "help text")

@@ -1,9 +1,17 @@
-"""The process-wide script cache is an LRU with a fixed cap."""
+"""The process-wide script cache is an LRU with a fixed cap, and every
+script it hands out is validated exactly once."""
 
 import dataclasses
 
+import pytest
+
 from repro.apps import create_app
-from repro.scenarios.runner import SCRIPT_CACHE_SIZE, _cached_script
+from repro.scenarios.runner import (
+    SCRIPT_CACHE_SIZE,
+    SyntheticApplication,
+    _cached_script,
+)
+from repro.scenarios.script import OP_GET, AccessScript, ObjectDecl
 
 
 def test_script_cache_evicts_past_its_cap():
@@ -38,3 +46,41 @@ def test_unhashable_workload_bypasses_the_cache():
     script = app.build_script(Unhashable(**fields), 2, 2)
     assert _cached_script.cache_info() == before
     assert script.op_count() == hashable.op_count()
+
+
+def test_generated_script_is_checked_once(monkeypatch):
+    checked = []
+    check = AccessScript._check
+    monkeypatch.setattr(
+        AccessScript, "_check", lambda script: (checked.append(script), check(script))
+    )
+    app = create_app("syn-hot-lock")
+    workload = app.pattern.workload_cls.testing()
+    _cached_script.cache_clear()
+    script = app.build_script(workload, 2, 2)
+    # ScriptBuilder.build validated it; the cache's validate() is a no-op
+    assert checked == [script]
+    assert app.build_script(workload, 2, 2) is script
+    assert script.validate() is script
+    assert checked == [script]
+    # a copy is a new instance and is checked afresh
+    assert dataclasses.replace(script).validate() == script
+    assert len(checked) == 2
+    _cached_script.cache_clear()
+
+
+def test_custom_pattern_returning_an_unvalidated_script_is_still_checked():
+    broken = AccessScript(layout=(ObjectDecl(name="x"),), threads=(((OP_GET, 0, 5),),))
+    base = create_app("syn-hot-lock")
+    pattern = dataclasses.replace(
+        base.pattern, key="broken-test", generate=lambda workload, threads, nodes: broken
+    )
+    app = type(
+        "SyntheticBrokenTestApplication",
+        (SyntheticApplication,),
+        {"name": pattern.app_name, "pattern": pattern},
+    )()
+    _cached_script.cache_clear()
+    with pytest.raises(ValueError, match="slot 5"):
+        app.build_script(pattern.workload_cls.testing(), 1, 1)
+    _cached_script.cache_clear()
