@@ -12,6 +12,14 @@ The innermost statement is ``if (d[i][k] + d[k][j] < d[i][j]) d[i][j] = ...``
 ``d[k][j]``, read ``d[i][j]``, write ``d[i][j]``), which is why the paper
 reports the largest ``java_pf`` improvement here: the in-line checks dominate
 the tiny per-element computation.
+
+The matrix is one heap matrix allocation (``ctx.new_matrix``): per-row
+arrays, homes and pages as before, backed by one 2-D array.  Each thread
+relaxes its whole block against the pivot row with one prepared block
+updater (``ctx.make_range_updater``) and a vectorised ``relax``; every row
+but the pivot is charged its read, its write-back when a path through ``k``
+exists, the inner loop's reads of ``d[k][j]`` and its compute, exactly as a
+per-row get/put/account/compute sequence would charge them.
 """
 
 from __future__ import annotations
@@ -81,18 +89,23 @@ class AspApplication(Application):
         row_int_ops = INT_OPS_PER_ELEMENT * n * scale
         row_mem_seconds = MEM_SECONDS_PER_ELEMENT * n * scale
         aget_range, _aput_range, _account = ctx.bulk_ops()
-        compute = ctx.compute
         minimum = np.minimum
-        add = np.add
-        # scratch row for the relaxation: ``put_range`` copies values out, so
-        # one buffer can back every iteration (saves two allocations per row)
-        relaxed = np.empty(n, dtype=np.int32)
-        # the k-loop revisits each owned row once per iteration, so the span
-        # geometry and charge amounts are resolved once per row up front
-        update_row = {
-            i: ctx.make_range_updater(rows[i], 0, n, extra=extra_per_row)
-            for i in my_rows
-        }
+        add_outer = np.add.outer
+        # the k-loop relaxes the same block of rows every iteration: one
+        # prepared updater reads, relaxes, writes back and charges the whole
+        # block per pivot, each row charged the compute of one relaxation
+        update_block = ctx.make_range_updater(
+            [rows[i] for i in my_rows],
+            0,
+            n,
+            extra=extra_per_row,
+            row_seconds=ctx.compute_seconds(
+                int_ops=row_int_ops, mem_seconds=row_mem_seconds
+            ),
+        )
+        # scratch for the relaxation (the updater copies values out)
+        relaxed = np.empty((len(my_rows), n), dtype=np.int32)
+        first = my_rows.start
 
         for k in range(n):
             # fetch the pivot row (remote for every thread but its owner).
@@ -100,28 +113,22 @@ class AspApplication(Application):
             # so the relaxation sum stays far below the int32 maximum — the
             # module constant's "fits comfortably even when two are added"
             # invariant — and skipping the int64 up-conversion avoids two
-            # array copies per relaxed row.
+            # array copies per relaxation.
             row_k = aget_range(rows[k], 0, n)
-            pivot = rows[k]
 
-            def relax(row_i, _k=k, _row_k=row_k):
-                d_ik = row_i[_k]
-                if d_ik >= INFINITY:
-                    # no path through k; the compiled code still walks the
-                    # row, so the caller still accounts the accesses below
-                    return None
-                add(_row_k, d_ik, out=relaxed)
-                minimum(row_i, relaxed, out=relaxed)
-                return relaxed
+            def relax(block, _k=k, _row_k=row_k):
+                d_ik = block[:, _k]
+                out = relaxed[: len(block)]
+                add_outer(d_ik, _row_k, out=out)
+                minimum(block, out, out=out)
+                # a row with no path through k is not written back; the
+                # compiled code still walks it, so its accesses still count
+                return out, d_ik < INFINITY
 
-            for i in my_rows:
-                if i == k:
-                    continue
-                # read row i, relax it against the pivot, write it back, and
-                # account the inner-loop reads of d[k][j] — one fused call
-                # with charges identical to the unfused get/put/account
-                update_row[i](relax, pivot)
-                compute(int_ops=row_int_ops, mem_seconds=row_mem_seconds)
+            # relax every owned row but the pivot against it, and account
+            # the inner-loop reads of d[k][j] — charges identical to a
+            # get/put/account/compute sequence per row
+            update_block(relax, rows[k], skip=k - first if k in my_rows else None)
             yield from ctx.barrier(barrier)
         return None
 
@@ -139,10 +146,7 @@ class AspApplication(Application):
                     return t % runtime.num_nodes
             return runtime.num_nodes - 1
 
-        rows = [
-            ctx.new_array("int", n, home_node=owner_node(r), page_aligned=True)
-            for r in range(n)
-        ]
+        rows = ctx.new_matrix("int", n, n, [owner_node(r) for r in range(n)])
         for r in range(n):
             ctx.aput_range(rows[r], 0, n, graph[r])
 

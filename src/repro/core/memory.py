@@ -71,8 +71,8 @@ class MemorySubsystem:
         # pages and observes every fused access (``_observe``); a policy
         # that observes writes gets its hook (``_note_write``) called after
         # every fused write, and then multi-page spans, put runs and the
-        # prepared updater take the exact path, since a re-home can split
-        # an object's homes or land in the middle of a run.
+        # block updater take the exact (or per-row) path, since a re-home
+        # can split an object's homes or land in the middle of a run.
         # Every miss, every unusual page and every disabled configuration
         # falls back to the exact ``_detect`` path, byte for byte.
         plan = self._fast_plan = protocol.access_fast_plan()
@@ -291,9 +291,9 @@ class MemorySubsystem:
         """Charge *count* accesses to the resident pages [first, last] inline.
 
         The one copy of the range charge block: ``get_range``,
-        ``put_range`` and ``account_accesses`` call it (the prepared
-        :meth:`make_range_updater` closure evaluates the same expressions
-        once per span).  A *write* then reaches the policy's write hook,
+        ``put_range`` and ``account_accesses`` call it (the block path of
+        :meth:`make_range_updater` evaluates the same expressions once per
+        block).  A *write* then reaches the policy's write hook,
         before the caller moves any data.  Returns False — with nothing
         charged — whenever the exact ``_detect`` path must run instead: no
         plan, unregistered page, any page of [first, last] not readable
@@ -459,222 +459,147 @@ class MemorySubsystem:
         ctx.charge_cpu((self._base_cycles * count) / self._freq)
         self._detect(ctx, node, pages, count, write)
 
-    def update_range(
-        self,
-        ctx: AccessContext,
-        node: int,
-        obj: SharedEntity,
-        lo: int,
-        hi: int,
-        transform,
-        extra_obj: SharedEntity | None = None,
-        extra: int = 0,
-    ) -> None:
-        """Fetch-modify-store over slots [lo, hi) in one call.
-
-        ``transform`` receives the freshly read values and returns the
-        values to write back, or ``None`` to skip the write entirely;
-        *extra* detection-only accesses to the whole of *extra_obj* are
-        accounted last.  This is the spec — and the fallback — of the
-        fused closure :meth:`make_range_updater` prepares.
-        """
-        values = self.get_range(ctx, node, obj, lo, hi)
-        new = transform(values)
-        if new is not None:
-            self.put_range(ctx, node, obj, lo, hi, new)
-        if extra_obj is not None and extra > 0:
-            self.account_accesses(ctx, node, extra_obj, extra)
-
     def make_range_updater(
         self,
         ctx: AccessContext,
         node: int,
-        obj: SharedEntity,
+        rows: Sequence[SharedEntity],
         lo: int,
         hi: int,
         extra: int = 0,
+        row_seconds: float = 0.0,
     ):
-        """Prepare a fused fetch-modify-store closure over a fixed span.
+        """Prepare a fused fetch-modify-store closure over a block of rows.
 
-        Returns ``update(transform, extra_obj=None)``, behaving exactly
-        like ``update_range(ctx, node, obj, lo, hi, transform, extra_obj,
-        extra)`` — charge for charge, counter for counter.  The point is
-        relaxation-style loops that hit the *same* span once per outer
-        iteration: everything run-constant in the charges
-        :meth:`_fused_range_charges` would make for the read, the
-        write-back and the extra accounting (the page span, the home
-        lookup, the plan branch, the charge amounts — computed here with
-        the identical expressions, so the floats are bit-equal) is resolved
-        once at preparation, and each call only re-checks what can actually
-        change between calls: that the fast path is still enabled, page
-        presence, and the per-call extra object's span.  Any failed check
-        delegates to :meth:`update_range` itself.  Under the hybrid plan,
-        or while homes can move, the charges are not run-constant, and the
-        closure is :meth:`update_range` from the start.
+        Returns ``update(transform, extra_obj=None, skip=None)``.
+        ``transform(block)`` gets a 2-D array, one row per row of *rows*,
+        and returns ``(new_block, written)``.  The spec — and the fallback
+        — is the per-row loop below: for each row in order but position
+        *skip*, ``get_range`` of slots [lo, hi), the transform on that one
+        row, ``put_range`` of the new values if the row is written,
+        ``account_accesses(extra_obj, extra)`` over the whole of
+        *extra_obj*, then ``ctx.charge_cpu(row_seconds)``.  The transform
+        must be row-wise, as the fast path hands it the whole block,
+        skipped row included, in one call.
+
+        That fast path reads the block with one copy, writes it back with
+        one masked assignment and folds every charge into
+        ``ctx._pending_cpu`` with ``np.add.accumulate`` — sequential, in
+        the per-row order (read base and check, write-back base and check,
+        extra base and check, ``row_seconds``), each absent charge a +0.0
+        that leaves the sum unchanged.  It needs a fixed-home plan
+        (``inline_check``, ``hoisted`` or ``page_fault``, no write
+        observer), every row homed on *node* and consecutive rows of one
+        heap matrix (``matrix``/``matrix_row``), a context with
+        ``_pending_cpu``, and per call a resident *extra_obj*.  Anything
+        else — including :meth:`disable_access_fast_path` after
+        preparation — runs the per-row loop.
         """
+        get_range = self.get_range
+        put_range = self.put_range
+        account = self.account_accesses
+        charge_cpu = ctx.charge_cpu
+
+        def per_row(transform, extra_obj=None, skip=None):
+            for j, row in enumerate(rows):
+                if j == skip:
+                    continue
+                new, written = transform(get_range(ctx, node, row, lo, hi)[None])
+                if written[0]:
+                    put_range(ctx, node, row, lo, hi, new[0])
+                if extra_obj is not None and extra > 0:
+                    account(ctx, node, extra_obj, extra)
+                charge_cpu(row_seconds)
+
         plan = self._fast_plan
-        count = hi - lo
-        update_range = self.update_range
-        page_size = self._page_size
-        slot_size = obj.slot_size
-        address = obj.address + lo * slot_size
-        first = address // page_size
-        last = (address + count * slot_size - 1) // page_size
-        rhome = self._home_by_page.get(first)
+        matrix = getattr(rows[0], "matrix", None) if rows else None
         if (
-            plan is None
-            or plan == "hybrid"
+            plan not in ("inline_check", "hoisted", "page_fault")
             or self._note_write is not None
-            or rhome is None
-            or not (0 <= lo < hi <= obj.num_slots)
+            or matrix is None
+            or not hasattr(ctx, "_pending_cpu")
+            or not 0 <= lo < hi <= matrix.shape[1]
         ):
-
-            def update(transform, extra_obj=None):
-                update_range(ctx, node, obj, lo, hi, transform, extra_obj, extra)
-
-            return update
-        remote = rhome != node
-        single_page = first == last
-        span = range(first, last + 1)
-        table = self._tables[node]
+            return per_row
+        count = hi - lo
+        top = rows[0].matrix_row
+        page_size = self._page_size
         home_by_page = self._home_by_page
-        stats = self._dsm_stats
-        freq = self._freq
-        base = self._base_cycles
-        check = self._check_cycles
-        home_local = obj.home_node == node
-        read_local = obj.main_read_range
-        write_local = obj.main_write_range
-        cache_entry = self._cache_entry
-        inline = plan == "inline_check"
-        hoisted = plan == "hoisted"
-        # identical expressions to _fused_range_charges' per-call ones,
-        # evaluated once: same operands, same operations, bit-equal results
-        c_base = (base * count) / freq
-        c_check = 0.0
-        hoist_checks = 0
-        if inline:
-            c_check = (check * count) / freq
-        elif hoisted:
-            n_pages = last - first + 1
-            hoist_checks = n_pages if n_pages > 1 else 1
-            c_check = (check * hoist_checks) / freq
-        c_extra = (base * extra) / freq
-        c_extra_check = (check * extra) / freq
-
-        def update(transform, extra_obj=None):
-            if self._fast_plan is None:
-                # the fast path was disabled after preparation (installed
-                # analysis wrappers) — take the exact polymorphic route
-                update_range(ctx, node, obj, lo, hi, transform, extra_obj, extra)
-                return
-            present = table._present
-            if remote and not (
-                first in present if single_page else present.issuperset(span)
+        row_checks = []  # inline checks per access of each row
+        for j, row in enumerate(rows):
+            address = row.address + lo * row.slot_size
+            first = address // page_size
+            if (
+                getattr(row, "matrix", None) is not matrix
+                or row.matrix_row != top + j
+                or row.home_node != node
+                or home_by_page.get(first) != node
             ):
-                update_range(ctx, node, obj, lo, hi, transform, extra_obj, extra)
-                return
+                return per_row
+            n_pages = (address + count * row.slot_size - 1) // page_size - first + 1
+            row_checks.append(
+                count if plan == "inline_check" else n_pages if plan == "hoisted" else 0
+            )
+        freq, base, check = self._freq, self._base_cycles, self._check_cycles
+        n_rows = len(rows)
+        # [pending, then per row: read base, check, write base, check, extra
+        # base, check, row_seconds], from _fused_range_charges' expressions
+        template = np.empty(1 + 7 * n_rows)
+        grid = template[1:].reshape(n_rows, 7)
+        grid[:, 0] = grid[:, 2] = (base * count) / freq
+        grid[:, 1] = grid[:, 3] = [(check * c) / freq for c in row_checks]
+        grid[:, 4] = (base * extra) / freq
+        grid[:, 6] = row_seconds
+        checks = np.array(row_checks)
+        block = matrix[top : top + n_rows, lo:hi]
+        present = self._tables[node]._present
+        stats = self._dsm_stats
+
+        def update(transform, extra_obj=None, skip=None):
+            if self._fast_plan is None:
+                return per_row(transform, extra_obj, skip)
+            steps = template.copy()
+            grid = steps[1:].reshape(n_rows, 7)
             eremote = False
-            efirst = elast = 0
+            echecks = extra_accesses = 0
             if extra_obj is not None and extra > 0:
                 eaddress = extra_obj.address
                 efirst = eaddress // page_size
                 elast = (eaddress + extra_obj.size_bytes - 1) // page_size
                 erhome = home_by_page.get(efirst)
                 if erhome is None:
-                    update_range(ctx, node, obj, lo, hi, transform, extra_obj, extra)
-                    return
+                    return per_row(transform, extra_obj, skip)
                 eremote = erhome != node
                 if eremote and not (
                     efirst in present
                     if efirst == elast
                     else present.issuperset(range(efirst, elast + 1))
                 ):
-                    update_range(ctx, node, obj, lo, hi, transform, extra_obj, extra)
-                    return
-            # -- the read's charges (get_range's _fused_range_charges block)
-            try:
-                ctx._pending_cpu += c_base
-            except AttributeError:
-                ctx.charge_cpu(c_base)
-            stats.accesses += count
-            if remote:
-                stats.remote_accesses += count
-            if inline:
-                stats.inline_checks += count
-                try:
-                    ctx._pending_cpu += c_check
-                except AttributeError:
-                    ctx.charge_cpu(c_check)
-            elif hoisted:
-                stats.inline_checks += hoist_checks
-                try:
-                    ctx._pending_cpu += c_check
-                except AttributeError:
-                    ctx.charge_cpu(c_check)
-            if home_local:
-                values = read_local(lo, hi)
+                    return per_row(transform, extra_obj, skip)
+                extra_accesses = extra
+                if plan == "inline_check":
+                    echecks = extra
+                elif plan == "hoisted":
+                    echecks = elast - efirst + 1
+                grid[:, 5] = (check * echecks) / freq
             else:
-                values = cache_entry(node, obj).read_range(lo, hi)
-            new = transform(values)
-            if new is not None:
-                if isinstance(new, np.ndarray):
-                    if new.ndim and len(new) != count:
-                        raise ValueError(
-                            f"put_range of {count} slots received {len(new)} values"
-                        )
-                elif np.ndim(new) and len(new) != count:
-                    raise ValueError(
-                        f"put_range of {count} slots received {len(new)} values"
-                    )
-                # -- the write-back's charges
-                try:
-                    ctx._pending_cpu += c_base
-                except AttributeError:
-                    ctx.charge_cpu(c_base)
-                stats.accesses += count
-                if remote:
-                    stats.remote_accesses += count
-                if inline:
-                    stats.inline_checks += count
-                    try:
-                        ctx._pending_cpu += c_check
-                    except AttributeError:
-                        ctx.charge_cpu(c_check)
-                elif hoisted:
-                    stats.inline_checks += hoist_checks
-                    try:
-                        ctx._pending_cpu += c_check
-                    except AttributeError:
-                        ctx.charge_cpu(c_check)
-                if home_local:
-                    write_local(lo, hi, new)
-                else:
-                    cache_entry(node, obj).write_range(lo, hi, new)
-            if extra_obj is not None and extra > 0:
-                # -- the detection-only accesses (account_accesses, full span)
-                try:
-                    ctx._pending_cpu += c_extra
-                except AttributeError:
-                    ctx.charge_cpu(c_extra)
-                stats.accesses += extra
-                if eremote:
-                    stats.remote_accesses += extra
-                if inline:
-                    stats.inline_checks += extra
-                    try:
-                        ctx._pending_cpu += c_extra_check
-                    except AttributeError:
-                        ctx.charge_cpu(c_extra_check)
-                elif hoisted:
-                    e_pages = elast - efirst + 1
-                    checks = e_pages if e_pages > 1 else 1
-                    stats.inline_checks += checks
-                    charge = (check * checks) / freq
-                    try:
-                        ctx._pending_cpu += charge
-                    except AttributeError:
-                        ctx.charge_cpu(charge)
+                grid[:, 4:6] = 0.0
+            new, written = transform(block.copy())
+            visits = np.add(written, 1, dtype=np.int64)  # the read, the write-back
+            visited = n_rows
+            if skip is not None:
+                visits[skip] = 0
+                grid[skip] = 0.0
+                visited -= 1
+            grid[visits < 2, 2:4] = 0.0
+            # unsafe casting, as put_range's slice assignment casts
+            np.copyto(block, new, casting="unsafe", where=(visits == 2)[:, None])
+            steps[0] = ctx._pending_cpu
+            ctx._pending_cpu = float(np.add.accumulate(steps)[-1])
+            stats.accesses += count * int(visits.sum()) + extra_accesses * visited
+            if eremote:
+                stats.remote_accesses += extra * visited
+            stats.inline_checks += int(checks @ visits) + echecks * visited
 
         return update
 

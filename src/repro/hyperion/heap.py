@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.dsm.page_manager import PageManager
 from repro.hyperion.objects import HEADER_BYTES, JavaArray, JavaClass, JavaObject
 from repro.pm2.isoaddr import IsoAddressAllocator
@@ -53,16 +55,7 @@ class HeapAllocator:
         array's pages are not shared with unrelated objects — the layout the
         paper's data distribution discussion assumes.
         """
-        check_non_negative("home_node", home_node)
-        elem_size = JavaArray.element_size_of(element_type)
-        size = HEADER_BYTES + length * elem_size
-        align = self.isoaddr.page_size if page_aligned else 8
-        allocation = self.isoaddr.allocate(home_node, max(size, 1), align=align)
-        array = JavaArray(element_type, length, allocation.address, home_node)
-        self.page_manager.register_range(allocation.address, max(size, 1))
-        self.arrays_allocated += 1
-        self.bytes_allocated += size
-        return array
+        return self._place_array(element_type, length, home_node, page_aligned)
 
     def new_matrix(
         self,
@@ -76,12 +69,38 @@ class HeapAllocator:
 
         ``home_nodes`` gives the home node of each row (len == rows); this is
         how the row-block decompositions of Jacobi and ASP are expressed.
+        Row ``r`` is placed exactly as the ``r``-th of *rows* ``new_array``
+        calls would place it (address, oid, pages, counters); its reference
+        copy is row ``r`` of one shared 2-D array (``JavaArray.matrix``).
         """
         if len(home_nodes) != rows:
             raise ValueError(
                 f"home_nodes has {len(home_nodes)} entries for {rows} rows"
             )
+        matrix = np.zeros((rows, cols), dtype=JavaArray.dtype_of(element_type))
         return [
-            self.new_array(element_type, cols, home_nodes[r], page_aligned=page_aligned)
+            self._place_array(element_type, cols, home_nodes[r], page_aligned, matrix, r)
             for r in range(rows)
         ]
+
+    def _place_array(
+        self,
+        element_type: str,
+        length: int,
+        home_node: int,
+        page_aligned: bool,
+        matrix: np.ndarray | None = None,
+        matrix_row: int = 0,
+    ) -> JavaArray:
+        check_non_negative("home_node", home_node)
+        elem_size = JavaArray.element_size_of(element_type)
+        size = HEADER_BYTES + length * elem_size
+        align = self.isoaddr.page_size if page_aligned else 8
+        allocation = self.isoaddr.allocate(home_node, max(size, 1), align=align)
+        array = JavaArray(
+            element_type, length, allocation.address, home_node, matrix, matrix_row
+        )
+        self.page_manager.register_range(allocation.address, max(size, 1))
+        self.arrays_allocated += 1
+        self.bytes_allocated += size
+        return array

@@ -9,7 +9,8 @@ subsystem requires (:class:`repro.core.interfaces.SharedEntity`).
 
 Scalar objects store their fields as a Python list (one slot per field);
 arrays store a NumPy array (one slot per element), which keeps the bulk
-operations the benchmarks rely on fast.
+operations the benchmarks rely on fast.  The rows of a matrix allocation are
+views of one 2-D array, so block primitives can move many rows at once.
 """
 
 from __future__ import annotations
@@ -155,10 +156,20 @@ class JavaArray:
         "slot_size",
         "num_slots",
         "size_bytes",
+        "matrix",
+        "matrix_row",
         "_data",
     )
 
-    def __init__(self, element_type: str, length: int, address: int, home_node: int):
+    def __init__(
+        self,
+        element_type: str,
+        length: int,
+        address: int,
+        home_node: int,
+        matrix: np.ndarray | None = None,
+        matrix_row: int = 0,
+    ):
         if element_type not in _ELEMENT_DTYPES:
             raise ValueError(
                 f"unsupported element type {element_type!r}; "
@@ -171,7 +182,14 @@ class JavaArray:
         self.length = int(length)
         self.address = address
         self.home_node = home_node
-        self._data = np.zeros(self.length, dtype=_ELEMENT_DTYPES[element_type])
+        #: the 2-D array whose row ``matrix_row`` is this array's reference
+        #: copy (rows of one :meth:`HeapAllocator.new_matrix`), or None
+        self.matrix = matrix
+        self.matrix_row = matrix_row
+        if matrix is None:
+            self._data = np.zeros(self.length, dtype=_ELEMENT_DTYPES[element_type])
+        else:
+            self._data = matrix[matrix_row]
         #: size of one element in bytes
         self.slot_size = int(self._data.dtype.itemsize)
         #: number of elements
@@ -207,12 +225,17 @@ class JavaArray:
         return view
 
     @staticmethod
-    def element_size_of(element_type: str) -> int:
-        """Element size in bytes for *element_type*."""
+    def dtype_of(element_type: str) -> np.dtype:
+        """NumPy dtype of *element_type* elements."""
         try:
-            return int(_ELEMENT_DTYPES[element_type].itemsize)
+            return _ELEMENT_DTYPES[element_type]
         except KeyError:
             raise ValueError(f"unsupported element type {element_type!r}") from None
+
+    @staticmethod
+    def element_size_of(element_type: str) -> int:
+        """Element size in bytes for *element_type*."""
+        return int(JavaArray.dtype_of(element_type).itemsize)
 
     def __len__(self) -> int:
         return self.length

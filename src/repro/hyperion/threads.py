@@ -181,14 +181,27 @@ class JavaThreadContext(AccessContext):
         flops: float = 0.0,
         int_ops: float = 0.0,
     ) -> None:
-        """Charge application compute work.
+        """Charge application compute work (see :meth:`compute_seconds`)."""
+        # charge_cpu, inlined (compute_seconds validated the work)
+        self._pending_cpu += self.compute_seconds(cycles, mem_seconds, flops, int_ops)
+
+    def compute_seconds(
+        self,
+        cycles: float = 0.0,
+        mem_seconds: float = 0.0,
+        flops: float = 0.0,
+        int_ops: float = 0.0,
+    ) -> float:
+        """The CPU seconds :meth:`compute` charges for this work.
 
         ``cycles`` are raw CPU cycles; ``flops``/``int_ops`` are converted
         using the machine's per-operation costs; ``mem_seconds`` is the
         clock-independent memory-hierarchy component.  The arithmetic is the
         inlined equivalent of ``machine.seconds_for_work`` — identical
         expressions in identical order, so the charged floats match the
-        cost-model methods bit for bit.
+        cost-model methods bit for bit.  Callers that charge the same work
+        many times compute it once and ``charge_cpu`` the result (see
+        :meth:`make_range_updater`).
         """
         if mem_seconds < 0:
             raise ValueError(f"mem_seconds must be >= 0, got {mem_seconds!r}")
@@ -197,8 +210,7 @@ class JavaThreadContext(AccessContext):
         )
         if total_cycles < 0:
             raise ValueError(f"cycles must be >= 0, got {total_cycles!r}")
-        # charge_cpu, inlined (both operands already validated non-negative)
-        self._pending_cpu += total_cycles / self._freq + mem_seconds
+        return total_cycles / self._freq + mem_seconds
 
     def _flush(self) -> Generator:
         """Pay accumulated CPU and wait time on the simulation clock."""
@@ -243,6 +255,25 @@ class JavaThreadContext(AccessContext):
         # allocation plus Java's mandatory zero-initialisation
         self.compute(cycles=100.0 + 0.25 * length)
         return array
+
+    def new_matrix(
+        self,
+        element_type: str,
+        rows: int,
+        cols: int,
+        home_nodes: Sequence[int],
+        page_aligned: bool = True,
+    ) -> list[JavaArray]:
+        """Allocate *rows* row arrays backed by one matrix (``heap.new_matrix``).
+
+        Placed and charged exactly like *rows* :meth:`new_array` calls.
+        """
+        arrays = self.runtime.heap.new_matrix(
+            element_type, rows, cols, home_nodes, page_aligned=page_aligned
+        )
+        for _ in range(rows):
+            self.compute(cycles=100.0 + 0.25 * cols)
+        return arrays
 
     # ------------------------------------------------------------------
     # object accesses (Table 2 primitives, routed through the protocol)
@@ -309,18 +340,25 @@ class JavaThreadContext(AccessContext):
             partial(memory.account_accesses, self, node),
         )
 
-    def make_range_updater(self, array: JavaArray, lo: int, hi: int, extra: int = 0):
-        """Prepared fetch-modify-store closure for a fixed span.
+    def make_range_updater(
+        self,
+        arrays: Sequence[JavaArray],
+        lo: int,
+        hi: int,
+        extra: int = 0,
+        row_seconds: float = 0.0,
+    ):
+        """Prepared fetch-modify-store closure over a block of rows.
 
-        Returns ``update(transform, extra_obj=None)``: ``aget_range`` +
-        ``transform`` + ``aput_range`` (when the transform returns values)
-        + ``account_accesses(extra_obj, extra)``, in that order, with the
-        run-constant charge work resolved once (see
-        ``memory.make_range_updater``) — for loops that revisit the same
-        span every iteration.
+        Returns ``update(transform, extra_obj=None, skip=None)``: for each
+        array of *arrays* but position *skip*, ``aget_range`` +
+        ``transform`` + ``aput_range`` (for the rows it marks written) +
+        ``account_accesses(extra_obj, extra)`` + ``row_seconds`` of CPU, in
+        that order, with the whole block moved and charged at once where it
+        can be (see ``memory.make_range_updater``).
         """
         return self._memory.make_range_updater(
-            self, self._marcel.node_id, array, lo, hi, extra=extra
+            self, self._marcel.node_id, arrays, lo, hi, extra, row_seconds
         )
 
     def get_run(self, obj, slots: Sequence[int], extra: int = 0) -> None:

@@ -223,8 +223,15 @@ class AccessScript:
 
     @property
     def uses_barrier(self) -> bool:
-        """True when any thread waits at the scenario barrier."""
-        return any(op[0] == OP_BARRIER for ops in self.threads for op in ops)
+        """True when any thread waits at the scenario barrier.
+
+        Memoised on the (frozen) instance like :meth:`validate`'s mark: the
+        runner asks once per cell, and the answer needs a walk of every op.
+        """
+        if "_uses_barrier" not in self.__dict__:
+            found = any(op[0] == OP_BARRIER for ops in self.threads for op in ops)
+            object.__setattr__(self, "_uses_barrier", found)
+        return self.__dict__["_uses_barrier"]
 
     def op_count(self) -> int:
         """Total operations across all threads."""

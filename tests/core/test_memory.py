@@ -148,6 +148,10 @@ class PendingContext(AccessContext):
         self._pending_wait += seconds
 
 
+#: CPU seconds each block-updater row charges after its accesses
+ROW_SECONDS = 3.3e-7
+
+
 def _drive_primitives(rig, ctx) -> list:
     """One fixed sequence of every access primitive, from node 0.
 
@@ -155,7 +159,12 @@ def _drive_primitives(rig, ctx) -> list:
     again after the acquire ending each phase) and resident, a three-page
     span with only its first two pages resident, and a double array
     placed 4 bytes off alignment so slot 511 straddles a page boundary.
-    Returns everything read back, in order.
+    The block updaters run over matrices homed on node 0 (one-page rows,
+    three-page rows, unaligned rows spanning different page counts), a
+    matrix with one row homed on node 1, rows out of matrix order and
+    plain arrays, with extra
+    objects absent, partly or wholly resident, ``extra=0``, rows written
+    and not, and a skipped row.  Returns everything read back, in order.
     """
     memory, heap, node = rig.memory, rig.heap, 0
     local = heap.new_array("double", 64, home_node=0)
@@ -164,26 +173,53 @@ def _drive_primitives(rig, ctx) -> list:
     base = rig.isoaddr.allocate_pages(1, 2).address
     skewed = JavaArray("double", 600, base + 4, 1)
     rig.page_manager.register_range(base, 2 * rig.isoaddr.page_size)
+    rows = heap.new_matrix("double", 8, 64, [0] * 8)
+    tall = heap.new_matrix("double", 2, 1500, [0, 0])
+    loose = heap.new_matrix("double", 3, 700, [0, 0, 0], page_aligned=False)
+    mixed = heap.new_matrix("double", 3, 64, [0, 1, 0])
+    counts = heap.new_matrix("int", 3, 64, [0, 0, 0])
+    for matrix in (rows, tall, loose, mixed, counts):
+        matrix[0].matrix[:] = np.arange(float(len(matrix)))[:, None]
 
-    def plus_one(values):
-        return values + 1.0
+    def plus_one(block):
+        return block + 1.0, np.ones(len(block), dtype=bool)
 
-    def keep(values):
-        return None
+    def keep(block):
+        return block, np.zeros(len(block), dtype=bool)
 
-    # prepared once; the first two are called at the start of each phase
-    # while their remote span (remote) or extra object (skewed, page 1) is
-    # absent
+    def bump_even(block):
+        # row-wise: a row is written only while its first value is even
+        return block + 1.0, block[:, 0] % 2 == 0
+
+    def scale_ints(block):
+        # float results written into an int matrix are cast like put_range's
+        return block * 1.5 + 7.0, np.ones(len(block), dtype=bool)
+
+    def updater(block, lo, hi, extra):
+        return memory.make_range_updater(
+            ctx, node, block, lo, hi, extra=extra, row_seconds=ROW_SECONDS
+        )
+
+    # prepared once; the first is called at the start of each phase while
+    # its extra object (skewed, two remote pages) is absent, then again
+    # once it is resident
     updaters = [
-        memory.make_range_updater(ctx, node, obj, lo, hi, extra=5)
-        for obj, lo, hi in ((local, 0, 64), (remote, 16, 32), (wide, 0, 1500))
+        updater(rows, 8, 40, 5),
+        updater(rows[2:6], 0, 64, 0),
+        updater(tall, 0, 1500, 3),
+        updater(loose, 100, 700, 2),
+        updater(mixed, 0, 64, 4),
+        updater([rows[5], rows[3], rows[4]], 0, 64, 2),  # not consecutive
+        updater([local], 0, 64, 5),
+        updater([remote], 16, 32, 7),
+        updater([wide], 0, 1500, 5),
     ]
     out = []
     for _phase in range(2):
         out.append(memory.get(ctx, node, wide, 0))
         memory.put(ctx, node, skewed, 3, 0.5)
-        for update in updaters[:2]:
-            update(plus_one, extra_obj=skewed)
+        updaters[0](plus_one, extra_obj=skewed)
+        updaters[0](bump_even, extra_obj=skewed, skip=2)
         # page 0 of wide resident, then pages 0-1, page 2 still absent
         out.append(memory.get_range(ctx, node, wide, 0, 600).tolist())
         memory.account_accesses(ctx, node, wide, 10, lo=0, hi=1500)
@@ -200,13 +236,15 @@ def _drive_primitives(rig, ctx) -> list:
         memory.put_range(ctx, node, wide, 500, 600, np.arange(100.0))
         memory.account_accesses(ctx, node, remote, 3, lo=2, hi=3, write=True)
         memory.account_accesses(ctx, node, local, 4)
-        memory.update_range(ctx, node, remote, 8, 16, plus_one, extra_obj=wide, extra=7)
-        memory.update_range(ctx, node, local, 0, 8, keep, extra_obj=remote, extra=2)
-        memory.update_range(ctx, node, wide, 0, 1500, plus_one)
+        ints = updater(counts, 0, 64, 1)
+        ints(scale_ints, extra_obj=local)
+        ints(scale_ints, skip=2)
         for update in updaters:
             update(plus_one, extra_obj=remote)
-            update(keep, extra_obj=wide)
-            update(plus_one)
+            update(bump_even, extra_obj=wide, skip=1)
+            update(keep, extra_obj=local)
+            update(bump_even, skip=0)
+            update(plus_one, extra_obj=skewed)
         out.append(memory.get(ctx, node, skewed, 511))
         memory.put(ctx, node, skewed, 511, 9.0)
         out.append(memory.get(ctx, node, skewed, 511))
@@ -218,7 +256,7 @@ def _drive_primitives(rig, ctx) -> list:
         # protected again under java_pf
         memory.update_main_memory(ctx, node)
         memory.invalidate_cache(ctx, node)
-    for obj in (local, remote, wide, skewed):
+    for obj in (local, remote, wide, skewed, *rows, *tall, *loose, *mixed, *counts):
         out.append(obj.main_read_range(0, obj.num_slots).tolist())
     return out
 
@@ -419,3 +457,58 @@ def test_hybrid_runs_match_scalar_accesses(
         stats = dataclasses.asdict(rig.page_manager.stats)
         results.append((ctx._pending_cpu.hex(), stats, density, promoted, data))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "protocol, block_path",
+    [
+        ("java_ic", True),
+        ("java_pf", True),
+        ("java_ic_hoisted", True),
+        ("java_hybrid", False),
+        ("java_ic_mig", False),
+    ],
+)
+def test_block_updater_moves_resident_blocks_at_once(rig_factory, protocol, block_path):
+    """Which calls the block path takes: every other one reads row by row.
+
+    A local matrix with a resident extra object takes it under the
+    fixed-home plans; an absent extra object, a row homed elsewhere, a
+    plain array, a charge-log context and ``disable_access_fast_path``
+    all take the per-row loop.
+    """
+    rig = rig_factory(protocol=protocol)
+    memory, heap = rig.memory, rig.heap
+    rows = heap.new_matrix("double", 4, 64, [0] * 4)
+    mixed = heap.new_matrix("double", 2, 64, [0, 1])
+    remote = heap.new_array("double", 64, home_node=1)
+    reads = []
+    get_range = memory.get_range
+
+    def counting_get_range(ctx, node, obj, lo, hi):
+        reads.append(obj)
+        return get_range(ctx, node, obj, lo, hi)
+
+    memory.get_range = counting_get_range
+    ctx = PendingContext(0)
+
+    def plus_one(block):
+        return block + 1.0, np.ones(len(block), dtype=bool)
+
+    def rows_read(update, **kwargs):
+        del reads[:]
+        update(plus_one, **kwargs)
+        return len(reads)
+
+    update = memory.make_range_updater(ctx, 0, rows, 0, 64, extra=3, row_seconds=1e-6)
+    assert rows_read(update, extra_obj=remote) == 4  # absent: fetched by row 0
+    assert rows_read(update, extra_obj=remote, skip=1) == (0 if block_path else 3)
+    assert rows_read(update) == (0 if block_path else 4)
+    assert rows_read(memory.make_range_updater(ctx, 0, mixed, 0, 64)) == 2
+    assert rows_read(memory.make_range_updater(ctx, 0, [remote], 0, 64)) == 1
+    logged = memory.make_range_updater(RecordingContext(0), 0, rows, 0, 64)
+    assert rows_read(logged) == 4
+    memory.disable_access_fast_path()
+    assert rows_read(update, extra_obj=remote) == 4
+    # five plus_one passes wrote every row; the skipped row one fewer
+    assert rows[0].matrix[:, 0].tolist() == [5.0, 4.0, 5.0, 5.0]

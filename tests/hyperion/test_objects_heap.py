@@ -88,3 +88,63 @@ def test_heap_matrix_row_homes():
     assert [r.home_node for r in rows] == [0, 0, 1, 1]
     with pytest.raises(ValueError):
         runtime.heap.new_matrix("int", 3, 8, home_nodes=[0])
+
+
+def _allocate_rows(block: bool) -> tuple:
+    """Four rows of a matrix (or four arrays) from a main thread's context."""
+    runtime = make_runtime(num_nodes=3)
+    homes = [0, 2, 1, 1]
+    seen = {}
+
+    def main(ctx):
+        if block:
+            seen["rows"] = ctx.new_matrix("int", 4, 1500, homes)
+        else:
+            seen["rows"] = [
+                ctx.new_array("int", 1500, home_node=home, page_aligned=True)
+                for home in homes
+            ]
+        seen["charged"] = ctx._pending_cpu.hex()
+
+    runtime.spawn_main(main)
+    runtime.run()
+    return runtime, seen["rows"], seen["charged"]
+
+
+def test_matrix_rows_are_placed_and_charged_like_single_arrays():
+    runtime, rows, charged = _allocate_rows(block=True)
+    ref_runtime, ref_rows, ref_charged = _allocate_rows(block=False)
+    assert [r.address for r in rows] == [r.address for r in ref_rows]
+    assert [r.home_node for r in rows] == [r.home_node for r in ref_rows] == [0, 2, 1, 1]
+    # oids are handed out in row order, one per row, like N new_array calls
+    oids = [r.oid for r in rows]
+    ref_oids = [r.oid for r in ref_rows]
+    assert [b - a for a, b in zip(oids, oids[1:])] == [1, 1, 1]
+    assert [b - a for a, b in zip(ref_oids, ref_oids[1:])] == [1, 1, 1]
+    assert runtime.page_manager._home_by_page == ref_runtime.page_manager._home_by_page
+    heap, ref_heap = runtime.heap, ref_runtime.heap
+    assert heap.arrays_allocated == ref_heap.arrays_allocated == 4
+    assert heap.bytes_allocated == ref_heap.bytes_allocated
+    assert charged == ref_charged
+    assert [r.size_bytes for r in rows] == [r.size_bytes for r in ref_rows]
+    assert all(r.matrix is None for r in ref_rows)
+
+
+def test_matrix_rows_share_one_array_and_copy_out():
+    _runtime, rows, _charged = _allocate_rows(block=True)
+    matrix = rows[0].matrix
+    assert matrix.shape == (4, 1500) and matrix.dtype == np.int32
+    assert all(r.matrix is matrix and r.matrix_row == i for i, r in enumerate(rows))
+    rows[1].main_write_range(0, 3, [7, 8, 9])
+    rows[2].main_write(5, 4)
+    assert matrix[1, :3].tolist() == [7, 8, 9]
+    assert matrix[2, 5] == 4 and rows[2].main_read(5) == 4
+    matrix[3, 10] = 11
+    assert rows[3].main_read(10) == 11
+    # snapshots and range reads are copies, not views of the shared array
+    snap = rows[1].snapshot()
+    snap[0] = -1
+    read = rows[1].main_read_range(0, 3)
+    read[1] = -1
+    assert matrix[1, :3].tolist() == [7, 8, 9]
+    assert not rows[1].as_numpy().flags.writeable and matrix.flags.writeable

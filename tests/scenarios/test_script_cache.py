@@ -11,7 +11,7 @@ from repro.scenarios.runner import (
     SyntheticApplication,
     _cached_script,
 )
-from repro.scenarios.script import OP_GET, AccessScript, ObjectDecl
+from repro.scenarios.script import OP_BARRIER, OP_GET, AccessScript, ObjectDecl
 
 
 def test_script_cache_evicts_past_its_cap():
@@ -84,3 +84,26 @@ def test_custom_pattern_returning_an_unvalidated_script_is_still_checked():
     with pytest.raises(ValueError, match="slot 5"):
         app.build_script(pattern.workload_cls.testing(), 1, 1)
     _cached_script.cache_clear()
+
+
+class _CountingThreads(tuple):
+    """A script's ``threads`` tuple that counts how often it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        type(self).walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("barrier", [True, False])
+def test_uses_barrier_walks_the_ops_once(barrier):
+    ops = ((OP_GET, 0, 0),) + (((OP_BARRIER,),) if barrier else ())
+    _CountingThreads.walks = 0
+    script = AccessScript(layout=(ObjectDecl(name="x"),), threads=_CountingThreads((ops,)))
+    assert script.uses_barrier is barrier
+    assert script.uses_barrier is barrier
+    assert _CountingThreads.walks == 1
+    # the memo is not a field: equality and hashing ignore it
+    fresh = AccessScript(layout=script.layout, threads=tuple(script.threads))
+    assert fresh == script and hash(fresh) == hash(script)
