@@ -88,7 +88,7 @@ class AspApplication(Application):
         extra_per_row = int(max(0.0, 3.0 * n * scale - 2.0 * n))
         row_int_ops = INT_OPS_PER_ELEMENT * n * scale
         row_mem_seconds = MEM_SECONDS_PER_ELEMENT * n * scale
-        aget_range, _aput_range, _account = ctx.bulk_ops()
+        aget_range = ctx.aget_range
         minimum = np.minimum
         add_outer = np.add.outer
         # the k-loop relaxes the same block of rows every iteration: one

@@ -13,6 +13,17 @@ Access accounting mirrors compiled Java: the update statement
 ``b[i][j] = 0.25*(a[i-1][j]+a[i+1][j]+a[i][j-1]+a[i][j+1])`` performs, per
 cell, five element reads and one element write, i.e. six ``get``/``put``
 operations, each of which is a locality check for ``java_ic``.
+
+The two meshes are heap matrix allocations (``ctx.new_matrix``): per-row
+arrays, homes and pages as before, each mesh backed by one 2-D array.  Each
+thread relaxes its block once per step through a prepared halo updater
+(``ctx.make_range_updater(..., into=...)``, one per mesh parity) and the
+vectorised :func:`stencil`; every row is charged the read of its centre row
+(with the west/east neighbours), of its north and south rows, its write, the
+remaining per-cell accesses and its compute, exactly as a per-row
+get/get/get/put/account/compute sequence would charge them.  The rows next
+to another node's block read that node's boundary row and run that
+sequence itself, so the exchange fetches stay where they were.
 """
 
 from __future__ import annotations
@@ -46,6 +57,15 @@ def reference_solution(workload: JacobiWorkload) -> np.ndarray:
     return grid
 
 
+def stencil(centre: np.ndarray, north: np.ndarray, south: np.ndarray) -> np.ndarray:
+    """New values of one row, or of a block of rows (``...`` spans both).
+
+    *centre* carries the west and east neighbour columns: its slots are
+    one wider on each side than *north* and *south*.
+    """
+    return 0.25 * (north + south + centre[..., :-2] + centre[..., 2:])
+
+
 @register_app
 class JacobiApplication(Application):
     """Row-blocked Jacobi iteration over the DSM."""
@@ -67,34 +87,34 @@ class JacobiApplication(Application):
         n = workload.size
         my_rows = self.block_partition(n, count, index)
         scale = workload.work_multiplier
-        # six accesses per cell at paper scale; the bulk reads/writes below
+        # six accesses per cell at paper scale; the row reads and write
         # already account roughly 4*n of them per simulated row
-        extra_accesses_per_row = max(0.0, 6.0 * n * scale - 4.0 * n)
-        extra_per_row = int(extra_accesses_per_row)
-        row_flops = FLOPS_PER_CELL * n * scale
-        row_int_ops = INT_OPS_PER_CELL * n * scale
-        row_mem_seconds = MEM_SECONDS_PER_CELL * n * scale
-        aget_range, aput_range, account_accesses = ctx.bulk_ops()
-        compute = ctx.compute
-
-        current, following = a_rows, b_rows
-        for _step in range(workload.steps):
-            for i in my_rows:
-                row = i + 1  # interior rows are 1..n in the padded mesh
-                center = aget_range(current[row], 0, n + 2)
-                north = aget_range(current[row - 1], 1, n + 1)
-                south = aget_range(current[row + 1], 1, n + 1)
-                updated = 0.25 * (north + south + center[:-2] + center[2:])
-                aput_range(following[row], 1, n + 1, updated)
+        extra_per_row = int(max(0.0, 6.0 * n * scale - 4.0 * n))
+        row_seconds = ctx.compute_seconds(
+            flops=FLOPS_PER_CELL * n * scale,
+            int_ops=INT_OPS_PER_CELL * n * scale,
+            mem_seconds=MEM_SECONDS_PER_CELL * n * scale,
+        )
+        # interior row i is row i + 1 of the padded meshes: one prepared
+        # updater per mesh parity reads the block plus its north and south
+        # halo rows from one mesh and writes the block of the other
+        source = slice(my_rows.start, my_rows.stop + 2)
+        target = slice(my_rows.start + 1, my_rows.stop + 1)
+        updaters = [
+            ctx.make_range_updater(
+                current[source],
+                1,
+                n + 1,
                 # west/east neighbour reads plus the work-multiplier scaling
-                account_accesses(current[row], extra_per_row)
-                compute(
-                    flops=row_flops,
-                    int_ops=row_int_ops,
-                    mem_seconds=row_mem_seconds,
-                )
+                extra=extra_per_row,
+                row_seconds=row_seconds,
+                into=following[target],
+            )
+            for current, following in ((a_rows, b_rows), (b_rows, a_rows))
+        ]
+        for step in range(workload.steps):
+            updaters[step % 2](stencil)
             yield from ctx.barrier(barrier)
-            current, following = following, current
         return None
 
     # ------------------------------------------------------------------
@@ -114,14 +134,8 @@ class JacobiApplication(Application):
             return runtime.num_nodes - 1
 
         homes = [owner_node(0)] + [owner_node(r) for r in range(n)] + [owner_node(n - 1)]
-        a_rows = [
-            ctx.new_array("double", n + 2, home_node=homes[r], page_aligned=True)
-            for r in range(n + 2)
-        ]
-        b_rows = [
-            ctx.new_array("double", n + 2, home_node=homes[r], page_aligned=True)
-            for r in range(n + 2)
-        ]
+        a_rows = ctx.new_matrix("double", n + 2, n + 2, homes)
+        b_rows = ctx.new_matrix("double", n + 2, n + 2, homes)
         # boundary conditions: hot northern edge, cold elsewhere
         hot = np.full(n + 2, workload.hot_boundary, dtype=np.float64)
         ctx.aput_range(a_rows[0], 0, n + 2, hot)

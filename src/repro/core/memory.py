@@ -437,7 +437,9 @@ class MemorySubsystem:
         *same* rows per iteration.  The simulator moves each row once with a
         bulk call and uses this primitive to account the remaining per-element
         accesses so that check/fault counts match the per-access semantics of
-        compiled code.
+        compiled code: the halo form of :meth:`make_range_updater`, which
+        Jacobi relaxes its rows with, accounts them on each centre row, and
+        the in-place form on one extra object per row.
         """
         if count <= 0:
             return
@@ -459,6 +461,64 @@ class MemorySubsystem:
         ctx.charge_cpu((self._base_cycles * count) / self._freq)
         self._detect(ctx, node, pages, count, write)
 
+    def _block_access(
+        self, node: int, obj: SharedEntity, lo: int, hi: int | None, count: int
+    ) -> tuple[int, int] | None:
+        """(accesses, inline checks) of one block-path range access.
+
+        What :meth:`_fused_range_charges` counts for *count* accesses to
+        slots [lo, hi) of *obj* (all of it when *hi* is None, as
+        ``account_accesses`` spans it) under a fixed-home plan, or None
+        unless *obj* and the span's first page are homed on *node* — only
+        then are the charges independent of residency, so the block path
+        can price them at preparation.
+        """
+        page_size = self._page_size
+        if hi is None:
+            address, size = obj.address, obj.size_bytes
+        else:
+            address = obj.address + lo * obj.slot_size
+            size = max(1, (hi - lo) * obj.slot_size)
+        first = address // page_size
+        if obj.home_node != node or self._home_by_page.get(first) != node:
+            return None
+        plan = self._fast_plan
+        if plan == "inline_check":
+            return count, count
+        if plan == "hoisted":
+            return count, (address + size - 1) // page_size - first + 1
+        return count, 0
+
+    def _charge_template(self, accesses, checks, row_seconds: float) -> np.ndarray:
+        """The charges of a block of rows, laid out for :meth:`_fold`.
+
+        *accesses* and *checks* are (rows, calls) arrays: each range call
+        of a row in order, as :meth:`_block_access` counts it.  Returns
+        [pending slot, then per row each call's base then check seconds,
+        then *row_seconds*] — the amounts ``_fused_range_charges``'
+        expressions give, so every float is bit-equal to its own.
+        """
+        accesses = np.asarray(accesses, dtype=np.float64)
+        checks = np.asarray(checks, dtype=np.float64)
+        n_rows, calls = accesses.shape
+        steps = np.zeros(1 + n_rows * (2 * calls + 1))
+        grid = steps[1:].reshape(n_rows, 2 * calls + 1)
+        grid[:, 0:-1:2] = (self._base_cycles * accesses) / self._freq
+        grid[:, 1:-1:2] = (self._check_cycles * checks) / self._freq
+        grid[:, -1] = row_seconds
+        return steps
+
+    @staticmethod
+    def _fold(ctx: AccessContext, steps: np.ndarray) -> None:
+        """Add ``steps[1:]`` to the pending CPU time one at a time, in order.
+
+        ``np.add.accumulate`` is sequential (a reduction would sum
+        pairwise), so the result is bit-equal to charging each amount in
+        turn; a zero amount leaves the sum unchanged.
+        """
+        steps[0] = ctx._pending_cpu
+        ctx._pending_cpu = float(np.add.accumulate(steps)[-1])
+
     def make_range_updater(
         self,
         ctx: AccessContext,
@@ -468,33 +528,50 @@ class MemorySubsystem:
         hi: int,
         extra: int = 0,
         row_seconds: float = 0.0,
+        into: Sequence[SharedEntity] | None = None,
     ):
         """Prepare a fused fetch-modify-store closure over a block of rows.
 
-        Returns ``update(transform, extra_obj=None, skip=None)``.
-        ``transform(block)`` gets a 2-D array, one row per row of *rows*,
-        and returns ``(new_block, written)``.  The spec — and the fallback
-        — is the per-row loop below: for each row in order but position
-        *skip*, ``get_range`` of slots [lo, hi), the transform on that one
-        row, ``put_range`` of the new values if the row is written,
-        ``account_accesses(extra_obj, extra)`` over the whole of
-        *extra_obj*, then ``ctx.charge_cpu(row_seconds)``.  The transform
-        must be row-wise, as the fast path hands it the whole block,
-        skipped row included, in one call.
+        In place (no *into*) it returns ``update(transform,
+        extra_obj=None, skip=None)``.  ``transform(block)`` gets a 2-D
+        array, one row per row of *rows*, and returns ``(new_block,
+        written)``.  The spec — and the fallback — is the per-row loop
+        below: for each row in order but position *skip*, ``get_range`` of
+        slots [lo, hi), the transform on that one row, ``put_range`` of the
+        new values if the row is written, ``account_accesses(extra_obj,
+        extra)`` over the whole of *extra_obj*, then
+        ``ctx.charge_cpu(row_seconds)``.  The transform must be row-wise,
+        as the block path hands it the whole block, skipped row included,
+        in one call.
 
-        That fast path reads the block with one copy, writes it back with
-        one masked assignment and folds every charge into
-        ``ctx._pending_cpu`` with ``np.add.accumulate`` — sequential, in
-        the per-row order (read base and check, write-back base and check,
-        extra base and check, ``row_seconds``), each absent charge a +0.0
-        that leaves the sum unchanged.  It needs a fixed-home plan
+        With *into* (the halo form) *rows* are source rows with one halo
+        row above and below the ``len(into)`` rows updated, and it returns
+        ``update(transform)``.  Its spec, row ``j`` of *into* at a time:
+        ``get_range`` of ``rows[j + 1]`` over [lo - 1, hi + 1) (the
+        centre row with its west/east halo slots), then of ``rows[j]`` and
+        ``rows[j + 2]`` over [lo, hi) (north, south), ``put_range`` of
+        ``transform(centre, north, south)`` into ``into[j]`` over [lo, hi),
+        ``account_accesses(rows[j + 1], extra)``, then
+        ``charge_cpu(row_seconds)``.  The transform gets 1-D rows there
+        and 2-D blocks on the block path (``centre[..., :-2]`` serves
+        both), and must not modify its arguments.
+
+        Both block paths fold every charge into ``ctx._pending_cpu`` in the
+        per-row order (:meth:`_fold`).  They need a fixed-home plan
         (``inline_check``, ``hoisted`` or ``page_fault``, no write
-        observer), every row homed on *node* and consecutive rows of one
-        heap matrix (``matrix``/``matrix_row``), a context with
-        ``_pending_cpu``, and per call a resident *extra_obj*.  Anything
-        else — including :meth:`disable_access_fast_path` after
-        preparation — runs the per-row loop.
+        observer), rows that are consecutive rows of one heap matrix
+        (``matrix``/``matrix_row``; *into* of another) and a context with
+        ``_pending_cpu``.  In place, every row must be homed on *node* and,
+        per call, *extra_obj* resident; the whole block then moves with
+        one copy and one masked write-back.  In the halo form each maximal
+        run of rows whose four touched rows are homed on *node* moves and
+        folds at once; any other row (a remote halo row at a block edge)
+        runs the spec at its position, so fetches happen in the same
+        order.  Anything else — including :meth:`disable_access_fast_path`
+        after preparation — runs the spec.
         """
+        if into is not None:
+            return self._make_halo_updater(ctx, node, rows, lo, hi, extra, row_seconds, into)
         get_range = self.get_range
         put_range = self.put_range
         account = self.account_accesses
@@ -511,49 +588,33 @@ class MemorySubsystem:
                     account(ctx, node, extra_obj, extra)
                 charge_cpu(row_seconds)
 
-        plan = self._fast_plan
-        matrix = getattr(rows[0], "matrix", None) if rows else None
-        if (
-            plan not in ("inline_check", "hoisted", "page_fault")
-            or self._note_write is not None
-            or matrix is None
-            or not hasattr(ctx, "_pending_cpu")
-            or not 0 <= lo < hi <= matrix.shape[1]
-        ):
+        matrix = self._block_matrix(ctx, rows, lo, hi)
+        if matrix is None:
             return per_row
         count = hi - lo
         top = rows[0].matrix_row
-        page_size = self._page_size
-        home_by_page = self._home_by_page
-        row_checks = []  # inline checks per access of each row
-        for j, row in enumerate(rows):
-            address = row.address + lo * row.slot_size
-            first = address // page_size
-            if (
-                getattr(row, "matrix", None) is not matrix
-                or row.matrix_row != top + j
-                or row.home_node != node
-                or home_by_page.get(first) != node
-            ):
+        row_checks = []  # inline checks per read (and write-back) of each row
+        for row in rows:
+            access = self._block_access(node, row, lo, hi, count)
+            if access is None:
                 return per_row
-            n_pages = (address + count * row.slot_size - 1) // page_size - first + 1
-            row_checks.append(
-                count if plan == "inline_check" else n_pages if plan == "hoisted" else 0
-            )
-        freq, base, check = self._freq, self._base_cycles, self._check_cycles
+            row_checks.append(access[1])
         n_rows = len(rows)
-        # [pending, then per row: read base, check, write base, check, extra
-        # base, check, row_seconds], from _fused_range_charges' expressions
-        template = np.empty(1 + 7 * n_rows)
-        grid = template[1:].reshape(n_rows, 7)
-        grid[:, 0] = grid[:, 2] = (base * count) / freq
-        grid[:, 1] = grid[:, 3] = [(check * c) / freq for c in row_checks]
-        grid[:, 4] = (base * extra) / freq
-        grid[:, 6] = row_seconds
+        # the read, the write-back, the extra accounting (its checks depend
+        # on the extra object, so they are set per call)
+        template = self._charge_template(
+            [[count, count, extra]] * n_rows,
+            [[c, c, 0] for c in row_checks],
+            row_seconds,
+        )
         checks = np.array(row_checks)
         block = matrix[top : top + n_rows, lo:hi]
+        plan = self._fast_plan
+        page_size = self._page_size
+        home_by_page = self._home_by_page
         present = self._tables[node]._present
         stats = self._dsm_stats
+        freq, check = self._freq, self._check_cycles
 
         def update(transform, extra_obj=None, skip=None):
             if self._fast_plan is None:
@@ -594,12 +655,123 @@ class MemorySubsystem:
             grid[visits < 2, 2:4] = 0.0
             # unsafe casting, as put_range's slice assignment casts
             np.copyto(block, new, casting="unsafe", where=(visits == 2)[:, None])
-            steps[0] = ctx._pending_cpu
-            ctx._pending_cpu = float(np.add.accumulate(steps)[-1])
+            self._fold(ctx, steps)
             stats.accesses += count * int(visits.sum()) + extra_accesses * visited
             if eremote:
                 stats.remote_accesses += extra * visited
             stats.inline_checks += int(checks @ visits) + echecks * visited
+
+        return update
+
+    def _block_matrix(self, ctx: AccessContext, rows, lo: int, hi: int):
+        """The heap matrix whose consecutive rows *rows* are, or None.
+
+        None also when the block path is off for this plan or context, or
+        slots [lo, hi) lie outside the rows: the caller then runs its spec.
+        """
+        matrix = getattr(rows[0], "matrix", None) if rows else None
+        if (
+            self._fast_plan not in ("inline_check", "hoisted", "page_fault")
+            or self._note_write is not None
+            or matrix is None
+            or not hasattr(ctx, "_pending_cpu")
+            or not 0 <= lo < hi <= matrix.shape[1]
+        ):
+            return None
+        top = rows[0].matrix_row
+        for j, row in enumerate(rows):
+            if getattr(row, "matrix", None) is not matrix or row.matrix_row != top + j:
+                return None
+        return matrix
+
+    def _make_halo_updater(self, ctx, node, rows, lo, hi, extra, row_seconds, into):
+        """The halo form of :meth:`make_range_updater` (see there)."""
+        if len(rows) != len(into) + 2:
+            raise ValueError(
+                f"{len(into)} destination rows need {len(into) + 2} source rows, "
+                f"got {len(rows)}"
+            )
+        get_range = self.get_range
+        put_range = self.put_range
+        account = self.account_accesses
+        charge_cpu = ctx.charge_cpu
+
+        def row_update(transform, j):
+            centre = get_range(ctx, node, rows[j + 1], lo - 1, hi + 1)
+            north = get_range(ctx, node, rows[j], lo, hi)
+            south = get_range(ctx, node, rows[j + 2], lo, hi)
+            put_range(ctx, node, into[j], lo, hi, transform(centre, north, south))
+            if extra > 0:
+                account(ctx, node, rows[j + 1], extra)
+            charge_cpu(row_seconds)
+
+        def per_row(transform):
+            for j in range(len(into)):
+                row_update(transform, j)
+
+        source = self._block_matrix(ctx, rows, lo - 1, hi + 1)
+        dest = self._block_matrix(ctx, into, lo, hi)
+        if source is None or dest is None or source is dest:
+            return per_row
+        count = hi - lo
+        calls = []  # per row: (accesses, checks) of each range call, or None
+        for j, target in enumerate(into):
+            centre = rows[j + 1]
+            row_calls = [
+                self._block_access(node, centre, lo - 1, hi + 1, count + 2),
+                self._block_access(node, rows[j], lo, hi, count),
+                self._block_access(node, rows[j + 2], lo, hi, count),
+                self._block_access(node, target, lo, hi, count),
+                # account_accesses charges nothing for a count of zero
+                self._block_access(node, centre, 0, None, extra) if extra > 0 else (0, 0),
+            ]
+            calls.append(None if None in row_calls else row_calls)
+        # split into spec rows and maximal runs of block rows, each run with
+        # its template and its read-only views of the two matrices
+        segments = []
+        top, dtop = rows[0].matrix_row, into[0].matrix_row
+        j = 0
+        while j < len(into):
+            if calls[j] is None:
+                segments.append((j, None))
+                j += 1
+                continue
+            stop = j
+            while stop < len(into) and calls[stop] is not None:
+                stop += 1
+            counts = np.array(calls[j:stop])  # (rows, calls, 2)
+            views = (
+                source[top + j + 1 : top + stop + 1, lo - 1 : hi + 1],
+                source[top + j : top + stop, lo:hi],
+                source[top + j + 2 : top + stop + 2, lo:hi],
+            )
+            for view in views:
+                view.flags.writeable = False
+            run = (
+                self._charge_template(counts[:, :, 0], counts[:, :, 1], row_seconds),
+                views,
+                dest[dtop + j : dtop + stop, lo:hi],
+                int(counts[:, :, 0].sum()),
+                int(counts[:, :, 1].sum()),
+            )
+            segments.append((j, run))
+            j = stop
+        stats = self._dsm_stats
+        fold = self._fold
+
+        def update(transform):
+            if self._fast_plan is None:
+                return per_row(transform)
+            for j, run in segments:
+                if run is None:
+                    row_update(transform, j)
+                    continue
+                steps, views, out, accesses, checks = run
+                # unsafe casting, as put_range's slice assignment casts
+                np.copyto(out, transform(*views), casting="unsafe")
+                fold(ctx, steps)
+                stats.accesses += accesses
+                stats.inline_checks += checks
 
         return update
 

@@ -21,7 +21,6 @@ paper's "future work" ablation (A3) explores.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator, Sequence
-from functools import partial
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -321,25 +320,6 @@ class JavaThreadContext(AccessContext):
             self, self._marcel.node_id, obj, count, lo=lo, hi=hi, write=write
         )
 
-    def bulk_ops(self) -> tuple:
-        """Pre-bound bulk primitives for hot per-row application loops.
-
-        Returns ``(get_range, put_range, account_accesses)`` partials that
-        are call-for-call identical to :meth:`aget_range` /
-        :meth:`aput_range` / :meth:`account_accesses` — same charges, same
-        counters, same data movement — minus one Python frame per call.
-        The range bounds must be passed explicitly (no ``hi=None``
-        default).  Worth using only in loops issuing thousands of range
-        accesses.
-        """
-        memory = self._memory
-        node = self._marcel.node_id
-        return (
-            partial(memory.get_range, self, node),
-            partial(memory.put_range, self, node),
-            partial(memory.account_accesses, self, node),
-        )
-
     def make_range_updater(
         self,
         arrays: Sequence[JavaArray],
@@ -347,6 +327,7 @@ class JavaThreadContext(AccessContext):
         hi: int,
         extra: int = 0,
         row_seconds: float = 0.0,
+        into: Sequence[JavaArray] | None = None,
     ):
         """Prepared fetch-modify-store closure over a block of rows.
 
@@ -355,10 +336,13 @@ class JavaThreadContext(AccessContext):
         ``transform`` + ``aput_range`` (for the rows it marks written) +
         ``account_accesses(extra_obj, extra)`` + ``row_seconds`` of CPU, in
         that order, with the whole block moved and charged at once where it
-        can be (see ``memory.make_range_updater``).
+        can be (see ``memory.make_range_updater``).  With *into*, *arrays*
+        carry one halo row above and below and ``update(transform)``
+        writes ``transform(centre, north, south)`` of each source row into
+        its row of *into*, accounting *extra* on the centre row.
         """
         return self._memory.make_range_updater(
-            self, self._marcel.node_id, arrays, lo, hi, extra, row_seconds
+            self, self._marcel.node_id, arrays, lo, hi, extra, row_seconds, into
         )
 
     def get_run(self, obj, slots: Sequence[int], extra: int = 0) -> None:

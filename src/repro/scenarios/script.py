@@ -399,6 +399,27 @@ def coalesce_ops(ops: Sequence[Op]) -> tuple[tuple[Op, int], ...]:
     return tuple(steps)
 
 
+#: the last replayed script and its threads' coalesced steps (None until
+#: a thread of it replays).  One entry: the cells of a sweep that share a
+#: script run back to back, and memoising every script would pin each one's
+#: steps for as long as the script cache holds it.  Concurrent replays of
+#: different scripts at worst coalesce again.
+_last_coalesced: tuple[AccessScript | None, list] = (None, [])
+
+
+def _coalesced_steps(script: AccessScript, thread_index: int) -> tuple:
+    """``coalesce_ops`` of one thread of *script*, kept while it is the last."""
+    global _last_coalesced
+    last, steps = _last_coalesced
+    if last is not script:
+        steps = [None] * len(script.threads)
+        _last_coalesced = (script, steps)
+    thread_steps = steps[thread_index]
+    if thread_steps is None:
+        thread_steps = steps[thread_index] = coalesce_ops(script.threads[thread_index])
+    return thread_steps
+
+
 def replay_thread(
     ctx,
     script: AccessScript,
@@ -417,7 +438,8 @@ def replay_thread(
     moving more data.  Returns the number of ops executed.
 
     Adjacent scalar accesses to one object are coalesced up front
-    (:func:`coalesce_ops`) and replayed through the bulk context primitives
+    (:func:`coalesce_ops`, once per thread of the last replayed script) and
+    replayed through the bulk context primitives
     ``get_run``/``put_run`` — including the per-access extra accounting, which
     the memory layer interleaves exactly as the scalar path would.  The
     result is pinned byte-identical to the unbatched replay by the
@@ -425,7 +447,7 @@ def replay_thread(
     """
     extra = max(0, int(round(work_multiplier)) - 1)
     executed = 0
-    for op, nops in coalesce_ops(script.threads[thread_index]):
+    for op, nops in _coalesced_steps(script, thread_index):
         tag = op[0]
         if tag == OP_GET_RUN:
             ctx.get_run(entities[op[1]], op[2], extra=extra)

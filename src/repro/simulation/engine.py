@@ -96,7 +96,12 @@ class Engine:
         heapq.heappush(self._queue, (self._now + delay, self._seq, event))
 
     def step(self) -> float:
-        """Process the next event; return the new virtual time."""
+        """Process the next event; return the new virtual time.
+
+        Raises :class:`SimulationError` as :meth:`run` does when a process
+        has terminated with an unhandled exception (chained as
+        ``__cause__``).
+        """
         if not self._queue:
             raise SimulationError("step() called on an empty event queue")
         time, _seq, event = heapq.heappop(self._queue)
@@ -112,6 +117,8 @@ class Engine:
             self.metrics.record_event(type(event).__name__, len(self._queue))
         for callback in callbacks:
             callback(event)
+        if self._failures:
+            self._raise_failure()
         return self._now
 
     def run(self, until: float | None = None) -> float:

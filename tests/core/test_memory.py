@@ -164,7 +164,13 @@ def _drive_primitives(rig, ctx) -> list:
     matrix with one row homed on node 1, rows out of matrix order and
     plain arrays, with extra
     objects absent, partly or wholly resident, ``extra=0``, rows written
-    and not, and a skipped row.  Returns everything read back, in order.
+    and not, and a skipped row.  The halo updaters run over a mesh with
+    one row homed on node 1 (fetched mid-block, then resident), in both
+    mesh parities, one-row blocks, two-page rows, unaligned rows over a
+    narrower slot range, ``extra=0``, plain arrays and a destination in
+    the source mesh, and one prepared
+    updater runs after ``disable_access_fast_path()``.  Returns
+    everything read back, in order.
     """
     memory, heap, node = rig.memory, rig.heap, 0
     local = heap.new_array("double", 64, home_node=0)
@@ -214,6 +220,41 @@ def _drive_primitives(rig, ctx) -> list:
         updater([remote], 16, 32, 7),
         updater([wide], 0, 1500, 5),
     ]
+    # the halo form: meshes whose row 3 is homed on node 1
+    homes = [0, 0, 0, 1, 0, 0, 0]
+    grid = heap.new_matrix("double", 7, 66, homes)
+    after = heap.new_matrix("double", 7, 66, homes)
+    two_page = heap.new_matrix("double", 4, 600, [0] * 4)
+    two_page_after = heap.new_matrix("double", 4, 600, [0] * 4)
+    ragged = heap.new_matrix("double", 5, 700, [0] * 5, page_aligned=False)
+    ragged_after = heap.new_matrix("double", 5, 700, [0] * 5, page_aligned=False)
+    meshes = (grid, after, two_page, two_page_after, ragged, ragged_after)
+    for matrix in meshes:
+        matrix[0].matrix[:] = np.arange(float(len(matrix)))[:, None] + np.arange(
+            float(matrix[0].num_slots)
+        ) / 7.0
+
+    def stencil(centre, north, south):
+        return 0.25 * (north + south + centre[..., :-2] + centre[..., 2:]) + 1.0
+
+    def halo(source, target, extra, lo=1, hi=None):
+        hi = source[0].num_slots - 1 if hi is None else hi
+        return memory.make_range_updater(
+            ctx, node, source, lo, hi, extra=extra, row_seconds=ROW_SECONDS, into=target
+        )
+
+    halos = [
+        halo(grid, after[1:6], 3),  # block rows, row 3's three spec rows, block row
+        halo(after, grid[1:6], 0),  # the other parity: row 3 remote as a target
+        halo(grid[:3], after[1:2], 2),  # a one-row block
+        halo(grid[2:5], after[3:4], 2),  # a one-row block around the remote row
+        halo(two_page, two_page_after[1:3], 4),
+        halo(ragged, ragged_after[1:4], 2, lo=5, hi=650),
+        halo([local, remote, local], [wide], 1, hi=63),  # plain arrays
+        # written into its own source mesh, each row reads the one before
+        # it already updated: the per-row spec
+        halo(two_page, two_page[1:3], 1),
+    ]
     out = []
     for _phase in range(2):
         out.append(memory.get(ctx, node, wide, 0))
@@ -245,6 +286,9 @@ def _drive_primitives(rig, ctx) -> list:
             update(keep, extra_obj=local)
             update(bump_even, skip=0)
             update(plus_one, extra_obj=skewed)
+        # row 3 is absent on the first call of each phase, then resident
+        for update in halos + halos:
+            update(stencil)
         out.append(memory.get(ctx, node, skewed, 511))
         memory.put(ctx, node, skewed, 511, 9.0)
         out.append(memory.get(ctx, node, skewed, 511))
@@ -256,8 +300,14 @@ def _drive_primitives(rig, ctx) -> list:
         # protected again under java_pf
         memory.update_main_memory(ctx, node)
         memory.invalidate_cache(ctx, node)
+    late = halo(grid, after[1:6], 1)
+    memory.disable_access_fast_path()
+    late(stencil)
+    out.append(memory.get_range(ctx, node, after[3], 0, 66).tolist())
     for obj in (local, remote, wide, skewed, *rows, *tall, *loose, *mixed, *counts):
         out.append(obj.main_read_range(0, obj.num_slots).tolist())
+    for matrix in meshes:
+        out.append(matrix[0].matrix.tolist())
     return out
 
 
@@ -475,7 +525,8 @@ def test_block_updater_moves_resident_blocks_at_once(rig_factory, protocol, bloc
     A local matrix with a resident extra object takes it under the
     fixed-home plans; an absent extra object, a row homed elsewhere, a
     plain array, a charge-log context and ``disable_access_fast_path``
-    all take the per-row loop.
+    all take the per-row loop.  In the halo form only the rows next to a
+    row homed elsewhere read row by row (three reads each).
     """
     rig = rig_factory(protocol=protocol)
     memory, heap = rig.memory, rig.heap
@@ -508,7 +559,28 @@ def test_block_updater_moves_resident_blocks_at_once(rig_factory, protocol, bloc
     assert rows_read(memory.make_range_updater(ctx, 0, [remote], 0, 64)) == 1
     logged = memory.make_range_updater(RecordingContext(0), 0, rows, 0, 64)
     assert rows_read(logged) == 4
+
+    def stencil(centre, north, south):
+        return 0.25 * (north + south + centre[..., :-2] + centre[..., 2:])
+
+    def halo_rows_read(homes):
+        source = heap.new_matrix("double", 5, 66, homes)
+        target = heap.new_matrix("double", 5, 66, [0] * 5)
+        halo = memory.make_range_updater(
+            ctx, 0, source, 1, 65, extra=2, row_seconds=1e-6, into=target[1:4]
+        )
+        del reads[:]
+        halo(stencil)
+        return halo, len(reads) // 3
+
+    halo, spec_rows = halo_rows_read([0] * 5)
+    assert spec_rows == (0 if block_path else 3)
+    assert halo_rows_read([0, 0, 0, 0, 1])[1] == (1 if block_path else 3)
+    assert halo_rows_read([0, 0, 1, 0, 0])[1] == 3
     memory.disable_access_fast_path()
+    del reads[:]
+    halo(stencil)
+    assert len(reads) == 9
     assert rows_read(update, extra_obj=remote) == 4
     # five plus_one passes wrote every row; the skipped row one fewer
     assert rows[0].matrix[:, 0].tolist() == [5.0, 4.0, 5.0, 5.0]

@@ -299,6 +299,30 @@ def test_batched_replay_is_byte_identical_to_scalar(
     assert batched == scalar
 
 
+def test_back_to_back_cells_coalesce_each_thread_once(monkeypatch):
+    """Cells replaying one script reuse its coalesced steps; a new one redoes them."""
+    from repro.scenarios import script as script_module
+    from repro.scenarios.registry import scenario_workload
+
+    calls = []
+
+    def counting(ops):
+        calls.append(ops)
+        return coalesce_ops(ops)
+
+    monkeypatch.setattr(script_module, "coalesce_ops", counting)
+    workload = scenario_workload("syn-uniform", "testing")
+    script = _batchy_script()
+    runs = [_run_custom(script, workload, protocol) for protocol in ("java_ic", "java_pf")]
+    assert len(calls) == len(script.threads)
+    assert runs[0] != runs[1]
+    # an equal but distinct script is keyed by identity, not by its ops
+    again = _batchy_script()
+    assert again == script
+    assert _run_custom(again, workload, "java_ic") == runs[0]
+    assert len(calls) == 2 * len(script.threads)
+
+
 def test_batched_replay_trace_on_off_identical():
     """Tracing must not perturb batched replay (and vice versa)."""
     from repro.scenarios.registry import scenario_workload

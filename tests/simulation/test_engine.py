@@ -116,6 +116,19 @@ def test_process_failure_propagates(engine):
     assert "kaboom" in str(excinfo.value.__cause__)
 
 
+def test_step_raises_a_process_failure_like_run(engine):
+    def boom(env):
+        yield env.timeout(1.0)
+        raise ValueError("kaboom")
+
+    engine.process(boom(engine))
+    engine.step()  # starts the process
+    with pytest.raises(SimulationError, match="kaboom") as excinfo:
+        engine.step()  # the timeout resumes it and it fails
+    assert isinstance(excinfo.value.__cause__, ValueError)
+    assert engine.now == pytest.approx(1.0)
+
+
 def test_events_processed_counter(engine):
     for _ in range(5):
         engine.timeout(1.0)
