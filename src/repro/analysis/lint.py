@@ -3,9 +3,9 @@
 Every performance PR in this repository has leaned on conventions that
 generic linters cannot express: simulations must be bit-reproducible (so no
 unseeded randomness and no wall-clock reads anywhere near the engine), the
-per-access hot path keeps its objects ``__slots__``-packed, and every
-optimized detection fast path ships with the readable reference twin the
-determinism suite diffs it against.  ``hyperion-sim lint`` mechanises them:
+per-access hot path keeps its objects ``__slots__``-packed, and serialised
+output never depends on insertion order.  ``hyperion-sim lint`` mechanises
+them:
 
 =======  ==================================================================
 HYP001   unseeded randomness: ``random.*`` / ``numpy.random.*`` calls that
@@ -16,8 +16,6 @@ HYP002   wall-clock reads (``time.time``, ``datetime.now``, ...) outside
 HYP003   a class in a designated hot-path module without ``__slots__``
          (dataclasses may use ``slots=True``); per-runtime singletons are
          exempt by name
-HYP004   a detection/protocol class defining ``detect_access`` without its
-         ``detect_access_reference`` twin
 HYP005   unsorted ``.items()``/``.keys()``/``.values()`` iteration inside a
          serialisation function (``to_dict``/``as_dict``/``*_jsonl``/...)
 HYP006   direct ``print()`` in library code (``repro/`` outside the CLI and
@@ -317,11 +315,10 @@ class _Linter(ast.NodeVisitor):
                 "stdout surface (harness/cli.py, harness/report.py)",
             )
 
-    # -- HYP003 / HYP004: class rules -------------------------------------
+    # -- HYP003: class rules ----------------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if self._class_depth == 0:
             self._check_slots(node)
-            self._check_reference_twin(node)
         self._class_depth += 1
         self.generic_visit(node)
         self._class_depth -= 1
@@ -339,27 +336,6 @@ class _Linter(ast.NodeVisitor):
             "__slots__ (or dataclass(slots=True)), or exempt a true "
             "singleton in repro.analysis.lint",
         )
-
-    def _check_reference_twin(self, node: ast.ClassDef) -> None:
-        bases = [
-            base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
-            for base in node.bases
-        ]
-        if not any("Detection" in b or "Protocol" in b for b in bases):
-            return
-        methods = {
-            stmt.name
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if "detect_access" in methods and "detect_access_reference" not in methods:
-            self._flag(
-                node,
-                "HYP004",
-                f"{node.name} overrides the detect_access fast path without "
-                "a detect_access_reference twin — the determinism suite "
-                "cannot pin it against a readable reference",
-            )
 
     # -- HYP005: serialisation functions ----------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:

@@ -113,10 +113,6 @@ class CostModel:
         check_non_negative("count", count)
         return self.machine.seconds_for_cycles(self.software.access_base_cycles * count)
 
-    def page_fault_seconds(self) -> float:
-        """Kernel cost of one page fault (``java_pf`` only)."""
-        return self.software.page_fault_seconds
-
     def mprotect_seconds(self, pages: int = 1) -> float:
         """Cost of ``mprotect``-ing *pages* pages (one call per page)."""
         check_non_negative("pages", pages)

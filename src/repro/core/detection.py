@@ -28,16 +28,18 @@ Four strategies ship here:
     densely accessed pages stop paying the per-access check and instead take
     one fault per miss, sparsely accessed pages keep the cheap check.
 
-Every strategy provides the precomputed fast path (``detect_access``) and
-its readable twin (``detect_access_reference``); the two are semantically
-identical — same counters, same charges in the same order — and the
-determinism suite pins them against each other through
-:func:`~repro.core.protocol.reference_detection`.
+Each strategy has exactly one ``detect_access``, the exact per-access path.
+The memory subsystem's fused plan (:meth:`DetectionStrategy.access_fast_plan`)
+is the only fast path: it charges resident accesses itself, in the same
+values and order, and hands every miss to ``detect_access``.  The
+determinism suite pins the plan against this path through
+:func:`~repro.core.protocol.reference_detection`, under which protocols
+report no plan.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.context import AccessContext
@@ -51,11 +53,12 @@ class DetectionStrategy:
     """How accesses to non-resident objects are noticed and charged.
 
     A strategy is bound to one protocol instance at construction time and
-    copies the protocol's precomputed fast-path handles (page→home map,
-    per-node presence sets, cost constants) onto itself: ``detect_access``
-    is the single hottest call of a simulation and the composed protocol
-    binds the strategy's bound method straight into the memory subsystem,
-    so the strategy must be as flat as the monolithic protocols were.
+    copies the protocol's precomputed handles (page→home map, per-node
+    presence sets, cost constants) onto itself.  ``detect_access`` is the
+    exact per-access path: the memory subsystem charges resident accesses
+    itself under the strategy's fast plan (:meth:`access_fast_plan`) and
+    calls ``detect_access`` for every miss, and for every access when no
+    plan applies.
     """
 
     #: short layer identifier ("inline_check", "page_fault", ...)
@@ -70,7 +73,7 @@ class DetectionStrategy:
         self.page_manager = protocol.page_manager
         self.cost_model = protocol.cost_model
         self.stats = protocol.stats
-        # -- precomputed fast-path handles (mirrors ConsistencyProtocol) --
+        # -- precomputed handles (mirrors ConsistencyProtocol) --
         self._home_by_page = protocol._home_by_page
         self._tables = protocol._tables
         self._freq = protocol._freq
@@ -78,10 +81,6 @@ class DetectionStrategy:
         self._miss_overhead_s = protocol._miss_overhead_s
         self._page_fault_s = protocol._page_fault_s
         self._mprotect_s = protocol._mprotect_s
-        # shared mechanics stay on the protocol (they are not per-access
-        # hot-path code: _account_accesses only serves the reference twins,
-        # _fetch runs once per miss batch) — bind them instead of copying
-        self._account_accesses = protocol._account_accesses
         self._fetch = protocol._fetch
 
     # ------------------------------------------------------------------
@@ -91,7 +90,7 @@ class DetectionStrategy:
         self,
         ctx: AccessContext,
         node_id: int,
-        pages: Iterable[int],
+        pages: Sequence[int],
         count: int,
         write: bool,
     ) -> int:
@@ -101,77 +100,79 @@ class DetectionStrategy:
         """
         raise NotImplementedError
 
-    def detect_access_reference(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        pages: Iterable[int],
-        count: int,
-        write: bool,
-    ) -> int:
-        """Unoptimized twin of :meth:`detect_access` (same counters/charges)."""
-        return self.detect_access(ctx, node_id, pages, count, write)
-
-    # ------------------------------------------------------------------
-    # bulk run entry points (batched replay)
-    # ------------------------------------------------------------------
     def access_fast_plan(self) -> str | None:
         """Fast-plan key for fused memory-side access charging, or None.
 
         The memory subsystem charges resident accesses inline: open-coded
-        in its scalar ``get``/``put`` hot paths, and through one range
-        block (``_fused_range_charges``).  Under the ``"hybrid"`` plan it
-        charges the check only while a touched page is unpromoted and then
-        calls :meth:`HybridDetection._observe`, exactly as
-        ``detect_access`` does.  All of that is only sound when this
-        instance's ``detect_access`` is the stock fast implementation of a
-        strategy the memory layer knows: a subclass override or an active
-        :func:`reference_detection` patch must return None here so every
-        access takes the exact polymorphic path.
+        in its scalar ``get``/``put`` hot paths, through one range block
+        (``_fused_range_charges``) and one run method (``_charge_run``).
+        Under the ``"hybrid"`` plan it charges the check only while a
+        touched page is unpromoted and then calls
+        :meth:`HybridDetection._observe`, exactly as ``detect_access``
+        does.  All of that is only sound when this instance's
+        ``detect_access`` is the stock implementation of a strategy the
+        memory layer knows: a subclass override returns None here, so every
+        access takes the exact path.
         """
-        cls = type(self)
-        impl = None
-        for klass in cls.__mro__:
-            impl = klass.__dict__.get("detect_access")
-            if impl is not None:
-                break
-        if impl is None or impl.__name__ != "detect_access":
-            # reference_detection() rebinds the class attribute to the
-            # reference twin; its __name__ gives the patch away
-            return None
-        return _FAST_PLAN_BY_IMPL.get(klass)
-
-    def detect_access_run(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        page: int,
-        n: int,
-        write: bool,
-        base_seconds: float,
-        extra: int = 0,
-        extra_base_seconds: float = 0.0,
-    ) -> bool:
-        """Price a run of *n* homogeneous single-page accesses in one call.
-
-        Equivalent to repeating, *n* times: charge *base_seconds* on *ctx*,
-        then ``detect_access(ctx, node_id, (page,), 1, write)``; and, when
-        *extra* is non-zero (the workload's ``work_multiplier`` accounting
-        accesses), charge *extra_base_seconds* and
-        ``detect_access(ctx, node_id, (page,), extra, write)`` as well.
-        The per-element float charges are applied in exactly that order, so
-        the accumulated pending time is bit-identical to the scalar path.
-
-        Returns True when the run was priced; False when the caller must
-        fall back to the exact per-access path (page not resident, strategy
-        stateful or patched to its reference twin, ...).  The base class
-        always refuses — batching is an opt-in per strategy.
-        """
-        return False
+        for klass in type(self).__mro__:
+            if "detect_access" in klass.__dict__:
+                return _FAST_PLAN_BY_IMPL.get(klass)
+        return None
 
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         """Acquire-side invalidation action of this detection mechanism."""
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # shared mechanics of the detect paths
+    # ------------------------------------------------------------------
+    def _account(self, node_id: int, pages: Iterable[int], count: int) -> list[int]:
+        """Count *count* accesses to *pages*; return the absent remote pages.
+
+        An access is remote when any of its pages is homed elsewhere; a
+        remote page is missing unless *node_id* holds a copy.
+        """
+        home = self._home_by_page
+        present = self._tables[node_id]._present
+        remote = False
+        missing = []
+        try:
+            for page in pages:
+                if home[page] != node_id:
+                    remote = True
+                    if page not in present:
+                        missing.append(page)
+        except KeyError:
+            raise KeyError(f"page {page} has not been registered") from None
+        stats = self.stats
+        stats.accesses += count
+        if remote:
+            stats.remote_accesses += count
+        return missing
+
+    def _fault_in(
+        self,
+        ctx: AccessContext,
+        node_id: int,
+        missing: list[int],
+        faulting: list[int],
+    ) -> None:
+        """Take one fault per page of *faulting*, fetch *missing*, re-open.
+
+        Every non-resident page starts protected (the protocol protects the
+        whole shared region at start-up), so the table is made to reflect
+        that before the fetch; the fault handler then re-opens access to the
+        arrived pages with ``mprotect``.
+        """
+        page_manager = self.page_manager
+        entry = self._tables[node_id].entry
+        for page in faulting:
+            entry(page).protection = PageProtection.NONE
+            page_manager.record_fault(node_id, page)
+        ctx.charge_cpu(self._page_fault_s * len(faulting))
+        self._fetch(ctx, node_id, missing)
+        calls = page_manager.unprotect_after_fetch(node_id, faulting)
+        ctx.charge_cpu(self._mprotect_s * calls)
 
 
 class InlineCheckDetection(DetectionStrategy):
@@ -198,41 +199,14 @@ class InlineCheckDetection(DetectionStrategy):
         self,
         ctx: AccessContext,
         node_id: int,
-        pages: Iterable[int],
+        pages: Sequence[int],
         count: int,
         write: bool,
     ) -> int:
-        # Fast path: one pass over the (usually single-page) access, using
-        # the precomputed page→home map and the node's presence set.  The
-        # counters and charges are identical — in value and in order — to
-        # detect_access_reference below.  The classification loop is
-        # deliberately open-coded (not a shared helper: this is the hottest
-        # call of a simulation and an extra call per access is measurable);
-        # sibling loops live in the other strategies of this module — change
-        # them together, the determinism tests pin each against its
-        # reference.
-        stats = self.stats
-        home = self._home_by_page
-        present = self._tables[node_id]._present
-        remote = False
-        missing = None
-        try:
-            for page in pages:
-                if home[page] != node_id:
-                    remote = True
-                    if page not in present:
-                        if missing is None:
-                            missing = [page]
-                        else:
-                            missing.append(page)
-        except KeyError:
-            raise KeyError(f"page {page} has not been registered") from None
-        stats.accesses += count
-        if remote:
-            stats.remote_accesses += count
+        missing = self._account(node_id, pages, count)
 
         # One explicit locality check per access, whether local or remote.
-        stats.inline_checks += count
+        self.stats.inline_checks += count
         ctx.charge_cpu((self._check_cycles * count) / self._freq)
 
         if missing:
@@ -240,82 +214,7 @@ class InlineCheckDetection(DetectionStrategy):
             # the page request round trip.  No fault, no mprotect.
             ctx.charge_cpu(self._miss_overhead_s * len(missing))
             self._fetch(ctx, node_id, missing)
-            return len(missing)
-        return 0
-
-    def detect_access_reference(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        pages: Iterable[int],
-        count: int,
-        write: bool,
-    ) -> int:
-        pages = list(pages)
-        self._account_accesses(node_id, pages, count)
-
-        # One explicit locality check per access, whether local or remote.
-        self.stats.inline_checks += count
-        ctx.charge_cpu(self.cost_model.inline_check_seconds(count))
-
-        missing = self.page_manager.missing_pages(node_id, pages)
-        if missing:
-            ctx.charge_cpu(self.cost_model.cache_miss_overhead_seconds() * len(missing))
-            self._fetch(ctx, node_id, missing)
         return len(missing)
-
-    def detect_access_run(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        page: int,
-        n: int,
-        write: bool,
-        base_seconds: float,
-        extra: int = 0,
-        extra_base_seconds: float = 0.0,
-    ) -> bool:
-        # Fused run path: one classification for the whole run (sound — the
-        # page is resident and nothing in a run can evict it), then the
-        # per-element float charges applied in exactly the scalar order
-        # (base, check[, extra base, extra check] per element) so the
-        # pending accumulator is bit-identical to n scalar calls.  Integer
-        # counters commute and are added once.
-        if self.access_fast_plan() is None:
-            return False
-        try:
-            remote = self._home_by_page[page] != node_id
-        except KeyError:
-            raise KeyError(f"page {page} has not been registered") from None
-        if remote and page not in self._tables[node_id]._present:
-            return False
-        try:
-            pending = ctx._pending_cpu
-        except AttributeError:
-            # a context without the pending accumulator (not a thread
-            # context) takes the exact per-access path instead
-            return False
-        stats = self.stats
-        total = n + n * extra
-        stats.accesses += total
-        if remote:
-            stats.remote_accesses += total
-        stats.inline_checks += total
-        freq = self._freq
-        check_1 = self._check_cycles / freq
-        if extra:
-            check_e = (self._check_cycles * extra) / freq
-            for _ in range(n):
-                pending += base_seconds
-                pending += check_1
-                pending += extra_base_seconds
-                pending += check_e
-        else:
-            for _ in range(n):
-                pending += base_seconds
-                pending += check_1
-        ctx._pending_cpu = pending
-        return True
 
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         """Invalidate the node's cache: clear the presence entries.
@@ -355,133 +254,17 @@ class PageFaultDetection(DetectionStrategy):
         self,
         ctx: AccessContext,
         node_id: int,
-        pages: Iterable[int],
+        pages: Sequence[int],
         count: int,
         write: bool,
     ) -> int:
-        # Fast path: single pass using the precomputed page→home map and the
-        # node's presence set; counters and charges match
-        # detect_access_reference value-for-value.  The classification loop
-        # is open-coded on purpose (hot path — see the note in
-        # InlineCheckDetection).
-        stats = self.stats
-        home = self._home_by_page
-        table = self._tables[node_id]
-        present = table._present
-        remote = False
-        missing = None
-        try:
-            for page in pages:
-                if home[page] != node_id:
-                    remote = True
-                    if page not in present:
-                        if missing is None:
-                            missing = [page]
-                        else:
-                            missing.append(page)
-        except KeyError:
-            raise KeyError(f"page {page} has not been registered") from None
-        stats.accesses += count
-        if remote:
-            stats.remote_accesses += count
-
-        # No per-access cost: detection only happens when the hardware traps.
-        if not missing:
-            return 0
-        # One fault per protected page touched (the first access to each
-        # such page traps; subsequent accesses find it READ/WRITE).  The
-        # initial state of every non-resident page is protected (the
-        # protocol protects the whole shared region at start-up), so make
-        # the table reflect that before the fetch re-opens access.
-        n_missing = len(missing)
-        faults_by_node = stats.faults_by_node
-        for page in missing:
-            entry = table.entry(page)
-            if entry.protection is not PageProtection.NONE:
-                entry.protection = PageProtection.NONE
-            entry.faults += 1
-        stats.page_faults += n_missing
-        stat_key = self.page_manager.stat_node(node_id)
-        faults_by_node[stat_key] = faults_by_node.get(stat_key, 0) + n_missing
-        ctx.charge_cpu(self._page_fault_s * n_missing)
-        self._fetch(ctx, node_id, missing)
-        # The fault handler re-opens access to the arrived pages.
-        entries = table._entries
-        calls = 0
-        for page in missing:
-            entry = entries[page]
-            if entry.protection is not PageProtection.READ_WRITE:
-                entry.protection = PageProtection.READ_WRITE
-                calls += 1
-        stats.mprotect_calls += calls
-        ctx.charge_cpu(self._mprotect_s * calls)
-        return n_missing
-
-    def detect_access_reference(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        pages: Iterable[int],
-        count: int,
-        write: bool,
-    ) -> int:
-        pages = list(pages)
-        self._account_accesses(node_id, pages, count)
-
-        # No per-access cost: detection only happens when the hardware traps.
-        missing = self.page_manager.missing_pages(node_id, pages)
+        missing = self._account(node_id, pages, count)
+        # No per-access cost: detection only happens when the hardware
+        # traps, once per protected page touched (subsequent accesses find
+        # it READ/WRITE).
         if missing:
-            for page in missing:
-                entry = self.page_manager.tables[node_id].entry(page)
-                if entry.protection is not PageProtection.NONE:
-                    entry.protection = PageProtection.NONE
-                self.page_manager.record_fault(node_id, page)
-            ctx.charge_cpu(self.cost_model.page_fault_seconds() * len(missing))
-            self._fetch(ctx, node_id, missing)
-            calls = self.page_manager.unprotect_after_fetch(node_id, missing)
-            ctx.charge_cpu(self.cost_model.mprotect_seconds(calls))
+            self._fault_in(ctx, node_id, missing, missing)
         return len(missing)
-
-    def detect_access_run(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        page: int,
-        n: int,
-        write: bool,
-        base_seconds: float,
-        extra: int = 0,
-        extra_base_seconds: float = 0.0,
-    ) -> bool:
-        # Fused run path (see InlineCheckDetection's): a resident page costs
-        # nothing per access under fault-based detection, so only the base
-        # charges and the access counters are applied.
-        if self.access_fast_plan() is None:
-            return False
-        try:
-            remote = self._home_by_page[page] != node_id
-        except KeyError:
-            raise KeyError(f"page {page} has not been registered") from None
-        if remote and page not in self._tables[node_id]._present:
-            return False
-        try:
-            pending = ctx._pending_cpu
-        except AttributeError:
-            return False
-        stats = self.stats
-        total = n + n * extra
-        stats.accesses += total
-        if remote:
-            stats.remote_accesses += total
-        if extra:
-            for _ in range(n):
-                pending += base_seconds
-                pending += extra_base_seconds
-        else:
-            for _ in range(n):
-                pending += base_seconds
-        ctx._pending_cpu = pending
-        return True
 
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         """Re-protect every replicated remote page (one ``mprotect`` each).
@@ -515,112 +298,22 @@ class HoistedCheckDetection(InlineCheckDetection):
         self,
         ctx: AccessContext,
         node_id: int,
-        pages: Iterable[int],
+        pages: Sequence[int],
         count: int,
         write: bool,
     ) -> int:
-        # Fast path mirroring InlineCheckDetection's, with the hoisted
-        # per-page (instead of per-access) check count.
-        stats = self.stats
-        home = self._home_by_page
-        present = self._tables[node_id]._present
-        remote = False
-        missing = None
-        n_pages = 0
-        try:
-            for page in pages:
-                n_pages += 1
-                if home[page] != node_id:
-                    remote = True
-                    if page not in present:
-                        if missing is None:
-                            missing = [page]
-                        else:
-                            missing.append(page)
-        except KeyError:
-            raise KeyError(f"page {page} has not been registered") from None
-        stats.accesses += count
-        if remote:
-            stats.remote_accesses += count
+        missing = self._account(node_id, pages, count)
 
         # One hoisted check per bulk access (per page touched, to stay safe
         # across page boundaries), instead of one per element.
-        checks = n_pages if n_pages > 1 else 1
-        stats.inline_checks += checks
+        checks = max(1, len(pages))
+        self.stats.inline_checks += checks
         ctx.charge_cpu((self._check_cycles * checks) / self._freq)
 
         if missing:
             ctx.charge_cpu(self._miss_overhead_s * len(missing))
             self._fetch(ctx, node_id, missing)
-            return len(missing)
-        return 0
-
-    def detect_access_reference(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        pages: Iterable[int],
-        count: int,
-        write: bool,
-    ) -> int:
-        pages = list(pages)
-        self._account_accesses(node_id, pages, count)
-
-        checks = max(1, len(pages))
-        self.stats.inline_checks += checks
-        ctx.charge_cpu(self.cost_model.inline_check_seconds(checks))
-
-        missing = self.page_manager.missing_pages(node_id, pages)
-        if missing:
-            ctx.charge_cpu(self.cost_model.cache_miss_overhead_seconds() * len(missing))
-            self._fetch(ctx, node_id, missing)
         return len(missing)
-
-    def detect_access_run(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        page: int,
-        n: int,
-        write: bool,
-        base_seconds: float,
-        extra: int = 0,
-        extra_base_seconds: float = 0.0,
-    ) -> bool:
-        # Fused run path: the hoisted check is per *call*, not per element,
-        # so both the scalar access and its extra accounting call charge one
-        # check each (single page ⇒ one check regardless of count).
-        if self.access_fast_plan() is None:
-            return False
-        try:
-            remote = self._home_by_page[page] != node_id
-        except KeyError:
-            raise KeyError(f"page {page} has not been registered") from None
-        if remote and page not in self._tables[node_id]._present:
-            return False
-        try:
-            pending = ctx._pending_cpu
-        except AttributeError:
-            return False
-        stats = self.stats
-        total = n + n * extra
-        stats.accesses += total
-        if remote:
-            stats.remote_accesses += total
-        stats.inline_checks += 2 * n if extra else n
-        check_1 = self._check_cycles / self._freq
-        if extra:
-            for _ in range(n):
-                pending += base_seconds
-                pending += check_1
-                pending += extra_base_seconds
-                pending += check_1
-        else:
-            for _ in range(n):
-                pending += base_seconds
-                pending += check_1
-        ctx._pending_cpu = pending
-        return True
 
 
 class HybridDetection(DetectionStrategy):
@@ -683,189 +376,31 @@ class HybridDetection(DetectionStrategy):
         self,
         ctx: AccessContext,
         node_id: int,
-        pages: Iterable[int],
+        pages: Sequence[int],
         count: int,
         write: bool,
     ) -> int:
-        # Fast path: one classification pass (open-coded, see the note in
-        # InlineCheckDetection), splitting missing pages by their current
-        # mode; counters and charges match detect_access_reference
-        # value-for-value.
-        stats = self.stats
-        home = self._home_by_page
-        table = self._tables[node_id]
-        present = table._present
+        missing = self._account(node_id, pages, count)
         promoted = self._promoted[node_id]
-        remote = False
-        checked = False
-        missing = None
-        fault_pages = None
-        try:
-            for page in pages:
-                if page not in promoted:
-                    checked = True
-                if home[page] != node_id:
-                    remote = True
-                    if page not in present:
-                        if missing is None:
-                            missing = [page]
-                        else:
-                            missing.append(page)
-                        if page in promoted:
-                            if fault_pages is None:
-                                fault_pages = [page]
-                            else:
-                                fault_pages.append(page)
-        except KeyError:
-            raise KeyError(f"page {page} has not been registered") from None
-        stats.accesses += count
-        if remote:
-            stats.remote_accesses += count
 
         # The check is paid while any touched page still runs under it.
-        if checked:
-            stats.inline_checks += count
+        if any(page not in promoted for page in pages):
+            self.stats.inline_checks += count
             ctx.charge_cpu((self._check_cycles * count) / self._freq)
 
         if missing:
-            n_faults = len(fault_pages) if fault_pages else 0
-            n_checked_misses = len(missing) - n_faults
-            if n_checked_misses:
+            faulting = [page for page in missing if page in promoted]
+            checked_misses = len(missing) - len(faulting)
+            if checked_misses:
                 # Software miss path of the check-managed pages.
-                ctx.charge_cpu(self._miss_overhead_s * n_checked_misses)
-            if fault_pages:
+                ctx.charge_cpu(self._miss_overhead_s * checked_misses)
+            if faulting:
                 # Promoted pages trap like java_pf pages do.
-                faults_by_node = stats.faults_by_node
-                for page in fault_pages:
-                    entry = table.entry(page)
-                    if entry.protection is not PageProtection.NONE:
-                        entry.protection = PageProtection.NONE
-                    entry.faults += 1
-                stats.page_faults += n_faults
-                stat_key = self.page_manager.stat_node(node_id)
-                faults_by_node[stat_key] = faults_by_node.get(stat_key, 0) + n_faults
-                ctx.charge_cpu(self._page_fault_s * n_faults)
-            self._fetch(ctx, node_id, missing)
-            if fault_pages:
-                # The fault handler re-opens access to the arrived pages.
-                entries = table._entries
-                calls = 0
-                for page in fault_pages:
-                    entry = entries[page]
-                    if entry.protection is not PageProtection.READ_WRITE:
-                        entry.protection = PageProtection.READ_WRITE
-                        calls += 1
-                stats.mprotect_calls += calls
-                ctx.charge_cpu(self._mprotect_s * calls)
-            self._observe(node_id, pages, count)
-            return len(missing)
-        self._observe(node_id, pages, count)
-        return 0
-
-    def detect_access_reference(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        pages: Iterable[int],
-        count: int,
-        write: bool,
-    ) -> int:
-        pages = list(pages)
-        promoted = self._promoted[node_id]
-        self._account_accesses(node_id, pages, count)
-
-        checked = any(page not in promoted for page in pages)
-        if checked:
-            self.stats.inline_checks += count
-            ctx.charge_cpu(self.cost_model.inline_check_seconds(count))
-
-        missing = self.page_manager.missing_pages(node_id, pages)
-        if missing:
-            fault_pages = [page for page in missing if page in promoted]
-            n_checked_misses = len(missing) - len(fault_pages)
-            if n_checked_misses:
-                ctx.charge_cpu(
-                    self.cost_model.cache_miss_overhead_seconds() * n_checked_misses
-                )
-            if fault_pages:
-                for page in fault_pages:
-                    entry = self.page_manager.tables[node_id].entry(page)
-                    if entry.protection is not PageProtection.NONE:
-                        entry.protection = PageProtection.NONE
-                    self.page_manager.record_fault(node_id, page)
-                ctx.charge_cpu(self.cost_model.page_fault_seconds() * len(fault_pages))
-            self._fetch(ctx, node_id, missing)
-            if fault_pages:
-                calls = self.page_manager.unprotect_after_fetch(node_id, fault_pages)
-                ctx.charge_cpu(self.cost_model.mprotect_seconds(calls))
+                self._fault_in(ctx, node_id, missing, faulting)
+            else:
+                self._fetch(ctx, node_id, missing)
         self._observe(node_id, pages, count)
         return len(missing)
-
-    def detect_access_run(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        page: int,
-        n: int,
-        write: bool,
-        base_seconds: float,
-        extra: int = 0,
-        extra_base_seconds: float = 0.0,
-    ) -> bool:
-        # Fused run path (see InlineCheckDetection's), replaying the
-        # per-page state element by element: each access (and each extra
-        # accounting access, with count=extra) pays the check while the
-        # page is unpromoted, then adds to the density, promoting at the
-        # threshold — the order _observe applies after a scalar access.
-        # Density and promotion are written back once, at the end.
-        if self.access_fast_plan() is None:
-            return False
-        try:
-            remote = self._home_by_page[page] != node_id
-        except KeyError:
-            raise KeyError(f"page {page} has not been registered") from None
-        if remote and page not in self._tables[node_id]._present:
-            return False
-        try:
-            pending = ctx._pending_cpu
-        except AttributeError:
-            return False
-        density = self._density[node_id]
-        promoted = self._promoted[node_id]
-        seen = density.get(page, 0)
-        dense = page in promoted
-        threshold = self.DENSITY_THRESHOLD
-        freq = self._freq
-        check_1 = self._check_cycles / freq
-        check_e = (self._check_cycles * extra) / freq
-        checks = 0
-        for _ in range(n):
-            pending += base_seconds
-            if not dense:
-                pending += check_1
-                checks += 1
-            seen += 1
-            if seen >= threshold:
-                dense = True
-            if extra:
-                pending += extra_base_seconds
-                if not dense:
-                    pending += check_e
-                    checks += extra
-                seen += extra
-                if seen >= threshold:
-                    dense = True
-        density[page] = seen
-        if dense:
-            promoted.add(page)
-        stats = self.stats
-        total = n + n * extra
-        stats.accesses += total
-        if remote:
-            stats.remote_accesses += total
-        stats.inline_checks += checks
-        ctx._pending_cpu = pending
-        return True
 
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         """Invalidate per mode: drop unpromoted pages, re-protect promoted.
@@ -893,8 +428,8 @@ class HybridDetection(DetectionStrategy):
         return set(self._promoted[node_id])
 
 
-#: ``detect_access`` implementations whose present-page charging the memory
-#: subsystem may fuse straight into its own hot paths, keyed by the class
+#: ``detect_access`` implementations whose resident-page charging the
+#: memory subsystem may fuse into its own primitives, keyed by the class
 #: *defining* the implementation: a subclass that inherits one of these is
 #: covered (it runs the very same code), a subclass that overrides
 #: ``detect_access`` is not (``access_fast_plan`` walks the MRO to the

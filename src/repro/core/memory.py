@@ -66,24 +66,19 @@ class MemorySubsystem:
         # byte-identical to ``detect_access`` (a stock detection
         # implementation — see ``access_fast_plan``), the scalar/range
         # primitives below charge resident accesses inline and the run
-        # primitives batch whole same-page runs through the strategy's
-        # ``detect_access_run``.  The hybrid plan checks only unpromoted
-        # pages and observes every fused access (``_observe``); a policy
-        # that observes writes gets its hook (``_note_write``) called after
-        # every fused write, and then multi-page spans, put runs and the
-        # block updater take the exact (or per-row) path, since a re-home
-        # can split an object's homes or land in the middle of a run.
-        # Every miss, every unusual page and every disabled configuration
-        # falls back to the exact ``_detect`` path, byte for byte.
+        # primitives price whole same-page runs at once (``_charge_run``).
+        # The hybrid plan checks only unpromoted pages and observes every
+        # fused access (``_observe``); a policy that observes writes gets
+        # its hook (``_note_write``) called after every fused write, and
+        # then multi-page spans, put runs and the block updater take the
+        # exact (or per-row) path, since a re-home can split an object's
+        # homes or land in the middle of a run.  Every miss, every unusual
+        # page and every disabled configuration falls back to the exact
+        # ``_detect`` path, byte for byte.
         plan = self._fast_plan = protocol.access_fast_plan()
-        strategy = protocol.detection_strategy()
-        self._detect_run = (
-            strategy.detect_access_run
-            if strategy is not None and plan is not None
-            else None
-        )
         self._note_write = protocol.write_observer() if plan is not None else None
         if plan == "hybrid":
+            self._hybrid = strategy = protocol.detection_strategy()
             self._promoted = strategy._promoted
             self._observe = strategy._observe
         self._home_by_page = page_manager._home_by_page
@@ -102,7 +97,6 @@ class MemorySubsystem:
         wrappers, so such layers turn it off for the whole run.
         """
         self._fast_plan = None
-        self._detect_run = None
         self._note_write = None
 
     # ------------------------------------------------------------------
@@ -321,8 +315,7 @@ class MemorySubsystem:
         # the charges below accumulate pending CPU time directly (the exact
         # float additions ``ctx.charge_cpu`` would perform, in the same
         # order) and only fall back to the method for contexts that keep
-        # their pending time elsewhere — same idiom as the fused detection
-        # runs in ``core/detection.py``
+        # their pending time elsewhere
         charge = (self._base_cycles * count) / self._freq
         try:
             ctx._pending_cpu += charge
@@ -776,6 +769,127 @@ class MemorySubsystem:
         return update
 
     # -- batched runs (the replay interpreter's bulk primitives) --------------
+    def _page_runs(self, obj: SharedEntity, slots: Sequence[int]):
+        """Split *slots* of *obj* into maximal runs on one page.
+
+        Yields ``(i, j, page)`` for each run ``slots[i:j]`` of one-page
+        slots on *page*; a slot straddling a page boundary comes alone,
+        with *page* None.
+        """
+        slot_size = obj.slot_size
+        page_size = self._page_size
+        base_addr = obj.address
+        i = 0
+        n = len(slots)
+        while i < n:
+            address = base_addr + slots[i] * slot_size
+            page = address // page_size
+            if (address + slot_size - 1) // page_size != page:
+                yield i, i + 1, None
+                i += 1
+                continue
+            j = i + 1
+            while j < n:
+                a = base_addr + slots[j] * slot_size
+                if a // page_size != page or (a + slot_size - 1) // page_size != page:
+                    break
+                j += 1
+            yield i, j, page
+            i = j
+
+    def _charge_run(
+        self, ctx: AccessContext, node: int, page: int, n: int, extra: int, write: bool
+    ) -> bool:
+        """Charge a run of *n* one-slot accesses to the resident *page*.
+
+        Equivalent to *n* scalar ``get``/``put`` accesses, each followed,
+        when *extra* is non-zero, by its ``account_accesses(count=extra)``
+        on the same slot.  The floats are added per element in that scalar
+        order (base, then check; extra base, then extra check), so the
+        pending time is bit-identical; integer counters commute and are
+        added once.  Returns False, with nothing charged, when the exact
+        path must run: no plan, a write while homes can move, *page* not
+        readable from *node*, or a context without ``_pending_cpu``.
+        """
+        plan = self._fast_plan
+        if plan is None or (write and self._note_write is not None):
+            return False
+        rhome = self._home_by_page.get(page)
+        if rhome is None:
+            return False
+        remote = rhome != node
+        if remote and page not in self._tables[node]._present:
+            return False
+        try:
+            pending = ctx._pending_cpu
+        except AttributeError:
+            return False
+        base = self._base_seconds
+        extra_base = (self._base_cycles * extra) / self._freq
+        check = self._check_seconds
+        extra_check = (self._check_cycles * extra) / self._freq
+        total = n + n * extra
+        if plan == "hybrid":
+            # replay the per-page state element by element: each access
+            # (and each extra accounting access) pays the check while the
+            # page is unpromoted, then adds to the density, promoting at
+            # the threshold — the order ``_observe`` applies after a
+            # scalar access.  Density and promotion are written back once.
+            hybrid = self._hybrid
+            density = hybrid._density[node]
+            promoted = self._promoted[node]
+            seen = density.get(page, 0)
+            dense = page in promoted
+            threshold = hybrid.DENSITY_THRESHOLD
+            checks = 0
+            for _ in range(n):
+                pending += base
+                if not dense:
+                    pending += check
+                    checks += 1
+                seen += 1
+                if seen >= threshold:
+                    dense = True
+                if extra:
+                    pending += extra_base
+                    if not dense:
+                        pending += extra_check
+                        checks += extra
+                    seen += extra
+                    if seen >= threshold:
+                        dense = True
+            density[page] = seen
+            if dense:
+                promoted.add(page)
+        else:
+            # a +0.0 check under page_fault leaves the sum bit-unchanged;
+            # a hoisted check is paid once per call, extra calls included
+            if plan == "page_fault":
+                check = extra_check = 0.0
+                checks = 0
+            elif plan == "hoisted":
+                extra_check = check
+                checks = 2 * n if extra else n
+            else:
+                checks = total
+            if extra:
+                for _ in range(n):
+                    pending += base
+                    pending += check
+                    pending += extra_base
+                    pending += extra_check
+            else:
+                for _ in range(n):
+                    pending += base
+                    pending += check
+        ctx._pending_cpu = pending
+        stats = self._dsm_stats
+        stats.accesses += total
+        if remote:
+            stats.remote_accesses += total
+        stats.inline_checks += checks
+        return True
+
     def get_run(
         self,
         ctx: AccessContext,
@@ -792,61 +906,25 @@ class MemorySubsystem:
         workload's ``work_multiplier`` accounting).  Values are not
         returned: this is the accounting/coherence primitive behind the
         script interpreter, whose replayed reads are discarded anyway.
-        Runs of slots sharing one resident page are priced in bulk through
-        the detection strategy's ``detect_access_run``; everything else —
-        misses, page-straddling slots, disabled fast paths — degrades to
-        the per-element entry points of this instance (so installed
-        wrappers observe every access).
+        Runs of slots sharing one resident page are priced at once
+        (:meth:`_charge_run`); everything else — misses, page-straddling
+        slots, disabled fast paths — degrades to the per-element entry
+        points of this instance (so installed wrappers observe every
+        access).
         """
-        detect_run = self._detect_run
-        if detect_run is None:
-            get = self.get
-            if extra:
-                account = self.account_accesses
-                for slot in slots:
-                    get(ctx, node, obj, slot)
-                    account(ctx, node, obj, extra, lo=slot, hi=slot + 1, write=False)
-            else:
-                for slot in slots:
-                    get(ctx, node, obj, slot)
-            return
-        slot_size = obj.slot_size
-        page_size = self._page_size
-        base_addr = obj.address
-        base_s = self._base_seconds
-        extra_base_s = (self._base_cycles * extra) / self._freq if extra else 0.0
-        i = 0
-        n = len(slots)
-        while i < n:
-            slot = slots[i]
-            address = base_addr + slot * slot_size
-            page = address // page_size
-            if (address + slot_size - 1) // page_size != page:
-                # page-straddling element: exact path, one element
-                self.get(ctx, node, obj, slot)
+        get = self.get
+        account = self.account_accesses
+        charge_run = self._charge_run
+        for i, j, page in self._page_runs(obj, slots):
+            while i < j and (
+                page is None or not charge_run(ctx, node, page, j - i, extra, False)
+            ):
+                # one exact access (fetching the page), then re-batch the rest
+                slot = slots[i]
+                get(ctx, node, obj, slot)
                 if extra:
-                    self.account_accesses(
-                        ctx, node, obj, extra, lo=slot, hi=slot + 1, write=False
-                    )
+                    account(ctx, node, obj, extra, lo=slot, hi=slot + 1, write=False)
                 i += 1
-                continue
-            j = i + 1
-            while j < n:
-                a = base_addr + slots[j] * slot_size
-                if a // page_size != page or (a + slot_size - 1) // page_size != page:
-                    break
-                j += 1
-            if detect_run(ctx, node, page, j - i, False, base_s, extra, extra_base_s):
-                i = j
-                continue
-            # the page is not resident (or the strategy refused): run one
-            # element exactly — fetching the page — and re-batch the rest
-            self.get(ctx, node, obj, slot)
-            if extra:
-                self.account_accesses(
-                    ctx, node, obj, extra, lo=slot, hi=slot + 1, write=False
-                )
-            i += 1
 
     def put_run(
         self,
@@ -871,63 +949,23 @@ class MemorySubsystem:
             raise ValueError(
                 f"put_run of {len(slots)} slots received {len(values)} values"
             )
-        detect_run = self._detect_run
-        if detect_run is None or self._note_write is not None:
-            put = self.put
-            if extra:
-                account = self.account_accesses
-                for k, slot in enumerate(slots):
-                    put(ctx, node, obj, slot, values[k])
-                    account(ctx, node, obj, extra, lo=slot, hi=slot + 1, write=True)
-            else:
-                for k, slot in enumerate(slots):
-                    put(ctx, node, obj, slot, values[k])
-            return
-        slot_size = obj.slot_size
-        page_size = self._page_size
-        base_addr = obj.address
-        base_s = self._base_seconds
-        extra_base_s = (self._base_cycles * extra) / self._freq if extra else 0.0
-        local = obj.home_node == node
-        entry = None
-        i = 0
-        n = len(slots)
-        while i < n:
-            slot = slots[i]
-            address = base_addr + slot * slot_size
-            page = address // page_size
-            if (address + slot_size - 1) // page_size != page:
-                self.put(ctx, node, obj, slot, values[i])
+        put = self.put
+        account = self.account_accesses
+        charge_run = self._charge_run
+        write = obj.main_write if obj.home_node == node else None
+        for i, j, page in self._page_runs(obj, slots):
+            while i < j and (
+                page is None or not charge_run(ctx, node, page, j - i, extra, True)
+            ):
+                slot = slots[i]
+                put(ctx, node, obj, slot, values[i])
                 if extra:
-                    self.account_accesses(
-                        ctx, node, obj, extra, lo=slot, hi=slot + 1, write=True
-                    )
+                    account(ctx, node, obj, extra, lo=slot, hi=slot + 1, write=True)
                 i += 1
-                continue
-            j = i + 1
-            while j < n:
-                a = base_addr + slots[j] * slot_size
-                if a // page_size != page or (a + slot_size - 1) // page_size != page:
-                    break
-                j += 1
-            if detect_run(ctx, node, page, j - i, True, base_s, extra, extra_base_s):
-                if local:
-                    for k in range(i, j):
-                        obj.main_write(slots[k], values[k])
-                else:
-                    if entry is None:
-                        entry = self._cache_entry(node, obj)
-                    write = entry.write
-                    for k in range(i, j):
-                        write(slots[k], values[k])
-                i = j
-                continue
-            self.put(ctx, node, obj, slot, values[i])
-            if extra:
-                self.account_accesses(
-                    ctx, node, obj, extra, lo=slot, hi=slot + 1, write=True
-                )
-            i += 1
+            if i < j and write is None:
+                write = self._cache_entry(node, obj).write
+            for k in range(i, j):
+                write(slots[k], values[k])
 
     # ------------------------------------------------------------------
     @staticmethod

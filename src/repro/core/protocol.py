@@ -54,15 +54,13 @@ from repro.dsm.protocol_api import DsmProtocolHooks
 class ConsistencyProtocol(DsmProtocolHooks):
     """Base class for Java-consistency protocols over DSM-PM2.
 
-    ``detect_access`` is the single hottest call of a simulation (one call
-    per ``get``/``put``/bulk access), so the constructor precomputes the flat
-    handles the fast path needs — the page→home map, the per-node presence
-    sets and the cost constants — instead of chasing them through
-    ``self.page_manager.…`` / ``self.cost_model.…`` attribute chains on
-    every access.  Detection implementations keep their original, readable
-    twin as ``detect_access_reference``; the two are semantically identical
-    (same counters, same charges in the same order) and the test suite pins
-    them against each other via :func:`reference_detection`.
+    ``detect_access`` is the exact per-access path: the memory subsystem
+    calls it for every access its fused plan (:meth:`access_fast_plan`) does
+    not charge itself.  The constructor precomputes the flat handles both
+    need — the page→home map, the per-node presence sets and the cost
+    constants — instead of chasing them through ``self.page_manager.…`` /
+    ``self.cost_model.…`` attribute chains on every access.  The test suite
+    pins the plan against ``detect_access`` via :func:`reference_detection`.
     """
 
     name = "abstract"
@@ -92,19 +90,6 @@ class ConsistencyProtocol(DsmProtocolHooks):
     # ------------------------------------------------------------------
     # common helpers
     # ------------------------------------------------------------------
-    def _account_accesses(self, node_id: int, pages: Sequence[int], count: int) -> None:
-        """Record access counters shared by all protocols."""
-        stats = self.stats
-        stats.accesses += count
-        home = self._home_by_page
-        try:
-            for page in pages:
-                if home[page] != node_id:
-                    stats.remote_accesses += count
-                    break
-        except KeyError:
-            raise KeyError(f"page {page} has not been registered") from None
-
     def _fetch(self, ctx: AccessContext, node_id: int, missing: Sequence[int]) -> float:
         """Fetch *missing* pages to *node_id*, charging the request latency."""
         latency = self.page_manager.fetch_pages(node_id, missing)
@@ -131,23 +116,6 @@ class ConsistencyProtocol(DsmProtocolHooks):
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         raise NotImplementedError
 
-    def detect_access_reference(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        pages: Iterable[int],
-        count: int,
-        write: bool,
-    ) -> int:
-        """Unoptimized twin of :meth:`detect_access` (same counters/charges).
-
-        Detection strategies (and plain protocol subclasses) override this
-        with their original, readable implementation; the base class falls
-        back to ``detect_access`` so protocols without a dedicated reference
-        path still work under :func:`reference_detection`.
-        """
-        return self.detect_access(ctx, node_id, pages, count, write)
-
     def access_fast_plan(self) -> str | None:
         """Fast-plan key for fused memory-side access charging, or None.
 
@@ -157,7 +125,8 @@ class ConsistencyProtocol(DsmProtocolHooks):
         prepared range updater), followed by :meth:`write_observer` on
         writes, is byte-identical to routing every access through
         :meth:`detect_access` (see ``DetectionStrategy.access_fast_plan``).
-        Plain protocols refuse.
+        Plain protocols, and every protocol built inside
+        :func:`reference_detection`, refuse.
         """
         return None
 
@@ -193,15 +162,15 @@ class ComposedProtocol(ConsistencyProtocol):
     """A protocol assembled from a detection strategy and a home policy.
 
     The composer is deliberately thin: it instantiates the two layers, lifts
-    their hot-path entry points onto the instance and contributes nothing to
-    the per-access cost itself.  With a fixed home policy the instance's
-    ``detect_access`` *is* the strategy's bound method — exactly the code
-    (and the number of attribute hops) the former monolithic protocols ran.
-    A policy that observes writes gets a minimal closure wrapping the
-    strategy call, and the memory layer's fused path calls the policy's
-    hook itself (:meth:`write_observer`); those calls are the only
-    hot-path price of migratory homes, and only protocols composed with
-    such a policy pay it.
+    their entry points onto the instance and contributes nothing to the
+    per-access cost itself.  With a fixed home policy the instance's
+    ``detect_access`` *is* the strategy's bound method.  A policy that
+    observes writes gets a minimal closure wrapping the strategy call, and
+    the memory layer's fused path calls the policy's hook itself
+    (:meth:`write_observer`); those calls are the only hot-path price of
+    migratory homes, and only protocols composed with such a policy pay it.
+    The fast plan is the strategy's, unless the protocol was built inside
+    :func:`reference_detection`.
     """
 
     def __init__(
@@ -222,6 +191,7 @@ class ComposedProtocol(ConsistencyProtocol):
         if policy_fragment:
             mechanism = f"{mechanism}, {policy_fragment}"
         self.mechanism = mechanism
+        self._exact_only = _exact_depth > 0
         # -- lift the layer entry points onto the instance (hot path) --
         detect = self.detection.detect_access
         if self.home_policy.observes_writes:
@@ -252,26 +222,11 @@ class ComposedProtocol(ConsistencyProtocol):
     ) -> int:
         return self.detection.detect_access(ctx, node_id, pages, count, write)
 
-    def detect_access_reference(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        pages: Iterable[int],
-        count: int,
-        write: bool,
-    ) -> int:
-        fetched = self.detection.detect_access_reference(
-            ctx, node_id, pages, count, write
-        )
-        if write and self.home_policy.observes_writes:
-            self.home_policy.note_write(ctx, node_id, pages)
-        return fetched
-
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:  # type: ignore[override]
         self.detection.on_monitor_enter(ctx, node_id)
 
     def access_fast_plan(self) -> str | None:
-        """Delegate to the detection layer.
+        """Delegate to the detection layer (None if built as an oracle).
 
         A policy that observes writes (migratory homes) does not refuse:
         the fused path calls its ``note_write`` through
@@ -279,6 +234,8 @@ class ComposedProtocol(ConsistencyProtocol):
         exact path for multi-page spans, whose pages may have been re-homed
         apart.
         """
+        if self._exact_only:
+            return None
         return self.detection.access_fast_plan()
 
     def write_observer(self):
@@ -293,57 +250,31 @@ class ComposedProtocol(ConsistencyProtocol):
         self.home_policy.attach_migration(migration)
 
 
+#: depth of nested :func:`reference_detection` contexts
+_exact_depth = 0
+
+
 @contextmanager
 def reference_detection() -> Iterator[None]:
-    """Swap every registered protocol onto its reference detection path.
+    """Build every protocol inside the context on the exact detection path.
 
-    Within the context, newly created protocol instances (and runtimes built
-    around them) use ``detect_access_reference`` — the original per-access
-    implementation — instead of the precomputed fast path.  The determinism
-    test suite runs one cell per application under both paths and asserts
+    Protocols created within the context report no fast plan
+    (:meth:`ConsistencyProtocol.access_fast_plan` is None), so runtimes
+    built around them route every access through the strategy's
+    ``detect_access`` instead of the memory subsystem's fused charging.
+    The determinism test suite runs cells under both and asserts
     byte-identical :meth:`~repro.hyperion.runtime.ExecutionReport.to_dict`
     output, which is the regression oracle for every fast-path change.
-
-    Composed protocols are patched at their *detection-strategy* classes
-    (:class:`ComposedProtocol` binds the strategy's current class attribute
-    at construction time); plain :class:`ConsistencyProtocol` subclasses
-    registered directly keep being patched as before.  Restoration runs in a
-    ``finally`` block, so the fast path comes back even when the context
-    body — or the patching pass itself — raises.
+    Contexts nest; the switch is restored in a ``finally`` block, so
+    protocols built after the outermost context exits get their plan back
+    even when the body raises.
     """
-    patched: list[tuple] = []
+    global _exact_depth
+    _exact_depth += 1
     try:
-        seen = set()
-        for factory in _REGISTRY.values():
-            for klass in _detection_bearing_classes(factory):
-                if klass in seen:
-                    continue
-                seen.add(klass)
-                if "detect_access_reference" in klass.__dict__:
-                    patched.append((klass, klass.__dict__.get("detect_access")))
-                    klass.detect_access = klass.__dict__["detect_access_reference"]
         yield
     finally:
-        for klass, original in patched:
-            if original is None:
-                try:
-                    del klass.detect_access
-                except AttributeError:  # pragma: no cover - defensive
-                    pass
-            else:
-                klass.detect_access = original
-
-
-def _detection_bearing_classes(factory) -> list[type]:
-    """Classes of *factory* that may carry a swappable ``detect_access``."""
-    if isinstance(factory, ComposedProtocolFactory):
-        root: type | None = factory.detection_class
-        stop = DetectionStrategy
-    elif isinstance(factory, type) and issubclass(factory, ConsistencyProtocol):
-        root, stop = factory, ConsistencyProtocol
-    else:
-        return []
-    return [klass for klass in root.__mro__ if klass is not stop and klass is not object]
+        _exact_depth -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +289,8 @@ class ComposedProtocolFactory:
     """Registry entry of a composed protocol: its name and its two layers.
 
     Calling the factory builds the :class:`ComposedProtocol`; keeping the
-    layer classes inspectable is what lets :func:`reference_detection` patch
-    the right detection class and lets the CLI's ``protocols`` listing show
-    how each name decomposes.
+    layer classes inspectable lets the CLI's ``protocols`` listing show how
+    each name decomposes.
     """
 
     __slots__ = ("protocol_name", "detection_class", "home_policy_class")

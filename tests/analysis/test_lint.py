@@ -87,31 +87,6 @@ def test_hyp003_exempts_named_singletons():
 
 
 # ---------------------------------------------------------------------------
-# HYP004: fast path without its reference twin
-# ---------------------------------------------------------------------------
-def test_hyp004_flags_detect_access_without_reference():
-    source = (
-        "class FastDetection(DetectionStrategy):\n"
-        "    def detect_access(self, ctx):\n        pass\n"
-    )
-    assert _codes(source) == ["HYP004"]
-
-
-def test_hyp004_accepts_the_twin():
-    source = (
-        "class FastDetection(DetectionStrategy):\n"
-        "    def detect_access(self, ctx):\n        pass\n"
-        "    def detect_access_reference(self, ctx):\n        pass\n"
-    )
-    assert _codes(source) == []
-
-
-def test_hyp004_ignores_unrelated_classes():
-    source = "class Helper:\n    def detect_access(self, ctx):\n        pass\n"
-    assert _codes(source) == []
-
-
-# ---------------------------------------------------------------------------
 # HYP005: unsorted iteration in serialisation functions
 # ---------------------------------------------------------------------------
 def test_hyp005_flags_unsorted_items_in_to_dict():

@@ -25,7 +25,7 @@ def test_inline_check_scales_with_count(cost_model):
 
 
 def test_page_fault_and_mprotect_costs(cost_model):
-    assert cost_model.page_fault_seconds() == pytest.approx(22e-6)
+    assert cost_model.software.page_fault_seconds == pytest.approx(22e-6)
     assert cost_model.mprotect_seconds(3) == pytest.approx(18e-6)
     assert cost_model.mprotect_seconds(0) == 0.0
 

@@ -127,13 +127,19 @@ def test_register_composed_rejects_bad_layers():
     assert "java_tmp_bad" not in available_protocols()
 
 
-def test_reference_detection_restores_when_body_raises():
-    original = InlineCheckDetection.__dict__["detect_access"]
+def test_reference_detection_restores_when_body_raises(rig_factory):
+    """A protocol built after a raising oracle context gets its plan back."""
     with pytest.raises(RuntimeError):
         with reference_detection():
-            assert InlineCheckDetection.__dict__["detect_access"] is not original
+            rig = rig_factory(protocol="java_ic")
+            assert rig.protocol.access_fast_plan() is None
+            assert rig.memory._fast_plan is None
             raise RuntimeError("boom")
-    assert InlineCheckDetection.__dict__["detect_access"] is original
+    rig = rig_factory(protocol="java_ic")
+    plan = rig.protocol.detection.access_fast_plan()
+    assert plan == "inline_check"
+    assert rig.protocol.access_fast_plan() == plan
+    assert rig.memory._fast_plan == plan
 
 
 # ---------------------------------------------------------------------------

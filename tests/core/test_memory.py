@@ -167,7 +167,8 @@ def _drive_primitives(rig, ctx) -> list:
     and not, and a skipped row.  The halo updaters run over a mesh with
     one row homed on node 1 (fetched mid-block, then resident), in both
     mesh parities, one-row blocks, two-page rows, unaligned rows over a
-    narrower slot range, ``extra=0``, plain arrays and a destination in
+    narrower slot range, unaligned rows whose north and south rows span
+    different page counts, ``extra=0``, plain arrays and a destination in
     the source mesh, and one prepared
     updater runs after ``disable_access_fast_path()``.  Returns
     everything read back, in order.
@@ -228,7 +229,17 @@ def _drive_primitives(rig, ctx) -> list:
     two_page_after = heap.new_matrix("double", 4, 600, [0] * 4)
     ragged = heap.new_matrix("double", 5, 700, [0] * 5, page_aligned=False)
     ragged_after = heap.new_matrix("double", 5, 700, [0] * 5, page_aligned=False)
-    meshes = (grid, after, two_page, two_page_after, ragged, ragged_after)
+    # rows 7168 bytes apart: the 1.5-page spans of row j and of row j + 2
+    # start half a page apart modulo the page, so (barring a span that
+    # starts on a half-page boundary) one covers two pages and the other
+    # three, and north and south span different page counts
+    uneven = heap.new_matrix("double", 6, 894, [0] * 6, page_aligned=False)
+    uneven_after = heap.new_matrix("double", 6, 894, [0] * 6, page_aligned=False)
+    spans = [len(memory._pages_of(row, 1, 769)) for row in uneven]
+    assert any(spans[j] != spans[j + 2] for j in range(4))
+    meshes = (
+        grid, after, two_page, two_page_after, ragged, ragged_after, uneven, uneven_after
+    )
     for matrix in meshes:
         matrix[0].matrix[:] = np.arange(float(len(matrix)))[:, None] + np.arange(
             float(matrix[0].num_slots)
@@ -255,6 +266,14 @@ def _drive_primitives(rig, ctx) -> list:
         # it already updated: the per-row spec
         halo(two_page, two_page[1:3], 1),
     ]
+    # the uneven mesh charges a context of its own, whose pending time
+    # starts at zero: while the sum is small it crosses binades within a
+    # block, where the order of the north and south charges shows in its bits
+    uneven_ctx = type(ctx)(node)
+    uneven_halo = memory.make_range_updater(
+        uneven_ctx, node, uneven, 1, 769, extra=2, row_seconds=ROW_SECONDS,
+        into=uneven_after[1:5],
+    )
     out = []
     for _phase in range(2):
         out.append(memory.get(ctx, node, wide, 0))
@@ -287,7 +306,7 @@ def _drive_primitives(rig, ctx) -> list:
             update(bump_even, skip=0)
             update(plus_one, extra_obj=skewed)
         # row 3 is absent on the first call of each phase, then resident
-        for update in halos + halos:
+        for update in halos + halos + [uneven_halo, uneven_halo]:
             update(stencil)
         out.append(memory.get(ctx, node, skewed, 511))
         memory.put(ctx, node, skewed, 511, 9.0)
@@ -308,6 +327,7 @@ def _drive_primitives(rig, ctx) -> list:
         out.append(obj.main_read_range(0, obj.num_slots).tolist())
     for matrix in meshes:
         out.append(matrix[0].matrix.tolist())
+    out.append(sorted(vars(uneven_ctx).items()))
     return out
 
 
@@ -450,6 +470,10 @@ def test_migratory_put_run_rehomes_mid_run(rig_factory):
     assert 0 < stats["remote_accesses"] < stats["accesses"]
 
 
+@pytest.mark.parametrize(
+    "protocol",
+    ["java_ic", "java_pf", "java_ic_hoisted", "java_hybrid", "java_ic_mig", "java_ic_loc"],
+)
 @settings(
     max_examples=40,
     deadline=None,
@@ -463,20 +487,22 @@ def test_migratory_put_run_rehomes_mid_run(rig_factory):
     slots=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=12),
 )
 def test_hybrid_runs_match_scalar_accesses(
-    rig_factory, write, remote, to_threshold, extra, slots
+    rig_factory, protocol, write, remote, to_threshold, extra, slots
 ):
-    """``get_run``/``put_run`` replay the hybrid's promotion bit for bit.
+    """``get_run``/``put_run`` price runs bit for bit under every plan.
 
-    The page starts resident, a few accesses short of (or just past)
+    Run pricing is one method for every plan.  The page starts resident,
+    a few accesses short of (or just past)
     :data:`HybridDetection.DENSITY_THRESHOLD`; the run on a fast rig must
     equal the scalar ``get``/``put`` plus ``account_accesses(extra)``
-    sequence on an exact-path twin in pending CPU time, DSM counters,
-    density and promotion.
+    sequence on an exact-path twin in pending CPU time and DSM counters,
+    and under ``java_hybrid`` in density and promotion too.
     """
+    topology = _ORACLE_TOPOLOGY.get(protocol, CrossbarTopology)
     values = [float(slot) for slot in slots]
     results = []
     for fast in (True, False):
-        rig = rig_factory(protocol="java_hybrid")
+        rig = rig_factory(protocol=protocol, topology_factory=topology)
         memory = rig.memory
         if not fast:
             memory.disable_access_fast_path()
@@ -503,9 +529,9 @@ def test_hybrid_runs_match_scalar_accesses(
         if write:
             memory.update_main_memory(ctx, 0)
             data = obj.main_read_range(0, 64).tolist()
-        density, promoted = _hybrid_state(rig)
+        hybrid = _hybrid_state(rig) if protocol == "java_hybrid" else None
         stats = dataclasses.asdict(rig.page_manager.stats)
-        results.append((ctx._pending_cpu.hex(), stats, density, promoted, data))
+        results.append((ctx._pending_cpu.hex(), stats, hybrid, data))
     assert results[0] == results[1]
 
 

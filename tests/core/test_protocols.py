@@ -134,7 +134,7 @@ def test_pf_charges_fault_cost_to_cpu_and_fetch_to_wait(rig_factory):
     array = rig.heap.new_array("double", 16, home_node=2)
     ctx = rig.ctx(0)
     rig.memory.get(ctx, 0, array, 3)
-    assert ctx.cpu_seconds >= rig.cost_model.page_fault_seconds()
+    assert ctx.cpu_seconds >= rig.cost_model.software.page_fault_seconds
     assert ctx.wait_seconds > 0
 
 

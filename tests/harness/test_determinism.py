@@ -1,14 +1,15 @@
 """Determinism under optimization: the fast path must not change results.
 
-The fast-path work (precomputed protocol handlers, presence sets, the
-inlined engine loop, trace skipping) is only admissible because
+The fast-path work (the memory subsystem's fused access plan, presence
+sets, the inlined engine loop, trace skipping) is only admissible because
 ``ExecutionReport.to_dict()`` stays byte-identical.  These tests pin that
 contract per application:
 
 * tracing on vs. off (the engine's traced and untraced loops);
-* the precomputed ("new") detection handlers vs. the original reference
-  ("old") implementations, selected via
-  :func:`repro.core.protocol.reference_detection`.
+* the fused access plan ("fast") vs. every access through the strategy's
+  exact ``detect_access`` ("reference"), selected via
+  :func:`repro.core.protocol.reference_detection`, under which protocols
+  report no plan.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.apps.workloads import WorkloadPreset
 from repro.core.protocol import reference_detection
 from repro.harness.figures import FIGURE_APPS
 from repro.harness.spec import ExperimentSpec, run_spec
-from repro.hyperion.runtime import RuntimeConfig
+from repro.hyperion.runtime import HyperionRuntime, RuntimeConfig
 
 APPS = sorted(FIGURE_APPS.values())
 PROTOCOLS = ("java_ic", "java_pf")
@@ -35,7 +36,7 @@ COMPOSED_PROTOCOLS = ("java_hybrid", "java_ic_mig")
 SCENARIO_APPS = ("syn-false-sharing", "syn-hot-lock")
 #: fast-vs-reference detection also covers the hoisted check and the
 #: topology-aware home policy; syn-streaming drives the pre-grouped batched
-#: runs through every strategy's ``detect_access_run``
+#: runs through the memory subsystem's run pricing (``_charge_run``)
 DETECTION_PROTOCOLS = ("java_ic_hoisted",) + COMPOSED_PROTOCOLS + ("java_ic_loc",)
 DETECTION_SCENARIO_APPS = SCENARIO_APPS + ("syn-streaming",)
 #: non-uniform cluster shapes pinned to the same contract: a multi-cluster
@@ -104,14 +105,31 @@ def test_scenario_fast_vs_reference_detection_identical(app, protocol):
     assert _payload(fast) == _payload(reference)
 
 
-def test_reference_detection_restores_fast_path():
-    """The context manager must put the optimized methods back."""
-    from repro.core.detection import InlineCheckDetection
+def _fast_plans(protocol: str) -> tuple:
+    """A fresh runtime's protocol plan, memory plan and strategy plan."""
+    runtime = HyperionRuntime(
+        _spec("jacobi", protocol).resolved_cluster(), num_nodes=2, protocol=protocol
+    )
+    return (
+        runtime.protocol.access_fast_plan(),
+        runtime.memory._fast_plan,
+        runtime.protocol.detection.access_fast_plan(),
+    )
 
-    original = InlineCheckDetection.__dict__["detect_access"]
-    with reference_detection():
-        assert InlineCheckDetection.__dict__["detect_access"] is not original
-    assert InlineCheckDetection.__dict__["detect_access"] is original
+
+def test_reference_detection_restores_fast_path():
+    """Protocols built inside the context have no plan; after it, their own."""
+    for protocol in TOPOLOGY_PROTOCOLS + ("java_ic_hoisted",):
+        plan = _fast_plans(protocol)[2]
+        assert plan is not None
+        assert _fast_plans(protocol) == (plan, plan, plan)
+        with reference_detection():
+            assert _fast_plans(protocol) == (None, None, plan)
+            with reference_detection():
+                assert _fast_plans(protocol) == (None, None, plan)
+            # the outer context still holds after the nested one exits
+            assert _fast_plans(protocol) == (None, None, plan)
+        assert _fast_plans(protocol) == (plan, plan, plan)
 
 
 @pytest.mark.parametrize("protocol", COMPOSED_PROTOCOLS)
