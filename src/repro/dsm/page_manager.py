@@ -340,30 +340,6 @@ class PageManager:
             return PageProtection.READ_WRITE
         return entry.protection
 
-    def all_resident(self, node: int, home_node: int, pages: Iterable[int]) -> bool:
-        """True when every page of an object homed on *home_node* is readable
-        from *node* without a fetch.
-
-        This is the bulk classification entry of the batched access paths:
-        the memory subsystem asks it once per run/range instead of once per
-        page.  An object's pages all share its home (per-node arenas), so a
-        local object is resident by definition and a remote one is resident
-        exactly when the presence set covers the pages — a single C-level
-        set operation.  Unregistered pages are the caller's bug and surface
-        on the exact path it falls back to.
-        """
-        if home_node == node:
-            return True
-        return self.tables[node]._present.issuperset(pages)
-
-    def all_resident_reference(
-        self, node: int, home_node: int, pages: Iterable[int]
-    ) -> bool:
-        """Readable twin of :meth:`all_resident`: the per-page loop."""
-        if home_node == node:
-            return True
-        return all(self.is_present(node, page) for page in pages)
-
     def missing_pages(self, node: int, pages: Iterable[int]) -> list[int]:
         """Subset of *pages* not present on *node*."""
         present = self.tables[node]._present

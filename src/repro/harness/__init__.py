@@ -27,7 +27,9 @@ On top of that sit the paper-specific layers:
   backing ``Session.ablation`` (A1-A4);
 * :mod:`~repro.harness.jobs` — sharded, checkpointed, resumable
   :class:`~repro.harness.jobs.SweepJob` execution;
-* :mod:`~repro.harness.service` — the ``hyperion-sim serve`` JSON API;
+* :mod:`~repro.harness.service` — the ``hyperion-sim serve`` JSON API
+  (imported on first use of its names, so the HTTP stack loads only for
+  the service);
 * :mod:`~repro.harness.figures` — Figures 1-5 of the paper;
 * :mod:`~repro.harness.report` — text tables, ASCII plots and the Section 4.3
   improvement summary;
@@ -52,7 +54,6 @@ from repro.harness.jobs import (
     SweepJob,
     SweepProgress,
 )
-from repro.harness.service import ServiceServer, SweepService, serve
 from repro.harness.figures import (
     FIGURE_APPS,
     FigureData,
@@ -117,3 +118,14 @@ __all__ = [
     "ABLATIONS",
     "ablation_by_name",
 ]
+
+#: names re-exported from :mod:`repro.harness.service`, resolved on first access
+_SERVICE_NAMES = frozenset({"SweepService", "ServiceServer", "serve"})
+
+
+def __getattr__(name: str):
+    if name in _SERVICE_NAMES:
+        from repro.harness import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

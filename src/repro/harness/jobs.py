@@ -28,8 +28,10 @@ truncated by a kill fails JSON parsing and is discarded — its cells either
 come back as result-store hits or are re-simulated.
 
 Shard workers run in separate processes (``jobs=N``) with their own
-write-behind store handles; ``jobs=1`` runs shards in-process, which is also
-the mode the deterministic resume tests drive.
+write-behind store handles, and their reports come back as payloads;
+``jobs=1`` runs shards in-process and takes the report objects as they are,
+which is also the mode the deterministic resume tests drive.  Either way a
+checkpoint holds payloads.
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ from repro.harness.session import Session, SessionResult
 from repro.harness.spec import ExperimentSpec
 from repro.harness.store import (
     ResultStore,
+    payload_result,
     report_from_payload,
     report_to_payload,
     write_json_atomic,
 )
+from repro.hyperion.runtime import ExecutionReport
 from repro.obs.metrics import DEFAULT_HOST_SECONDS_BUCKETS, MetricsRegistry
 from repro.perf.clock import host_clock, peak_rss_bytes
 from repro.util.validation import check_positive
@@ -151,8 +155,8 @@ def _run_shard(
     shard_index: int,
     specs: list[ExperimentSpec],
     store_root: str | None,
-) -> dict[str, Any]:
-    """Run one shard's cells and return a checkpointable payload.
+) -> tuple[dict[str, Any], list[ExecutionReport]]:
+    """Run one shard's cells; return its outcome and the cells' reports.
 
     Workers open their own store handle in write-behind mode: cells land in
     memory as the shard runs and are flushed to disk in one locked batch at
@@ -161,14 +165,21 @@ def _run_shard(
     and its in-process memo — is shared across the shard, so nothing warms
     differently than the old one-batch call) to give the job per-cell wall
     times; the worker's peak RSS rides along for the memory-budget gauge.
+
+    The reports come back as objects for an in-process caller, cut down to
+    what a payload carries: the result only if it is JSON, and none of the
+    host-side attachments (``.telemetry``, whose ledger travels in the
+    outcome, ``.sanitizer`` and ``.events_processed``).  A record built from
+    them therefore holds and serialises what one built from the payloads of
+    :func:`_run_shard_payloads` does.
     """
     started = host_clock()
     store = (
         ResultStore(store_root, write_behind=True) if store_root is not None else None
     )
     session = Session(store=store)
-    reports: dict[ExperimentSpec, Any] = {}
-    cached: set[ExperimentSpec] = set()
+    reports: list[ExecutionReport] = []
+    cells: list[dict[str, Any]] = []
     cell_seconds: list[float] = []
     executed = 0
     cache_hits = 0
@@ -179,15 +190,25 @@ def _run_shard(
         cell_seconds.append(host_clock() - cell_started)
         executed += result.executed
         cache_hits += result.cache_hits
-        reports[spec] = result[spec]
-        if spec in result.cached_specs:
-            cached.add(spec)
-        telemetry = result[spec].telemetry
-        if telemetry is not None:
-            ledgers.append(telemetry.to_dict())
+        report = result[spec]
+        if report.telemetry is not None:
+            ledgers.append(report.telemetry.to_dict())
+        # keep what the payload round trip keeps: the result as JSON (an
+        # array becomes None, so a record holds no grid), no host-side fields
+        report.result = report.stats.result = payload_result(report.result)
+        report.telemetry = report.sanitizer = None
+        report.events_processed = 0
+        reports.append(report)
+        cells.append(
+            {
+                "key": spec.cache_key(),
+                "label": spec.label(),
+                "cached": spec in result.cached_specs,
+            }
+        )
     if store is not None:
         store.flush()
-    return {
+    outcome = {
         "shard": shard_index,
         "executed": executed,
         "cache_hits": cache_hits,
@@ -198,16 +219,32 @@ def _run_shard(
         # plus the worker store's own counters, for job-level aggregation
         "telemetry": ledgers,
         "store_metrics": store.metrics.to_dict() if store is not None else None,
-        "cells": [
-            {
-                "key": spec.cache_key(),
-                "label": spec.label(),
-                "cached": spec in cached,
-                "report": report_to_payload(reports[spec]),
-            }
-            for spec in specs
-        ],
+        "cells": cells,
     }
+    return outcome, reports
+
+
+def _with_payloads(
+    cells: list[dict[str, Any]], reports: list[ExecutionReport]
+) -> list[dict[str, Any]]:
+    """*cells* with each report as its payload, the form that crosses a
+    process or checkpoint boundary."""
+    return [
+        {**cell, "report": report_to_payload(report)}
+        for cell, report in zip(cells, reports, strict=True)
+    ]
+
+
+def _run_shard_payloads(
+    shard_index: int,
+    specs: list[ExperimentSpec],
+    store_root: str | None,
+) -> dict[str, Any]:
+    """Process-pool form of :func:`_run_shard`: one picklable outcome whose
+    cells carry their reports as payloads."""
+    outcome, reports = _run_shard(shard_index, specs, store_root)
+    outcome["cells"] = _with_payloads(outcome["cells"], reports)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +410,7 @@ class SweepJob:
         return done
 
     def _checkpoint_shard(self, outcome: dict[str, Any]) -> None:
+        """Write *outcome*, whose cells carry their report payloads."""
         if self.checkpoint_dir is None:
             return
         payload = {
@@ -440,11 +478,16 @@ class SweepJob:
             if store_metrics:
                 metrics.merge(store_metrics)
 
-    def _absorb(self, outcome: dict[str, Any], started: float) -> None:
+    def _absorb(
+        self,
+        outcome: dict[str, Any],
+        reports: list[ExecutionReport],
+        started: float,
+    ) -> None:
         """Fold one finished shard into reports, checkpoint and progress."""
         shard = self.shards[outcome["shard"]]
-        for spec, cell in zip(shard, outcome["cells"], strict=True):
-            self._reports[spec] = report_from_payload(cell["report"])
+        for spec, cell, report in zip(shard, outcome["cells"], reports, strict=True):
+            self._reports[spec] = report
             if cell["cached"]:
                 self._cached_specs.add(spec)
         self._checkpoint_shard(outcome)
@@ -491,9 +534,10 @@ class SweepJob:
                 if self.stop_event.is_set():
                     stopped = True
                     break
-                self._absorb(
-                    _run_shard(index, self.shards[index], store_root), started
-                )
+                outcome, reports = _run_shard(index, self.shards[index], store_root)
+                if self.checkpoint_dir is not None:
+                    outcome["cells"] = _with_payloads(outcome["cells"], reports)
+                self._absorb(outcome, reports, started)
         elif pending:
             from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
@@ -508,13 +552,20 @@ class SweepJob:
                     while queue and len(in_flight) < workers:
                         index = queue.pop(0)
                         in_flight.add(
-                            pool.submit(_run_shard, index, self.shards[index], store_root)
+                            pool.submit(
+                                _run_shard_payloads, index, self.shards[index], store_root
+                            )
                         )
                     if not in_flight:
                         break
                     finished, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
                     for future in finished:
-                        self._absorb(future.result(), started)
+                        outcome = future.result()
+                        reports = [
+                            report_from_payload(cell["report"])
+                            for cell in outcome["cells"]
+                        ]
+                        self._absorb(outcome, reports, started)
         if stopped:
             raise SweepInterrupted(
                 f"sweep stopped at {progress.completed_cells}/"

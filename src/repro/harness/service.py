@@ -3,8 +3,9 @@
 A :class:`SweepService` owns a queue of submitted sweeps and a pool of
 background worker threads that run each sweep as a
 :class:`~repro.harness.jobs.SweepJob` (sharded, checkpointed, store-backed).
-:class:`ServiceServer` wraps it in a stdlib
-:class:`~http.server.ThreadingHTTPServer` speaking a small JSON protocol::
+:class:`ServiceServer` wraps it in a stdlib :class:`~http.server.HTTPServer`
+whose accepted connections a fixed set of handler threads serve, speaking a
+small JSON protocol::
 
     GET  /health               liveness + queue depth
     GET  /metrics              Prometheus text: service + per-job aggregates
@@ -22,11 +23,12 @@ A sweep request names its grid the way :class:`ExperimentMatrix` does::
      "shard_size": 4}
 
 The grid a finished sweep serves is **byte-identical** to what a serial
-``Session().run(...)`` of the same specs returns: cells cross the worker /
-checkpoint / store boundary as canonical payloads whose round-trip
+``Session().run(...)`` of the same specs returns: cells cross the process
+pool, checkpoint and store boundaries as canonical payloads whose round-trip
 (:func:`~repro.harness.store.report_from_payload`) reproduces ``to_dict()``
-exactly.  Sweeps run with telemetry on by default (it is out-of-band, so
-the grids stay byte-identical); a request may opt out with
+exactly, and shards run in the service's own process hand their reports
+over as objects.  Sweeps run with telemetry on by default (it is
+out-of-band, so the grids stay byte-identical); a request may opt out with
 ``"telemetry": false``.  ``GET /metrics`` renders the service gauges plus
 every job's aggregated :mod:`repro.obs` families as Prometheus text.  Shutdown is graceful by construction — the service stops handing
 out new shards, drains the ones in flight (checkpointing each), and marks
@@ -38,8 +40,10 @@ Everything here is standard library; there is no web framework to install.
 from __future__ import annotations
 
 import json
+import queue
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -54,6 +58,9 @@ from repro.util.validation import check_positive
 
 #: states a submitted sweep moves through (terminal: done/failed/interrupted)
 SWEEP_STATES = ("queued", "running", "done", "failed", "interrupted")
+
+#: threads serving accepted HTTP connections, started with the server
+HANDLER_THREADS = 4
 
 
 class ServiceError(ValueError):
@@ -365,6 +372,9 @@ class _Handler(BaseHTTPRequestHandler):
     # headers and body go out in two writes; with Nagle on, the body waits
     # for the client's delayed ACK (~40 ms) on every kept-alive request
     disable_nagle_algorithm = True
+    # seconds a kept-alive connection may sit idle before it is closed, so
+    # an idle client cannot hold one of the few handler threads for good
+    timeout = 5.0
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         if self.server.verbose:
@@ -383,6 +393,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        if not self.server._connections.empty():
+            # other connections wait for a handler: close this one after the
+            # response, so a client that keeps polling on it reconnects and
+            # queues behind them instead of holding the thread
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -452,10 +467,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._route("POST")
 
 
-class ServiceServer(ThreadingHTTPServer):
-    """The HTTP server wired to one :class:`SweepService`."""
+class ServiceServer(HTTPServer):
+    """The HTTP server wired to one :class:`SweepService`.
 
-    daemon_threads = True
+    ``serve_forever`` only accepts connections; :data:`HANDLER_THREADS`
+    threads, started here and joined by :meth:`server_close`, serve them
+    from a queue.
+    """
 
     def __init__(
         self,
@@ -469,6 +487,53 @@ class ServiceServer(ThreadingHTTPServer):
         self.verbose = verbose
         self.logger = get_logger("harness.service")
         self._shutdown_requested = threading.Event()
+        #: accepted connections waiting for a handler (None stops one)
+        self._connections: queue.SimpleQueue = queue.SimpleQueue()
+        #: connections a handler is serving right now
+        self._serving: set[socket.socket] = set()
+        self._handlers = [
+            threading.Thread(
+                target=self._handle_connections, name=f"service-handler-{i}", daemon=True
+            )
+            for i in range(HANDLER_THREADS)
+        ]
+        for thread in self._handlers:
+            thread.start()
+
+    def process_request(self, request, client_address) -> None:
+        """Queue an accepted connection for the handler threads."""
+        self._connections.put((request, client_address))
+
+    def _handle_connections(self) -> None:
+        while (item := self._connections.get()) is not None:
+            request, client_address = item
+            self._serving.add(request)
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 - one bad connection must not kill the thread
+                self.handle_error(request, client_address)
+            finally:
+                self._serving.discard(request)
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket, then stop and join the handler
+        threads once they have served the connections already queued.
+
+        Connections being served are shut for reading: a response in
+        progress still goes out, but a handler waiting on an idle kept-alive
+        connection reads end-of-file at once instead of at its timeout.
+        """
+        super().server_close()
+        for request in list(self._serving):
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:  # the client closed it already
+                pass
+        for _ in self._handlers:
+            self._connections.put(None)
+        for thread in self._handlers:
+            thread.join()
 
     @property
     def address(self) -> str:

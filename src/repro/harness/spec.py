@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Any
 
@@ -29,6 +30,16 @@ from repro.hyperion.runtime import ExecutionReport, HyperionRuntime, RuntimeConf
 
 #: bump when the canonical JSON layout changes, so stale caches never match
 CACHE_SCHEMA_VERSION = 1
+
+#: entries the process-wide cache-key memo holds before it is emptied
+KEY_MEMO_CAP = 1024
+
+#: cache keys by the pickled resolved values of their canonical form; shared
+#: by every spec instance, since sweeps rebuild equal specs on every request.
+#: It takes no lock (each dict operation is atomic), so a process-pool fork
+#: can never copy it locked; racing inserts may overshoot the cap by one
+#: entry per thread until the next one empties it.
+_key_memo: dict[bytes, str] = {}
 
 
 def resolve_cluster(cluster: str | ClusterSpec) -> ClusterSpec:
@@ -166,8 +177,13 @@ class ExperimentSpec:
         specs produce identical dictionaries regardless of how the cluster or
         workload was spelled.
         """
-        cluster = self.resolved_cluster()
-        workload = self.resolved_workload()
+        return self._canonical_form(
+            self.resolved_cluster(), self.resolved_workload(), self.effective_config()
+        )
+
+    def _canonical_form(
+        self, cluster: ClusterSpec, workload: object, config: RuntimeConfig
+    ) -> dict[str, Any]:
         return {
             "schema": CACHE_SCHEMA_VERSION,
             "app": self.app,
@@ -183,23 +199,46 @@ class ExperimentSpec:
                 "topology": _qualified_name(cluster.topology_factory),
             },
             "workload": _workload_form(workload),
-            "config": _dataclass_dict(self.effective_config()),
+            "config": _dataclass_dict(config),
         }
 
     def cache_key(self) -> str:
         """Content hash of the canonical form (hex SHA-256).
 
-        Memoised per instance: the spec is frozen, and resolving presets plus
-        hashing is paid several times per cell otherwise (store lookup and
-        store write at least).
+        Memoised per instance, since the spec is frozen, and process-wide by
+        the *resolved* values the canonical form is built from, so an equal
+        spec rebuilt by the next request skips the dictionary, JSON encoding
+        and hash.  Resolving first keeps a preset re-bound with
+        ``register_cluster(..., allow_override=True)`` correct.  The memo
+        keys on the values' pickle, not on ``==``: equality merges ``1``,
+        ``1.0`` and ``True``, and ``0.0`` with ``-0.0``, which the canonical
+        JSON spells differently.  Values that cannot be pickled (local
+        classes and functions) skip the memo.
         """
         cached = self.__dict__.get("_cache_key")
         if cached is not None:
             return cached
-        payload = json.dumps(
-            self.canonical_dict(), sort_keys=True, separators=(",", ":"), default=repr
-        )
-        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        cluster = self.resolved_cluster()
+        workload = self.resolved_workload()
+        config = self.effective_config()
+        values = (self.app, self.protocol, self.num_nodes, cluster, workload, config)
+        try:
+            token: bytes | None = pickle.dumps(values, pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            token = None
+        key = _key_memo.get(token) if token is not None else None
+        if key is None:
+            payload = json.dumps(
+                self._canonical_form(cluster, workload, config),
+                sort_keys=True,
+                separators=(",", ":"),
+                default=repr,
+            )
+            key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            if token is not None:
+                if len(_key_memo) >= KEY_MEMO_CAP:
+                    _key_memo.clear()
+                _key_memo[token] = key
         object.__setattr__(self, "_cache_key", key)
         return key
 

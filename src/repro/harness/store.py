@@ -104,14 +104,20 @@ def _int_keys(mapping: dict[str, Any]) -> dict[int, Any]:
     return {int(k): v for k, v in mapping.items()}
 
 
+def payload_result(result: Any) -> Any:
+    """*result* as a payload carries it: its JSON round trip, or None when
+    it is not JSON (an application's array, say)."""
+    try:
+        return json.loads(json.dumps(result))
+    except (TypeError, ValueError):
+        return None
+
+
 def report_to_payload(report: ExecutionReport) -> dict[str, Any]:
     """JSON-friendly structured form of *report* (inverse of
     :func:`report_from_payload`)."""
     stats = report.stats
-    try:
-        result: Any = json.loads(json.dumps(report.result))
-    except (TypeError, ValueError):
-        result = None
+    result = payload_result(report.result)
     return {
         "cluster": report.cluster,
         "protocol": report.protocol,

@@ -2,13 +2,19 @@
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.harness import service as service_module
 from repro.harness.matrix import ExperimentMatrix
 from repro.harness.service import (
     ServiceError,
@@ -17,6 +23,7 @@ from repro.harness.service import (
     serve,
 )
 from repro.harness.session import Session
+from repro.harness.store import report_from_payload, report_to_payload
 
 REQUEST = {
     "apps": ["pi"],
@@ -317,3 +324,281 @@ def test_http_metrics_endpoint_serves_prometheus_text(server):
         if line.startswith("#"):
             continue
         assert sample.match(line), line
+
+
+# ---------------------------------------------------------------------------
+# the handler threads
+# ---------------------------------------------------------------------------
+def _handler_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("service-handler-")]
+
+
+def _idle_kept_alive_connection(server):
+    """A kept-alive connection left open and silent after one request."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    connection.request("GET", "/health")
+    response = connection.getresponse()
+    assert response.status == 200
+    response.read()
+    return connection
+
+
+def test_idle_kept_alive_connection_does_not_stall_other_clients(tmp_path, monkeypatch):
+    # a long idle timeout: shutdown must not wait for it
+    monkeypatch.setattr(service_module._Handler, "timeout", 30.0)
+    server = serve(port=0, cache_dir=str(tmp_path / "cache"))
+    thread = threading.Thread(target=server.serve_until_shutdown, daemon=True)
+    thread.start()
+    idle = _idle_kept_alive_connection(server)
+    try:
+        seconds: list[float] = []
+        errors: list[BaseException] = []
+
+        def one_shot():
+            started = time.perf_counter()
+            try:
+                status, health = _call(server, "GET", "/health")
+                assert status == 200 and health["status"] == "ok"
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            seconds.append(time.perf_counter() - started)
+
+        clients = [threading.Thread(target=one_shot) for _ in range(20)]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=30)
+        assert not errors, errors
+        assert len(seconds) == 20
+        assert max(seconds) < 1.0, f"slowest one-shot client took {max(seconds):.2f} s"
+        # the idle connection pins nothing: shutdown stops without waiting
+        # for it to time out
+        started = time.perf_counter()
+        status, body = _call(server, "POST", "/shutdown")
+        assert status == 200 and body["shutting_down"] is True
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert time.perf_counter() - started < 10.0
+    finally:
+        idle.close()
+    assert _handler_threads() == []
+
+
+def test_polling_kept_alive_clients_do_not_hold_the_handlers(tmp_path, monkeypatch):
+    # as many clients as handlers, each polling on its own kept-alive
+    # connection: a long idle timeout never fires, yet a newcomer still gets
+    # a handler once the next poll is answered with ``Connection: close``
+    monkeypatch.setattr(service_module._Handler, "timeout", 30.0)
+    server = serve(port=0, cache_dir=str(tmp_path / "cache"))
+    thread = threading.Thread(target=server.serve_until_shutdown, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    stop = threading.Event()
+    polls: list[int] = []
+
+    def poll():
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            while not stop.is_set():
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                response.read()
+                polls.append(response.status)
+                time.sleep(0.1)
+        except (OSError, http.client.HTTPException):
+            pass  # the server went away under a poll while shutting down
+        finally:
+            connection.close()
+
+    pollers = [
+        threading.Thread(target=poll) for _ in range(service_module.HANDLER_THREADS)
+    ]
+    for poller in pollers:
+        poller.start()
+    try:
+        deadline = time.monotonic() + 10
+        while len(server._serving) < service_module.HANDLER_THREADS:
+            assert time.monotonic() < deadline, "pollers never held every handler"
+            time.sleep(0.01)
+        started = time.perf_counter()
+        status, health = _call(server, "GET", "/health")
+        assert status == 200 and health["status"] == "ok"
+        assert time.perf_counter() - started < 1.0
+        started = time.perf_counter()
+        status, body = _call(server, "POST", "/shutdown")
+        assert status == 200 and body["shutting_down"] is True
+        assert time.perf_counter() - started < 1.0
+    finally:
+        stop.set()
+        for poller in pollers:
+            poller.join(timeout=30)
+        server.request_shutdown()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert polls and set(polls) == {200}
+    assert _handler_threads() == []
+
+
+def test_idle_kept_alive_connection_times_out(tmp_path, monkeypatch):
+    monkeypatch.setattr(service_module._Handler, "timeout", 0.2)
+    server = serve(port=0, cache_dir=str(tmp_path / "cache"))
+    thread = threading.Thread(target=server.serve_until_shutdown, daemon=True)
+    thread.start()
+    idle = _idle_kept_alive_connection(server)
+    try:
+        # the server closes the silent connection: the client reads EOF
+        assert idle.sock.recv(1) == b""
+    finally:
+        idle.close()
+        server.request_shutdown()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+def test_server_close_joins_the_handler_threads(tmp_path):
+    server = serve(port=0, cache_dir=str(tmp_path / "cache"))
+    assert len(_handler_threads()) == service_module.HANDLER_THREADS
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    assert _call(server, "GET", "/health")[0] == 200
+    # one request is still being answered when the server closes
+    answering, release = threading.Event(), threading.Event()
+    statuses = server.service.statuses
+
+    def slow_statuses():
+        answering.set()
+        release.wait(timeout=10)
+        return statuses()
+
+    server.service.statuses = slow_statuses
+    replies: list[int] = []
+    client = threading.Thread(
+        target=lambda: replies.append(_call(server, "GET", "/health")[0])
+    )
+    client.start()
+    assert answering.wait(timeout=10)
+    server.shutdown()
+    thread.join(timeout=30)
+    threading.Timer(0.2, release.set).start()
+    server.server_close()
+    assert _handler_threads() == []
+    client.join(timeout=30)
+    assert replies == [200]  # the response in progress still went out
+    server.service.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# in-process shards hand their reports over without a payload round trip
+# ---------------------------------------------------------------------------
+HAND_OVER_REQUESTS = [
+    {
+        "apps": ["syn-uniform"],
+        "clusters": ["myrinet"],
+        "nodes": [1, 2],
+        "protocols": ["java_ic", "java_pf"],
+        "workload": "testing",
+    },
+    REQUEST,
+    # ASP's result holds its distance matrix, which no payload carries
+    {
+        "apps": ["asp"],
+        "clusters": ["myrinet"],
+        "nodes": [2],
+        "protocols": ["java_ic"],
+        "workload": "testing",
+    },
+]
+
+
+def _get_bytes(server, path):
+    with urllib.request.urlopen(server.address + path, timeout=30) as response:
+        assert response.status == 200
+        return response.read()
+
+
+def _served_bodies(tmp_path, jobs):
+    """Every /grid and /cells body of the hand-over requests, each sent
+    twice (simulated, then served by the store), plus the sweep records."""
+    server = serve(
+        port=0, jobs=jobs, shard_size=2, cache_dir=str(tmp_path / f"cache-{jobs}")
+    )
+    thread = threading.Thread(target=server.serve_until_shutdown, daemon=True)
+    thread.start()
+    bodies: dict[str, bytes] = {}
+    records = []
+    try:
+        for request in HAND_OVER_REQUESTS * 2:
+            status, submitted = _call(server, "POST", "/sweeps", request)
+            assert status == 202
+            sweep_id = submitted["id"]
+            assert _wait_done(server.service, sweep_id, timeout=120)["state"] == "done"
+            records.append(server.service.get(sweep_id))
+            grid_path = f"/sweeps/{sweep_id}/grid"
+            bodies[grid_path] = _get_bytes(server, grid_path)
+            for label in json.loads(bodies[grid_path])["grid"]:
+                cell_path = f"/sweeps/{sweep_id}/cells/{label}"
+                bodies[cell_path] = _get_bytes(server, cell_path)
+    finally:
+        server.request_shutdown()
+        thread.join(timeout=60)
+    return bodies, records
+
+
+def test_in_process_hand_over_serves_the_process_pool_bytes(tmp_path):
+    local, records = _served_bodies(tmp_path, jobs=1)
+    pooled, _ = _served_bodies(tmp_path, jobs=2)
+    assert list(local) == list(pooled)
+    for path in local:
+        assert local[path] == pooled[path], path
+    # both equal a serial Session.run of the same specs
+    serial = {}
+    serial_reports = {}
+    for request in HAND_OVER_REQUESTS:
+        result = Session().run(parse_sweep_request(request).build())
+        serial.update(result.to_dict())
+        serial_reports.update(result.reports)
+    for path, body in local.items():
+        payload = json.loads(body)
+        if path.endswith("/grid"):
+            for label, report in payload["grid"].items():
+                assert json.dumps(report, sort_keys=True) == json.dumps(
+                    serial[label], sort_keys=True
+                )
+        else:
+            assert json.dumps(payload["report"], sort_keys=True) == json.dumps(
+                serial[payload["label"]], sort_keys=True
+            )
+    assert [json.loads(local[p])["cached"] for p in local if "/cells/" in p] == [
+        False
+    ] * 9 + [True] * 9
+    # the finished in-process records keep what the payload round trip
+    # keeps: no host-side attachment, and no result that is not JSON
+    for record in records:
+        for spec, report in record.result.reports.items():
+            assert report.telemetry is None and report.sanitizer is None
+            restored = report_from_payload(report_to_payload(serial_reports[spec]))
+            assert report.result == restored.result
+            assert report.stats.result == restored.stats.result
+    asp = [
+        report
+        for record in records
+        for spec, report in record.result.reports.items()
+        if spec.app == "asp"
+    ]
+    assert len(asp) == 2 and all(report.result is None for report in asp)
+
+
+def test_importing_the_harness_does_not_load_the_http_stack():
+    src = Path(repro.__file__).resolve().parents[1]
+    code = (
+        "import sys, repro.harness.session\n"
+        "assert 'http.server' not in sys.modules, 'http.server imported'\n"
+        "from repro.harness import ServiceServer, SweepService, serve\n"
+        "assert 'http.server' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

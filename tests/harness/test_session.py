@@ -1,17 +1,23 @@
 """Tests for the experiment API: spec, matrix, executors, store, session."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from repro.apps.base import available_apps
 from repro.apps.workloads import WorkloadPreset
-from repro.cluster.presets import myrinet_cluster
+from repro.cluster.presets import _REGISTRY as cluster_registry
+from repro.cluster.presets import myrinet_cluster, register_cluster
+from repro.harness import spec as spec_module
 from repro.harness.executor import Executor, ParallelExecutor, SerialExecutor
 from repro.harness.matrix import ExperimentMatrix
 from repro.harness.session import Session
 from repro.harness.spec import ExperimentSpec, run_spec
 from repro.harness.store import ResultStore
 from repro.hyperion.runtime import RuntimeConfig
+from repro.scenarios.patterns import UniformWorkload
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +71,90 @@ def test_spec_cache_key_is_canonical():
     assert by_name.cache_key() != ExperimentSpec(
         "pi", tweaked, "java_pf", 2, "testing"
     ).cache_key()
+
+
+def _unmemoised_key(spec):
+    """The cache key computed from the canonical form, without any memo."""
+    payload = json.dumps(
+        spec.canonical_dict(), sort_keys=True, separators=(",", ":"), default=repr
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture()
+def empty_key_memo():
+    spec_module._key_memo.clear()
+    yield spec_module._key_memo
+    spec_module._key_memo.clear()
+
+
+def test_memoised_cache_keys_equal_the_unmemoised_computation(empty_key_memo):
+    specs = (
+        ExperimentMatrix()
+        .apps(*available_apps())
+        .clusters("myrinet", "sci")
+        .protocols("java_ic", "java_pf", "java_hybrid", "java_ic_mig")
+        .workload("bench")
+        .build()
+    )
+    expected = [_unmemoised_key(spec) for spec in specs]
+    assert [spec.cache_key() for spec in specs] == expected
+    assert 0 < len(empty_key_memo) <= spec_module.KEY_MEMO_CAP
+    # fresh instances of equal specs are served by the memo, keys unchanged
+    rebuilt = [dataclasses.replace(spec) for spec in specs]
+    assert "_cache_key" not in rebuilt[0].__dict__
+    assert [spec.cache_key() for spec in rebuilt] == expected
+
+
+def test_key_memo_tells_apart_values_that_compare_equal(empty_key_memo):
+    # 1 == 1.0 == True, but the canonical JSON spells them apart
+    specs = [
+        ExperimentSpec(
+            "syn-uniform", "myrinet", "java_ic", 2, UniformWorkload(work_multiplier=m)
+        )
+        for m in (1.0, 1)
+    ] + [
+        ExperimentSpec(
+            "pi", "myrinet", "java_pf", 2, "testing", config=RuntimeConfig(seed=s)
+        )
+        for s in (1, True)
+    ]
+    keys = [spec.cache_key() for spec in specs]
+    assert keys == [_unmemoised_key(spec) for spec in specs]
+    assert len(set(keys)) == 4
+
+
+def test_rebinding_a_cluster_preset_changes_the_key(empty_key_memo):
+    name = "memo-rebind-test"
+    register_cluster(name, myrinet_cluster)
+    try:
+        before = ExperimentSpec("pi", name, "java_pf", 2, "testing").cache_key()
+        register_cluster(
+            name,
+            lambda: myrinet_cluster().with_software(inline_check_cycles=99.0),
+            allow_override=True,
+        )
+        spec = ExperimentSpec("pi", name, "java_pf", 2, "testing")
+        assert spec.cache_key() != before
+        assert spec.cache_key() == _unmemoised_key(spec)
+    finally:
+        cluster_registry.pop(name)
+
+
+def test_key_memo_stays_within_its_cap(empty_key_memo):
+    cap = spec_module.KEY_MEMO_CAP
+    specs = [
+        ExperimentSpec(
+            "pi", "myrinet", "java_pf", 1, "testing", config=RuntimeConfig(seed=seed)
+        )
+        for seed in range(cap + 50)
+    ]
+    for spec in specs:
+        spec.cache_key()
+        assert 0 < len(empty_key_memo) <= cap
+    # keys computed after the memo was emptied are still correct
+    last = dataclasses.replace(specs[-1])
+    assert last.cache_key() == _unmemoised_key(last)
 
 
 def test_spec_verify_is_not_part_of_identity():
