@@ -23,9 +23,13 @@ EXPERIMENTS.md for the derivation and the sensitivity ablation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.util.validation import check_positive
+
+#: the preset names :meth:`WorkloadPreset.by_name` accepts
+PRESET_NAMES = ("paper", "bench", "testing")
 
 
 @dataclass(frozen=True)
@@ -185,13 +189,21 @@ class WorkloadPreset:
 
     @classmethod
     def by_name(cls, name: str) -> "WorkloadPreset":
-        """Look up a preset by name."""
-        presets = {"paper": cls.paper, "bench": cls.bench, "testing": cls.testing}
-        try:
-            return presets[name.lower()]()
-        except KeyError:
-            known = ", ".join(sorted(presets))
-            raise KeyError(f"unknown workload preset {name!r}; known: {known}") from None
+        """Look up a preset by name.
+
+        A preset and every workload in it are frozen, so each name is built
+        and validated once and every lookup shares that instance.
+        """
+        key = name.lower()
+        if key not in PRESET_NAMES:
+            known = ", ".join(sorted(PRESET_NAMES))
+            raise KeyError(f"unknown workload preset {name!r}; known: {known}")
+        return cls._shared(key)
+
+    @classmethod
+    @functools.cache
+    def _shared(cls, key: str) -> "WorkloadPreset":
+        return getattr(cls, key)()
 
     # ------------------------------------------------------------------
     def workload_for(self, app_name: str):

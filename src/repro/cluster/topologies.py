@@ -28,7 +28,7 @@ constants:
 Every preset is also registered as an ordinary cluster preset, so
 ``cluster_by_name("myrinet2x8")``, ``--cluster myrinet2x8`` and the result
 cache all work unchanged; :func:`topology_preset_by_name` and the
-``hyperion-sim topologies`` listing are the topology-centric views.  The
+``hyperion-sim describe topologies`` listing are the topology-centric views.  The
 baseline single-switch presets (``myrinet``, ``sci``) are listed too so
 sweeps can compare a shape against its flat reference.
 """

@@ -1,66 +1,46 @@
-"""Command-line interface: ``hyperion-sim``.
+"""Command-line interface: ``hyperion-sim``, one verb per job.
 
 Sub-commands::
 
-    hyperion-sim figure 2                 # regenerate Figure 2 (Jacobi)
-    hyperion-sim all                      # all five figures + improvement table
+    hyperion-sim figure 2 --protocols java_ic,java_pf,java_hybrid
     hyperion-sim all --jobs 4 --cache-dir .hyperion-cache
     hyperion-sim run jacobi --protocol java_pf --cluster myrinet --nodes 4
-    hyperion-sim run asp --trace-out asp.jsonl   # dump the event trace
-    hyperion-sim run jacobi --sanitize    # JMM consistency sanitizer findings
-    hyperion-sim run jacobi --telemetry   # out-of-band metrics + span ledger
-    hyperion-sim run asp --telemetry-out asp-telemetry.json
-    hyperion-sim report asp-telemetry.json        # per-phase breakdown
+    hyperion-sim run syn-uniform --seed 7 --pattern-arg write_fraction=0.5 --json
+    hyperion-sim run asp --trace-out asp.jsonl   # also --sanitize / --telemetry
+    hyperion-sim scenario sweep --topology myrinet2x8 --nodes 1,2,4,8
+    hyperion-sim sweep check_cost --app asp --nodes 4
+    hyperion-sim grid --apps pi,jacobi --nodes 1,2,4 --checkpoint-dir .ckpt [--resume]
+    hyperion-sim serve --port 8642        # JSON sweep API (see DESIGN.md)
     hyperion-sim report asp-telemetry.json --chrome-out asp-trace.json
     hyperion-sim lint                     # determinism/perf lint (HYP001-007)
-    hyperion-sim protocols                # the protocol family + its layers
-    hyperion-sim topologies               # cluster shapes + their islands
-    hyperion-sim figure 2 --protocols java_ic,java_pf,java_hybrid
-    hyperion-sim figure 2 --topology myrinet2x8
-    hyperion-sim scenario sweep --topology myrinet2x8
-    hyperion-sim scenario list            # the registered syn-* scenarios
-    hyperion-sim scenario run syn-false-sharing --seed 7
-    hyperion-sim scenario run syn-uniform --pattern-arg write_fraction=0.5
-    hyperion-sim scenario sweep --nodes 1,2,4,8 --jobs 4
-    hyperion-sim sweep check_cost --app asp --nodes 4
-    hyperion-sim grid --apps pi,jacobi --nodes 1,2,4 --jobs 4 \
-        --checkpoint-dir .ckpt            # sharded, resumable sweep
-    hyperion-sim grid ... --resume        # continue an interrupted grid
-    hyperion-sim serve --port 8642        # JSON sweep API (see DESIGN.md)
-    hyperion-sim profile asp --nodes 4   # host-side profiling (repro.perf)
+    hyperion-sim profile asp --nodes 4    # host-side profiling (repro.perf)
     hyperion-sim calibrate                # check the cost model against the paper
     hyperion-sim experiments -o EXPERIMENTS.md
-    hyperion-sim describe [section]       # presets / protocols / scenarios ...
+    hyperion-sim describe [SECTION] [--json]     # clusters, protocols, topologies,
+                                                 # benchmarks, scenarios, figures
 
-``--jobs N`` fans the experiment cells out over N worker processes;
-``--cache-dir PATH`` persists every cell's result so a repeated invocation
-re-runs nothing.  Both flags configure the underlying
-:class:`~repro.harness.session.Session` and are accepted by the ``figure``,
-``all``, ``sweep``, ``scenario run``/``scenario sweep``, ``calibrate`` and
-``experiments`` subcommands.
+Each concern's flags are defined once and shared by every verb that takes
+them: the cell (``--cluster --protocol --nodes --scale``), the scenario
+overrides (``--seed --pattern-arg``), the session (``--jobs N`` fans cells out
+over N worker processes, ``--cache-dir PATH`` persists every cell's result so
+a repeated invocation re-runs nothing) and the output (``--json``, ``-o``).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from repro.apps.base import available_apps
-from repro.apps.workloads import WorkloadPreset
 from repro.cluster.presets import cluster_by_name, list_clusters
 from repro.cluster.topologies import (
     available_topology_presets,
     topology_preset_by_name,
 )
-from repro.core.protocol import (
-    available_protocols,
-    create_protocol,
-    protocol_composition,
-)
-from repro.dsm.page_manager import PageManager
-from repro.pm2.isoaddr import IsoAddressAllocator
+from repro.core.protocol import available_protocols, protocol_composition
 from repro.harness.figures import (
     FIGURE_APPS,
     PAPER_PROTOCOLS,
@@ -77,9 +57,9 @@ from repro.harness.report import (
     render_experiments_document,
 )
 from repro.harness.session import Session
-from repro.harness.spec import ExperimentSpec, resolve_workload, run_spec_runtime
+from repro.harness.spec import ExperimentSpec, resolve_workload
 from repro.harness.sweep import ABLATIONS
-from repro.hyperion.runtime import RuntimeConfig
+from repro.hyperion.runtime import HyperionRuntime, RuntimeConfig
 from repro.scenarios.registry import (
     SCENARIO_PREFIX,
     available_scenarios,
@@ -99,7 +79,76 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _add_protocols_flag(parser: argparse.ArgumentParser, default: str) -> None:
+# ----------------------------------------------------------------------
+# option groups: each concern's flags are defined once, here
+# ----------------------------------------------------------------------
+def _add_scale_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scale", default="bench", choices=["testing", "bench", "paper"])
+
+
+def _add_cell_flags(parser: argparse.ArgumentParser, protocol: bool = True) -> None:
+    """The coordinates of one cell: cluster, protocol, node count and scale."""
+    parser.add_argument("--cluster", default="myrinet", choices=list_clusters())
+    if protocol:
+        parser.add_argument("--protocol", default="java_pf", choices=available_protocols())
+    parser.add_argument("--nodes", type=_positive_int, default=4)
+    _add_scale_flag(parser)
+
+
+def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+    """Overrides of a syn-* app's workload (see :func:`_cell_workload`)."""
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="override the pattern's RNG seed (syn-* apps only)",
+    )
+    parser.add_argument(
+        "--pattern-arg",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one pattern parameter (syn-* apps only, repeatable); "
+        "see `hyperion-sim describe scenarios`",
+    )
+
+
+def _add_session_flags(parser: argparse.ArgumentParser, jobs: bool = True) -> None:
+    """``--jobs`` (left off a verb that runs one cell) and ``--cache-dir``."""
+    if jobs:
+        parser.add_argument(
+            "--jobs",
+            type=_positive_int,
+            default=1,
+            metavar="N",
+            help="run experiment cells on N worker processes (default: 1, serial)",
+        )
+    parser.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="PATH",
+        help="persist per-cell results under PATH and reuse them on re-runs",
+    )
+
+
+def _add_output_flags(
+    parser: argparse.ArgumentParser, json_flag: bool = True, output: str | None = None
+) -> None:
+    """``--json`` and, with *output* as its help, ``-o PATH``."""
+    if json_flag:
+        parser.add_argument("--json", action="store_true", help="print JSON, not text")
+    if output:
+        parser.add_argument(
+            "-o",
+            "--output",
+            default=None,
+            metavar="PATH",
+            help=output,
+        )
+
+
+def _add_protocols_flag(parser: argparse.ArgumentParser, columns: tuple) -> None:
+    default = ",".join(columns)
     parser.add_argument(
         "--protocols",
         default=default,
@@ -119,7 +168,7 @@ def _add_topology_flag(
         help=help_text
         or (
             "run on a topology preset's cluster instead of --cluster / the "
-            "paper platforms (see `hyperion-sim topologies`)"
+            "paper platforms (see `hyperion-sim describe topologies`)"
         ),
     )
 
@@ -167,22 +216,6 @@ def _add_log_json_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_session_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="run experiment cells on N worker processes (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="persist per-cell results under PATH and reuse them on re-runs",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperion-sim",
@@ -192,39 +225,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", help="regenerate one of the paper's figures")
     figure.add_argument("number", type=int, choices=sorted(FIGURE_APPS))
-    figure.add_argument("--scale", default="bench", choices=["testing", "bench", "paper"])
+    _add_scale_flag(figure)
     figure.add_argument("--plot", action="store_true", help="also print an ASCII plot")
-    figure.add_argument("--json", action="store_true", help="print JSON instead of a table")
-    _add_protocols_flag(figure, ",".join(PAPER_PROTOCOLS))
+    _add_output_flags(figure)
+    _add_protocols_flag(figure, PAPER_PROTOCOLS)
     _add_topology_flag(figure)
     _add_session_flags(figure)
 
     everything = sub.add_parser("all", help="regenerate all five figures")
-    everything.add_argument("--scale", default="bench", choices=["testing", "bench", "paper"])
-    everything.add_argument("--json", action="store_true")
-    _add_protocols_flag(everything, ",".join(PAPER_PROTOCOLS))
+    _add_scale_flag(everything)
+    _add_output_flags(everything)
+    _add_protocols_flag(everything, PAPER_PROTOCOLS)
     _add_topology_flag(everything)
     _add_session_flags(everything)
 
-    protocols_cmd = sub.add_parser(
-        "protocols",
-        help="list registered protocols with their description and layers",
-    )
-    protocols_cmd.add_argument("--json", action="store_true")
-
-    topologies_cmd = sub.add_parser(
-        "topologies",
-        help="list topology presets (cluster shapes) with their islands",
-    )
-    topologies_cmd.add_argument("--json", action="store_true")
-
-    run = sub.add_parser("run", help="run a single experiment cell")
+    run = sub.add_parser("run", help="run one cell: a paper app or a syn-* scenario")
     run.add_argument("app", choices=available_apps())
-    run.add_argument("--cluster", default="myrinet", choices=list_clusters())
-    run.add_argument("--protocol", default="java_pf", choices=available_protocols())
-    run.add_argument("--nodes", type=int, default=4)
-    run.add_argument("--scale", default="bench", choices=["testing", "bench", "paper"])
+    _add_cell_flags(run)
+    _add_scenario_flags(run)
     run.add_argument("--verify", action="store_true")
+    _add_output_flags(run)
     run.add_argument(
         "--trace-out",
         default=None,
@@ -233,48 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_sanitize_flags(run)
     _add_telemetry_flags(run)
+    # one cell has nothing to fan out, so `run` takes no --jobs
+    _add_session_flags(run, jobs=False)
 
-    scenario = sub.add_parser(
-        "scenario", help="generated synthetic scenarios (list / run / sweep)"
-    )
-    scenario_sub = scenario.add_subparsers(dest="scenario_command", required=True)
-
-    scenario_sub.add_parser(
-        "list", help="list registered scenarios and their pattern parameters"
-    )
-
-    scenario_run = scenario_sub.add_parser("run", help="run one scenario cell")
-    scenario_run.add_argument("name", choices=available_scenarios())
-    scenario_run.add_argument("--cluster", default="myrinet", choices=list_clusters())
-    scenario_run.add_argument(
-        "--protocol", default="java_pf", choices=available_protocols()
-    )
-    scenario_run.add_argument("--nodes", type=int, default=4)
-    scenario_run.add_argument(
-        "--scale", default="bench", choices=["testing", "bench", "paper"]
-    )
-    scenario_run.add_argument(
-        "--seed", type=int, default=None, help="override the pattern's RNG seed"
-    )
-    scenario_run.add_argument(
-        "--pattern-arg",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one pattern parameter (repeatable); see `scenario list`",
-    )
-    scenario_run.add_argument("--verify", action="store_true")
-    scenario_run.add_argument("--json", action="store_true")
-    scenario_run.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="record the simulation event trace and write it to PATH as JSONL",
-    )
-    _add_sanitize_flags(scenario_run)
-    _add_telemetry_flags(scenario_run)
-    _add_session_flags(scenario_run)
-
+    scenario = sub.add_parser("scenario", help="the generated syn-* scenario grid")
+    scenario_sub = scenario.add_subparsers(required=True, metavar="sweep")
     scenario_sweep = scenario_sub.add_parser(
         "sweep", help="the scenario comparison grid (protocols x node counts)"
     )
@@ -292,30 +275,19 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N,N,...",
         help="comma-separated node counts (default: 1,2,4,8)",
     )
-    scenario_sweep.add_argument(
-        "--scale", default="bench", choices=["testing", "bench", "paper"]
-    )
+    _add_scale_flag(scenario_sweep)
     scenario_sweep.add_argument(
         "--seed", type=int, default=None, help="override every pattern's RNG seed"
     )
-    _add_protocols_flag(scenario_sweep, ",".join(PROTOCOL_FAMILY))
+    _add_protocols_flag(scenario_sweep, PROTOCOL_FAMILY)
     _add_topology_flag(scenario_sweep)
-    scenario_sweep.add_argument("--json", action="store_true")
-    scenario_sweep.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write the grid JSON to PATH",
-    )
+    _add_output_flags(scenario_sweep, output="also write the grid JSON to PATH")
     _add_session_flags(scenario_sweep)
 
     sweep = sub.add_parser("sweep", help="run one of the ablation sweeps (A1-A4)")
     sweep.add_argument("kind", choices=sorted(ABLATIONS))
     sweep.add_argument("--app", required=True, choices=available_apps())
-    sweep.add_argument("--cluster", default="myrinet", choices=list_clusters())
-    sweep.add_argument("--nodes", type=int, default=4)
-    sweep.add_argument("--scale", default="bench", choices=["testing", "bench", "paper"])
+    _add_cell_flags(sweep, protocol=False)
     sweep.add_argument(
         "--values",
         default=None,
@@ -350,8 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N,N,...",
         help="comma-separated node counts (default: each cluster's own counts)",
     )
-    _add_protocols_flag(grid, ",".join(PAPER_PROTOCOLS))
-    grid.add_argument("--scale", default="bench", choices=["testing", "bench", "paper"])
+    _add_protocols_flag(grid, PAPER_PROTOCOLS)
+    _add_scale_flag(grid)
     grid.add_argument(
         "--shard-size",
         type=_positive_int,
@@ -370,14 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="reload finished shards from --checkpoint-dir instead of rerunning",
     )
-    grid.add_argument("--json", action="store_true", help="print the grid as JSON")
-    grid.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write the grid JSON to PATH",
-    )
+    _add_output_flags(grid, output="also write the grid JSON to PATH")
     grid.add_argument(
         "--telemetry",
         action="store_true",
@@ -437,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report_cmd.add_argument(
         "path", metavar="TELEMETRY_JSON", help="a --telemetry-out ledger file"
     )
-    report_cmd.add_argument("--json", action="store_true", help="print the summary as JSON")
+    _add_output_flags(report_cmd)
     report_cmd.add_argument(
         "--chrome-out",
         default=None,
@@ -456,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="files or directories to lint (default: src)",
     )
-    lint.add_argument("--json", action="store_true")
+    _add_output_flags(lint)
 
     profile = sub.add_parser(
         "profile",
@@ -469,23 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=available_apps(),
         help="profile one cell of this app (default: one cell per app)",
     )
-    profile.add_argument("--cluster", default="myrinet", choices=list_clusters())
-    profile.add_argument("--protocol", default="java_pf", choices=available_protocols())
-    profile.add_argument("--nodes", type=int, default=4)
-    profile.add_argument("--scale", default="bench", choices=["testing", "bench", "paper"])
-    profile.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the pattern's RNG seed (syn-* apps only)",
-    )
-    profile.add_argument(
-        "--pattern-arg",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one pattern parameter (syn-* apps only, repeatable)",
-    )
+    _add_cell_flags(profile)
+    _add_scenario_flags(profile)
     profile.add_argument(
         "--sort", default="cumulative", choices=sorted(PROFILE_SORT_KEYS),
         help="cProfile sort key for the per-cell tables",
@@ -498,9 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-cprofile", action="store_true",
         help="skip cProfile capture (pure wall-clock/throughput numbers)",
     )
-    profile.add_argument(
-        "--json", action="store_true", help="print the aggregate as JSON"
-    )
+    _add_output_flags(profile)
 
     calibrate_cmd = sub.add_parser("calibrate", help="check the cost model against the paper")
     _add_session_flags(calibrate_cmd)
@@ -508,12 +456,11 @@ def _build_parser() -> argparse.ArgumentParser:
     experiments = sub.add_parser(
         "experiments", help="regenerate EXPERIMENTS.md from measured figures"
     )
-    experiments.add_argument("--scale", default="bench", choices=["testing", "bench", "paper"])
-    experiments.add_argument(
-        "-o", "--output", default=None, metavar="PATH",
-        help="write the markdown here instead of stdout",
+    _add_scale_flag(experiments)
+    _add_output_flags(
+        experiments, json_flag=False, output="write the markdown here instead of stdout"
     )
-    _add_protocols_flag(experiments, ",".join(PROTOCOL_FAMILY))
+    _add_protocols_flag(experiments, PROTOCOL_FAMILY)
     _add_topology_flag(
         experiments,
         help_text=(
@@ -524,7 +471,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_session_flags(experiments)
 
     describe = sub.add_parser(
-        "describe", help="list cluster presets, protocols, benchmarks and scenarios"
+        "describe",
+        help="list cluster presets, protocols, topologies, benchmarks, scenarios "
+        "and figures",
     )
     describe.add_argument(
         "section",
@@ -533,11 +482,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(DESCRIBE_SECTIONS),
         help="print only this section (default: all)",
     )
+    _add_output_flags(describe)
     return parser
-
-
-def _workload(scale: str):
-    return WorkloadPreset.by_name(scale)
 
 
 class CliError(Exception):
@@ -546,21 +492,19 @@ class CliError(Exception):
 
 def _session(args) -> Session:
     """Build the Session the subcommand's --jobs/--cache-dir flags describe."""
-    jobs = getattr(args, "jobs", 1)
-    cache_dir = getattr(args, "cache_dir", None)
     try:
-        return Session.from_options(jobs=jobs, cache_dir=cache_dir)
+        return Session.from_options(
+            jobs=getattr(args, "jobs", 1), cache_dir=args.cache_dir
+        )
     except OSError as exc:
         raise CliError(
-            f"--cache-dir {cache_dir!r} is not a usable directory: {exc}"
+            f"--cache-dir {args.cache_dir!r} is not a usable directory: {exc}"
         ) from exc
 
 
 def _protocol_columns(args) -> tuple:
     """Parse and validate a ``--protocols`` comma list."""
-    names = tuple(p for p in args.protocols.split(",") if p)
-    if not names:
-        raise CliError("--protocols selected no protocols")
+    names = tuple(_comma_list(args.protocols, "--protocols"))
     known = available_protocols()
     unknown = [p for p in names if p not in known]
     if unknown:
@@ -573,7 +517,7 @@ def _protocol_columns(args) -> tuple:
 
 def _figure_clusters(args) -> tuple:
     """The cluster columns a figure plots: the paper pair or one preset."""
-    if getattr(args, "topology", None):
+    if args.topology:
         return (args.topology,)
     return ("myrinet", "sci")
 
@@ -581,7 +525,7 @@ def _figure_clusters(args) -> tuple:
 def cmd_figure(args) -> int:
     data = generate_figure(
         args.number,
-        workload=_workload(args.scale),
+        workload=args.scale,
         clusters=_figure_clusters(args),
         protocols=_protocol_columns(args),
         session=_session(args),
@@ -598,7 +542,7 @@ def cmd_figure(args) -> int:
 
 def cmd_all(args) -> int:
     figures = generate_all_figures(
-        workload=_workload(args.scale),
+        workload=args.scale,
         clusters=_figure_clusters(args),
         protocols=_protocol_columns(args),
         session=_session(args),
@@ -617,113 +561,45 @@ def cmd_all(args) -> int:
     return 0
 
 
-def _probe_protocol(name: str):
-    """Instantiate *name* over a tiny two-node rig (for ``describe()`` only)."""
-    cluster = cluster_by_name("myrinet")
-    cost_model = cluster.cost_model()
-    isoaddr = IsoAddressAllocator(
-        num_nodes=2, arena_size=1 << 20, page_size=cluster.page_size
-    )
-    page_manager = PageManager(
-        num_nodes=2,
-        page_size=cluster.page_size,
-        isoaddr=isoaddr,
-        cost_model=cost_model,
-        topology=cluster.topology_factory(2, cluster.network),
-    )
-    return create_protocol(name, page_manager, cost_model)
-
-
-def _protocol_entries() -> list[dict]:
-    """One row per registered protocol: description plus layer composition."""
-    entries = []
-    for name in available_protocols():
-        protocol = _probe_protocol(name)
-        layers = protocol_composition(name)
-        entries.append(
-            {
-                "name": name,
-                "description": protocol.describe(),
-                "uses_page_faults": bool(protocol.uses_page_faults),
-                "detection": layers["detection"] if layers else None,
-                "home_policy": layers["home_policy"] if layers else None,
-            }
-        )
-    return entries
-
-
-def _print_protocol_entries() -> None:
-    for entry in _protocol_entries():
-        # describe() lines already lead with the protocol name
-        print(f"  {entry['description']}")
-        if entry["detection"]:
-            print(
-                f"      layers: detection={entry['detection']}, "
-                f"home_policy={entry['home_policy']}"
-            )
-
-
-def cmd_protocols(args) -> int:
-    if args.json:
-        print(json.dumps(_protocol_entries(), indent=2, sort_keys=True))
-        return 0
-    print("registered protocols (hyperion-sim run --protocol <name>):")
-    _print_protocol_entries()
-    return 0
-
-
-def _topology_entries() -> list[dict]:
-    """One row per topology preset: cluster, shape kind, island structure."""
-    entries = []
-    for name in available_topology_presets():
-        preset = topology_preset_by_name(name)
-        cluster = preset.cluster()
-        topology = preset.topology()
-        entries.append(
-            {
-                "name": name,
-                "cluster": cluster.name,
-                "num_nodes": cluster.num_nodes,
-                "kind": topology.kind,
-                "islands": topology.num_islands,
-                "network": cluster.network.name,
-                "description": preset.description,
-            }
-        )
-    return entries
-
-
-def _print_topology_entries() -> None:
-    for entry in _topology_entries():
-        print(
-            f"  {entry['name']}: {entry['description']}"
-        )
-        print(
-            f"      kind={entry['kind']}, nodes={entry['num_nodes']}, "
-            f"islands={entry['islands']}, network={entry['network']}"
-        )
-
-
-def cmd_topologies(args) -> int:
-    if args.json:
-        print(json.dumps(_topology_entries(), indent=2, sort_keys=True))
-        return 0
-    print("topology presets (hyperion-sim scenario sweep --topology <name>):")
-    _print_topology_entries()
-    return 0
-
-
 def _print_report(report) -> None:
     print(report)
     for key, value in sorted(report.stats.as_dict().items()):
         print(f"  {key:30s} {value}")
 
 
+def _write_file(flag: str, path: str, write: Callable[[str], Any]) -> Any:
+    """Return ``write(path)``; an unwritable path is a :class:`CliError`.
+
+    Every file the CLI writes goes through here, under the flag that named it.
+    """
+    try:
+        return write(path)
+    except OSError as exc:
+        raise CliError(f"cannot write {flag} {path!r}: {exc}") from exc
+
+
+def _check_writable(*outputs: tuple[str, str | None]) -> None:
+    """Fail on an unwritable output path before any cell runs, not after.
+
+    Each path is opened for appending: an absent file is created empty, an
+    existing one is left as it is until the verb writes it.
+    """
+    for flag, path in outputs:
+        if path:
+            _write_file(flag, path, lambda p: open(p, "a").close())
+
+
+def _write_text(flag: str, path: str, text: str) -> None:
+    _write_file(flag, path, lambda p: Path(p).write_text(text))
+
+
+def _write_json(flag: str, path: str, payload) -> None:
+    _write_text(flag, path, json.dumps(payload, indent=2, sort_keys=True))
+
+
 def _print_sanitizer(report, out_path: str | None = None) -> None:
     """Print a sanitizer report (and optionally write it as JSON)."""
     sanitizer = report.sanitizer
-    if sanitizer is None:
-        raise CliError("the run produced no sanitizer report")
     print()
     print(sanitizer.summary())
     for finding in sanitizer.violations:
@@ -731,13 +607,7 @@ def _print_sanitizer(report, out_path: str | None = None) -> None:
     for finding in sanitizer.races:
         print(f"  race x{finding.count}: {finding.detail}")
     if out_path:
-        try:
-            with open(out_path, "w") as handle:
-                json.dump(sanitizer.to_dict(), handle, indent=2, sort_keys=True)
-        except OSError as exc:
-            raise CliError(
-                f"cannot write --sanitize-out {out_path!r}: {exc}"
-            ) from exc
+        _write_json("--sanitize-out", out_path, sanitizer.to_dict())
         print(f"wrote sanitizer report to {out_path}")
 
 
@@ -758,77 +628,22 @@ def _print_phase_table(telemetry) -> None:
     print(f"  {'total':15s} {total:12.6f} s")
 
 
-def _write_json(path: str, payload: dict, flag: str) -> None:
-    try:
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-    except OSError as exc:
-        raise CliError(f"cannot write {flag} {path!r}: {exc}") from exc
+def _write_chrome_trace(path: str, telemetry) -> None:
+    from repro.obs.chrometrace import write_chrome_trace
+
+    _write_file("--chrome-out", path, lambda p: write_chrome_trace(p, telemetry))
+    print(f"wrote Chrome trace to {path}")
 
 
 def _print_telemetry(report, telemetry_out: str | None, chrome_out: str | None) -> None:
     """Print a run's phase breakdown and export the ledger / Chrome trace."""
     telemetry = report.telemetry
-    if telemetry is None:
-        raise CliError("the run produced no telemetry ledger")
     _print_phase_table(telemetry)
     if telemetry_out:
-        _write_json(telemetry_out, telemetry.to_dict(), "--telemetry-out")
+        _write_json("--telemetry-out", telemetry_out, telemetry.to_dict())
         print(f"wrote telemetry ledger to {telemetry_out}")
     if chrome_out:
-        from repro.obs.chrometrace import write_chrome_trace
-
-        try:
-            write_chrome_trace(chrome_out, telemetry)
-        except OSError as exc:
-            raise CliError(f"cannot write --chrome-out {chrome_out!r}: {exc}") from exc
-        print(f"wrote Chrome trace to {chrome_out}")
-
-
-def _run_with_trace(spec: ExperimentSpec, trace_out: str):
-    """Run *spec* with tracing forced on and export the trace as JSONL."""
-    base = spec.config or RuntimeConfig()
-    traced = dataclasses.replace(spec, config=base.with_overrides(trace=True))
-    report, runtime = run_spec_runtime(traced)
-    try:
-        lines = runtime.engine.trace.write_jsonl(trace_out)
-    except OSError as exc:
-        raise CliError(f"cannot write --trace-out {trace_out!r}: {exc}") from exc
-    print(f"wrote {lines} trace record(s) to {trace_out}")
-    return report
-
-
-def cmd_run(args) -> int:
-    # the scale name resolves through the app's own preset hook, so this
-    # works for the paper benchmarks and the generated syn-* scenarios alike
-    sanitize = args.sanitize or bool(args.sanitize_out)
-    telemetry = args.telemetry or bool(args.telemetry_out) or bool(args.chrome_out)
-    if args.trace_out or sanitize or telemetry:
-        spec = ExperimentSpec(
-            app=args.app,
-            cluster=args.cluster,
-            protocol=args.protocol,
-            num_nodes=args.nodes,
-            workload=args.scale,
-            verify=args.verify,
-            sanitize=sanitize,
-            telemetry=telemetry,
-        )
-        if args.trace_out:
-            report = _run_with_trace(spec, args.trace_out)
-        else:
-            report, _ = run_spec_runtime(spec)
-    else:
-        report = Session().cell(
-            args.app, args.cluster, args.protocol, args.nodes,
-            workload=args.scale, verify=args.verify,
-        )
-    _print_report(report)
-    if sanitize:
-        _print_sanitizer(report, args.sanitize_out)
-    if telemetry:
-        _print_telemetry(report, args.telemetry_out, args.chrome_out)
-    return 0
+        _write_chrome_trace(chrome_out, telemetry)
 
 
 def _pattern_overrides(name: str, raw_args: list[str], seed: int | None) -> dict:
@@ -862,64 +677,93 @@ def _pattern_overrides(name: str, raw_args: list[str], seed: int | None) -> dict
     return overrides
 
 
-def cmd_scenario(args) -> int:
-    if args.scenario_command == "list":
-        print("registered scenarios (hyperion-sim scenario run <name>):")
-        _print_scenario_entries()
-        return 0
+def _cell_workload(args):
+    """The workload ``--scale``, ``--seed`` and ``--pattern-arg`` describe.
 
-    if args.scenario_command == "run":
-        try:
-            workload = scenario_workload(
-                args.name,
-                scale=args.scale,
-                **_pattern_overrides(args.name, args.pattern_arg, args.seed),
-            )
-        except (KeyError, ValueError) as exc:
-            raise CliError(str(exc)) from exc
-        sanitize = args.sanitize or bool(args.sanitize_out)
-        telemetry = (
-            args.telemetry or bool(args.telemetry_out) or bool(args.chrome_out)
+    Without overrides this is the scale name, which resolves through each
+    app's own preset hook, so paper apps and syn-* scenarios scale alike.
+    Overrides apply to one syn-* scenario app only.
+    """
+    if not args.pattern_arg and args.seed is None:
+        return args.scale
+    if not (args.app and args.app.startswith(SCENARIO_PREFIX)):
+        raise CliError("--pattern-arg/--seed need a single syn-* scenario app")
+    overrides = _pattern_overrides(args.app, args.pattern_arg, args.seed)
+    try:
+        return scenario_workload(args.app, scale=args.scale, **overrides)
+    except (KeyError, ValueError) as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _check_nodes(args) -> None:
+    """Reject a ``--nodes`` count the ``--cluster`` preset cannot host."""
+    size = cluster_by_name(args.cluster).num_nodes
+    if args.nodes > size:
+        raise CliError(
+            f"--nodes {args.nodes}: cluster {args.cluster!r} has {size} nodes"
         )
-        spec = ExperimentSpec(
-            app=args.name,
+
+
+def _cell_specs(args, apps: list[str], **options) -> list[ExperimentSpec]:
+    """One spec per app, at the cell the cell and scenario flags describe."""
+    _check_nodes(args)
+    workload = _cell_workload(args)
+    return [
+        ExperimentSpec(
+            app=app,
             cluster=args.cluster,
             protocol=args.protocol,
             num_nodes=args.nodes,
             workload=workload,
-            verify=args.verify,
-            sanitize=sanitize,
-            telemetry=telemetry,
+            **options,
         )
-        if args.trace_out:
-            if args.jobs != 1 or args.cache_dir:
-                print(
-                    "hyperion-sim: note: --trace-out runs the cell directly; "
-                    "--jobs/--cache-dir are ignored",
-                    file=sys.stderr,
-                )
-            report = _run_with_trace(spec, args.trace_out)
-        else:
-            report = _session(args).run_one(spec)
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            _print_report(report)
-        if sanitize:
-            _print_sanitizer(report, args.sanitize_out)
-        if telemetry:
-            _print_telemetry(report, args.telemetry_out, args.chrome_out)
-        return 0
+        for app in apps
+    ]
 
-    # sweep: the scenario comparison grid
-    try:
-        node_counts = tuple(int(n) for n in args.nodes.split(",") if n)
-    except ValueError as exc:
-        raise CliError(
-            f"--nodes must be comma-separated integers, got {args.nodes!r}"
-        ) from exc
-    if not node_counts:
-        raise CliError("--nodes selected no node counts")
+
+def cmd_run(args) -> int:
+    sanitize = args.sanitize or bool(args.sanitize_out)
+    telemetry = args.telemetry or bool(args.telemetry_out) or bool(args.chrome_out)
+    (spec,) = _cell_specs(
+        args,
+        [args.app],
+        config=RuntimeConfig(trace=True) if args.trace_out else None,
+        verify=args.verify,
+        sanitize=sanitize,
+        telemetry=telemetry,
+    )
+    _check_writable(
+        ("--trace-out", args.trace_out),
+        ("--sanitize-out", args.sanitize_out),
+        ("--telemetry-out", args.telemetry_out),
+        ("--chrome-out", args.chrome_out),
+    )
+    # a stored payload keeps no trace, so a traced cell runs on a storeless session
+    if args.trace_out and args.cache_dir:
+        print(
+            "hyperion-sim: note: --trace-out runs the cell directly; "
+            "--cache-dir is ignored",
+            file=sys.stderr,
+        )
+    report = (Session() if args.trace_out else _session(args)).run_one(spec)
+    if args.trace_out:
+        lines = _write_file("--trace-out", args.trace_out, report.trace.write_jsonl)
+        print(f"wrote {lines} trace record(s) to {args.trace_out}")
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    else:
+        _print_report(report)
+    if sanitize:
+        _print_sanitizer(report, args.sanitize_out)
+    if telemetry:
+        _print_telemetry(report, args.telemetry_out, args.chrome_out)
+    return 0
+
+
+def cmd_scenario(args) -> int:
+    """``scenario sweep``: the scenario comparison grid."""
+    node_counts = _comma_list(args.nodes, "--nodes", int)
+    _check_writable(("-o", args.output))
     try:
         grid = generate_scenario_grid(
             scenarios=[args.name] if args.name else None,
@@ -941,8 +785,7 @@ def cmd_scenario(args) -> int:
         )
     payload = grid.to_dict()
     if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        _write_json("-o", args.output, payload)
         print(f"wrote {args.output}")
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -951,26 +794,17 @@ def cmd_scenario(args) -> int:
     return 0
 
 
-def _sweep_values(kind: str, raw: str | None):
-    if raw is None:
-        return None
-    parse = ABLATIONS[kind].value_type
-    try:
-        return tuple(parse(item) for item in raw.split(",") if item)
-    except ValueError as exc:
-        raise CliError(
-            f"--values for {kind!r} must be comma-separated "
-            f"{parse.__name__} values, got {raw!r}"
-        ) from exc
-
-
 def cmd_sweep(args) -> int:
+    _check_nodes(args)
+    values = None
+    if args.values is not None:
+        values = tuple(_comma_list(args.values, "--values", ABLATIONS[args.kind].value_type))
     result = _session(args).ablation(
         args.kind,
         args.app,
         cluster=args.cluster,
         num_nodes=args.nodes,
-        values=_sweep_values(args.kind, args.values),
+        values=values,
         # resolve through the app's preset hook so syn-* scenarios sweep too
         workload=resolve_workload(args.app, args.scale),
         sanitize=args.sanitize,
@@ -1008,29 +842,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    apps = [args.app] if args.app else available_apps()
-    workload = _workload(args.scale)
-    if args.pattern_arg or args.seed is not None:
-        if not (args.app and args.app.startswith(SCENARIO_PREFIX)):
-            raise CliError("--pattern-arg/--seed need a single syn-* scenario app")
-        try:
-            workload = scenario_workload(
-                args.app,
-                scale=args.scale,
-                **_pattern_overrides(args.app, args.pattern_arg, args.seed),
-            )
-        except (KeyError, ValueError) as exc:
-            raise CliError(str(exc)) from exc
-    specs = [
-        ExperimentSpec(
-            app=app,
-            cluster=args.cluster,
-            protocol=args.protocol,
-            num_nodes=args.nodes,
-            workload=workload,
-        )
-        for app in apps
-    ]
+    specs = _cell_specs(args, [args.app] if args.app else available_apps())
     profiler = Profiler(
         with_cprofile=not args.no_cprofile, sort=args.sort, limit=args.limit
     )
@@ -1057,9 +869,8 @@ def _comma_list(raw: str, flag: str, parse=str) -> list:
     try:
         values = [parse(item) for item in raw.split(",") if item]
     except ValueError as exc:
-        raise CliError(
-            f"{flag} must be comma-separated {parse.__name__} values, got {raw!r}"
-        ) from exc
+        kind = "integers" if parse is int else f"{parse.__name__} values"
+        raise CliError(f"{flag} must be comma-separated {kind}, got {raw!r}") from exc
     if not values:
         raise CliError(f"{flag} selected no values")
     return values
@@ -1070,6 +881,7 @@ def cmd_grid(args) -> int:
 
     if args.resume and not args.checkpoint_dir:
         raise CliError("--resume needs --checkpoint-dir to resume from")
+    _check_writable(("-o", args.output), ("--telemetry-out", args.telemetry_out))
     enable_console(json_lines=args.log_json)
     logger = get_logger("harness.grid")
     telemetry = args.telemetry or bool(args.telemetry_out)
@@ -1109,12 +921,11 @@ def cmd_grid(args) -> int:
         extra={"progress": progress.to_dict()},
     )
     if args.telemetry_out:
-        _write_json(args.telemetry_out, job.telemetry(), "--telemetry-out")
+        _write_json("--telemetry-out", args.telemetry_out, job.telemetry())
         print(f"wrote job telemetry to {args.telemetry_out}")
     payload = result.to_dict()
     if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        _write_json("-o", args.output, payload)
         print(f"wrote {args.output}")
     if args.json or not args.output:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -1205,94 +1016,178 @@ def cmd_report(args) -> int:
             print(f"  trace: {summary.get('records', 0)} record(s)  {kinds}")
         _print_phase_table(payload)
     if args.chrome_out:
-        from repro.obs.chrometrace import write_chrome_trace
-
-        try:
-            write_chrome_trace(args.chrome_out, payload)
-        except OSError as exc:
-            raise CliError(
-                f"cannot write --chrome-out {args.chrome_out!r}: {exc}"
-            ) from exc
-        print(f"wrote Chrome trace to {args.chrome_out}")
+        _write_chrome_trace(args.chrome_out, payload)
     return 0
 
 
 def cmd_experiments(args) -> int:
+    _check_writable(("-o", args.output))
     document = render_experiments_document(
-        workload=_workload(args.scale),
+        workload=args.scale,
         session=_session(args),
         protocols=_protocol_columns(args),
         topologies=[args.topology] if args.topology else None,
     )
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(document)
+        _write_text("-o", args.output, document)
         print(f"wrote {args.output}")
     else:
         print(document)
     return 0
 
 
-def _describe_clusters() -> None:
-    print("cluster presets:")
+def _cluster_rows() -> list[dict]:
+    rows = []
     for name in list_clusters():
         spec = cluster_by_name(name)
-        print(f"  {name}: {spec.num_nodes} x {spec.machine.name}, {spec.network.name}")
-        for line in spec.cost_model().describe().splitlines():
-            print(f"      {line}")
-
-
-def _describe_protocols() -> None:
-    print("protocols:")
-    _print_protocol_entries()
-
-
-def _describe_benchmarks() -> None:
-    paper_apps = [app for app in available_apps() if not app.startswith("syn-")]
-    print("benchmarks:", ", ".join(paper_apps))
-
-
-def _print_scenario_entries() -> None:
-    for name in available_scenarios():
-        pattern = get_pattern(name)
-        print(f"  {name}: {pattern.description}")
-        parameters = ", ".join(
-            f"{key}={value}" for key, value in scenario_parameters(name).items()
+        rows.append(
+            {
+                "name": name,
+                "num_nodes": spec.num_nodes,
+                "machine": spec.machine.name,
+                "network": spec.network.name,
+                "cost_model": spec.cost_model().describe().splitlines(),
+            }
         )
-        print(f"      parameters: {parameters}")
+    return rows
 
 
-def _describe_scenarios() -> None:
-    print("scenarios:")
-    _print_scenario_entries()
+def _protocol_rows() -> list[dict]:
+    """One row per registered protocol: description plus layer composition."""
+    rows = []
+    for name in available_protocols():
+        # a plain factory's protocol describes itself only once instantiated
+        runtime = HyperionRuntime(cluster_by_name("myrinet"), num_nodes=2, protocol=name)
+        protocol = runtime.protocol
+        layers = protocol_composition(name)
+        rows.append(
+            {
+                "name": name,
+                "description": protocol.describe(),
+                "uses_page_faults": bool(protocol.uses_page_faults),
+                "detection": layers["detection"] if layers else None,
+                "home_policy": layers["home_policy"] if layers else None,
+            }
+        )
+    return rows
 
 
-def _describe_figures() -> None:
-    print("figures:", ", ".join(f"{n} -> {app}" for n, app in sorted(FIGURE_APPS.items())))
+def _topology_rows() -> list[dict]:
+    """One row per topology preset: cluster, shape kind, island structure."""
+    rows = []
+    for name in available_topology_presets():
+        preset = topology_preset_by_name(name)
+        cluster = preset.cluster()
+        topology = preset.topology()
+        rows.append(
+            {
+                "name": name,
+                "cluster": cluster.name,
+                "num_nodes": cluster.num_nodes,
+                "kind": topology.kind,
+                "islands": topology.num_islands,
+                "network": cluster.network.name,
+                "description": preset.description,
+            }
+        )
+    return rows
 
 
-def _describe_topologies() -> None:
-    print("topologies:")
-    _print_topology_entries()
+def _scenario_rows() -> list[dict]:
+    return [
+        {
+            "name": name,
+            "description": get_pattern(name).description,
+            "parameters": scenario_parameters(name),
+        }
+        for name in available_scenarios()
+    ]
+
+
+class _Section(NamedTuple):
+    """One ``describe`` section: its rows, and the text lines of one row."""
+
+    title: str
+    rows: Callable[[], list]
+    #: one row's headline, then its indented detail lines
+    lines: Callable[[Any], list[str]]
+    #: print every row's headline on the title line
+    inline: bool = False
 
 
 DESCRIBE_SECTIONS = {
-    "clusters": _describe_clusters,
-    "protocols": _describe_protocols,
-    "topologies": _describe_topologies,
-    "benchmarks": _describe_benchmarks,
-    "scenarios": _describe_scenarios,
-    "figures": _describe_figures,
+    "clusters": _Section(
+        "cluster presets",
+        _cluster_rows,
+        lambda row: [
+            f"{row['name']}: {row['num_nodes']} x {row['machine']}, {row['network']}",
+            *row["cost_model"],
+        ],
+    ),
+    "protocols": _Section(
+        "protocols",
+        _protocol_rows,
+        # describe() lines already lead with the protocol name; a plain
+        # factory's protocol has no layers to list
+        lambda row: [row["description"]] + (
+            [f"layers: detection={row['detection']}, home_policy={row['home_policy']}"]
+            if row["detection"] else []
+        ),
+    ),
+    "topologies": _Section(
+        "topologies",
+        _topology_rows,
+        lambda row: [
+            f"{row['name']}: {row['description']}",
+            f"kind={row['kind']}, nodes={row['num_nodes']}, "
+            f"islands={row['islands']}, network={row['network']}",
+        ],
+    ),
+    "benchmarks": _Section(
+        "benchmarks",
+        lambda: [app for app in available_apps() if not app.startswith(SCENARIO_PREFIX)],
+        lambda app: [app],
+        inline=True,
+    ),
+    "scenarios": _Section(
+        "scenarios",
+        _scenario_rows,
+        lambda row: [
+            f"{row['name']}: {row['description']}",
+            "parameters: "
+            + ", ".join(f"{key}={value}" for key, value in row["parameters"].items()),
+        ],
+    ),
+    "figures": _Section(
+        "figures",
+        lambda: [{"number": n, "app": app} for n, app in sorted(FIGURE_APPS.items())],
+        lambda row: [f"{row['number']} -> {row['app']}"],
+        inline=True,
+    ),
 }
 
 
+def _print_section(section: _Section, rows: list) -> None:
+    if section.inline:
+        print(f"{section.title}:", ", ".join(section.lines(row)[0] for row in rows))
+        return
+    print(f"{section.title}:")
+    for row in rows:
+        headline, *details = section.lines(row)
+        print(f"  {headline}")
+        for detail in details:
+            print(f"      {detail}")
+
+
 def cmd_describe(args) -> int:
-    section = getattr(args, "section", None)
-    if section:
-        DESCRIBE_SECTIONS[section]()
+    names = [args.section] if args.section else list(DESCRIBE_SECTIONS)
+    rows = {name: DESCRIBE_SECTIONS[name].rows() for name in names}
+    if args.json:
+        payload = rows[args.section] if args.section else rows
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    for printer in DESCRIBE_SECTIONS.values():
-        printer()
+    for name in names:
+        _print_section(DESCRIBE_SECTIONS[name], rows[name])
     return 0
 
 
@@ -1302,8 +1197,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "figure": cmd_figure,
         "all": cmd_all,
-        "protocols": cmd_protocols,
-        "topologies": cmd_topologies,
         "run": cmd_run,
         "scenario": cmd_scenario,
         "sweep": cmd_sweep,

@@ -169,9 +169,9 @@ def _run_shard(
     The reports come back as objects for an in-process caller, cut down to
     what a payload carries: the result only if it is JSON, and none of the
     host-side attachments (``.telemetry``, whose ledger travels in the
-    outcome, ``.sanitizer`` and ``.events_processed``).  A record built from
-    them therefore holds and serialises what one built from the payloads of
-    :func:`_run_shard_payloads` does.
+    outcome, ``.sanitizer``, ``.trace`` and ``.events_processed``).  A
+    record built from them therefore holds and serialises what one built
+    from the payloads of :func:`_run_shard_payloads` does.
     """
     started = host_clock()
     store = (
@@ -196,7 +196,7 @@ def _run_shard(
         # keep what the payload round trip keeps: the result as JSON (an
         # array becomes None, so a record holds no grid), no host-side fields
         report.result = report.stats.result = payload_result(report.result)
-        report.telemetry = report.sanitizer = None
+        report.telemetry = report.sanitizer = report.trace = None
         report.events_processed = 0
         reports.append(report)
         cells.append(

@@ -59,7 +59,7 @@ def resolve_workload(app_name: str, workload) -> object:
     (the generated ``syn-*`` scenarios) scale with the same three names.
     """
     if workload is None:
-        preset = WorkloadPreset.bench()
+        preset = WorkloadPreset.by_name("bench")
     elif isinstance(workload, str):
         preset = WorkloadPreset.by_name(workload)
     elif isinstance(workload, WorkloadPreset):
@@ -265,18 +265,8 @@ def run_spec(spec: ExperimentSpec) -> ExecutionReport:
     Pure function of *spec*: the same spec (and therefore the same config
     seed) always produces the same report, which is what lets executors run
     cells in any order or process and lets :class:`~repro.harness.store.ResultStore`
-    reuse results across runs.
-    """
-    report, _ = run_spec_runtime(spec)
-    return report
-
-
-def run_spec_runtime(spec: ExperimentSpec) -> "tuple[ExecutionReport, HyperionRuntime]":
-    """Like :func:`run_spec`, but also return the finished runtime.
-
-    The runtime gives callers access to post-run state the report does not
-    carry — most notably ``runtime.engine.trace`` for the CLI's
-    ``--trace-out`` export.  The report is identical to :func:`run_spec`'s.
+    reuse results across runs.  A config with ``trace=True`` leaves the
+    engine's event trace on the report's host-side ``trace`` field.
     """
     if spec.telemetry:
         # lazy: importing repro.perf at module scope would cycle back into
@@ -308,4 +298,4 @@ def run_spec_runtime(spec: ExperimentSpec) -> "tuple[ExecutionReport, HyperionRu
         )
     if collector is not None:
         report.telemetry = collector.finalize(spec, report, runtime)
-    return report, runtime
+    return report

@@ -115,6 +115,10 @@ class ExecutionReport:
     #: host-side, never serialised into :meth:`to_dict` or the result store's
     #: pinned payload — the store persists it *next to* the entry instead.
     telemetry: "RunTelemetry" | None = None
+    #: the engine's event trace when the run's config set ``trace=True``
+    #: (None otherwise).  Same contract as ``sanitizer``: host-side and never
+    #: part of :meth:`to_dict`, so a stored payload keeps no trace.
+    trace: TraceRecorder | None = None
 
     @property
     def page_rehomes(self) -> int:
@@ -374,6 +378,7 @@ class HyperionRuntime:
             result=main_result,
             events_processed=self.engine.events_processed,
             sanitizer=self.sanitizer.report() if self.sanitizer is not None else None,
+            trace=self.engine.trace,
         )
 
     # ------------------------------------------------------------------

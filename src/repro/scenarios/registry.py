@@ -52,7 +52,7 @@ class ScenarioPattern:
     workload_cls: type[ScenarioWorkload]
     #: ``generate(workload, num_threads, num_nodes) -> AccessScript``
     generate: Callable[[ScenarioWorkload, int, int], AccessScript]
-    #: one-line description for ``describe`` / ``scenario list``
+    #: one-line description for ``hyperion-sim describe scenarios``
     description: str
 
     @property

@@ -238,7 +238,7 @@ class AccessScript:
         return sum(len(ops) for ops in self.threads)
 
     def counts_by_kind(self) -> dict[str, int]:
-        """Histogram of op tags (inspection / tests / `scenario list`)."""
+        """Histogram of op tags (inspection and tests)."""
         counts: dict[str, int] = {}
         for ops in self.threads:
             for op in ops:

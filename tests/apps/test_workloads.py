@@ -39,6 +39,17 @@ def test_preset_lookup_and_workload_for():
         WorkloadPreset.by_name("huge")
 
 
+def test_preset_lookups_share_one_instance():
+    from repro.harness.spec import resolve_workload
+
+    for name in ("paper", "bench", "testing"):
+        assert WorkloadPreset.by_name(name) is WorkloadPreset.by_name(name.upper())
+        assert WorkloadPreset.by_name(name) == getattr(WorkloadPreset, name)()
+    # the None -> bench path hands out the shared preset's workload too
+    assert resolve_workload("pi", None) is resolve_workload("pi", "bench")
+    assert resolve_workload("pi", None) is WorkloadPreset.by_name("bench").pi
+
+
 def test_workload_validation():
     with pytest.raises(ValueError):
         PiWorkload(intervals=0)

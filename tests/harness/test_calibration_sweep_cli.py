@@ -134,17 +134,17 @@ def test_cli_experiments_subcommand(tmp_path, capsys):
     assert "Figure 1" in document and "calibration" in document
 
 
-def test_cli_protocols_subcommand(capsys):
-    assert cli_main(["protocols"]) == 0
+def test_cli_describe_protocols(capsys):
+    assert cli_main(["describe", "protocols"]) == 0
     out = capsys.readouterr().out
-    assert "registered protocols" in out
+    assert out.startswith("protocols:")
     for name in ("java_ic", "java_pf", "java_hybrid", "java_ic_mig"):
         assert name in out
     assert "detection=hybrid" in out and "home_policy=migratory" in out
 
 
-def test_cli_protocols_json(capsys):
-    assert cli_main(["protocols", "--json"]) == 0
+def test_cli_describe_protocols_json(capsys):
+    assert cli_main(["describe", "protocols", "--json"]) == 0
     entries = {e["name"]: e for e in json.loads(capsys.readouterr().out)}
     assert entries["java_pf"]["detection"] == "page_fault"
     assert entries["java_pf"]["home_policy"] == "fixed"

@@ -1,4 +1,4 @@
-"""The ``hyperion-sim topologies`` subcommand and the ``--topology`` flag."""
+"""``hyperion-sim describe topologies`` and the ``--topology`` flag."""
 
 from __future__ import annotations
 
@@ -7,16 +7,16 @@ import json
 from repro.harness.cli import main as cli_main
 
 
-def test_topologies_listing(capsys):
-    assert cli_main(["topologies"]) == 0
+def test_describe_topologies_listing(capsys):
+    assert cli_main(["describe", "topologies"]) == 0
     out = capsys.readouterr().out
     for name in ("myrinet2x8", "myrinet_tree", "sci_torus", "sci_ring"):
         assert name in out
     assert "islands=2" in out  # the multi-cluster preset exposes its islands
 
 
-def test_topologies_json(capsys):
-    assert cli_main(["topologies", "--json"]) == 0
+def test_describe_topologies_json(capsys):
+    assert cli_main(["describe", "topologies", "--json"]) == 0
     entries = {entry["name"]: entry for entry in json.loads(capsys.readouterr().out)}
     assert entries["myrinet2x8"]["kind"] == "multicluster"
     assert entries["myrinet2x8"]["islands"] == 2

@@ -1,4 +1,4 @@
-"""The ``hyperion-sim scenario`` subcommand, ``--trace-out`` and describe filter."""
+"""Scenario cells through ``run``, ``scenario sweep``, ``--trace-out`` and describe."""
 
 from __future__ import annotations
 
@@ -7,16 +7,16 @@ import json
 from repro.harness.cli import main as cli_main
 
 
-def test_scenario_list(capsys):
-    assert cli_main(["scenario", "list"]) == 0
+def test_describe_scenarios_lists_parameters(capsys):
+    assert cli_main(["describe", "scenarios"]) == 0
     out = capsys.readouterr().out
     assert "syn-false-sharing" in out
     assert "parameters:" in out and "seed=" in out
 
 
-def test_scenario_run_same_seed_twice_is_byte_identical(capsys):
+def test_run_scenario_same_seed_twice_is_byte_identical(capsys):
     args = [
-        "scenario", "run", "syn-false-sharing",
+        "run", "syn-false-sharing",
         "--seed", "7", "--scale", "testing", "--json",
     ]
     assert cli_main(args) == 0
@@ -27,12 +27,15 @@ def test_scenario_run_same_seed_twice_is_byte_identical(capsys):
     payload = json.loads(first)
     assert payload["protocol"] == "java_pf"
     assert payload["page_faults"] > 0
+    # the seed reaches the generator: another seed, another script
+    assert cli_main(args[:3] + ["8"] + args[4:]) == 0
+    assert capsys.readouterr().out != first
 
 
-def test_scenario_run_pattern_args(capsys):
+def test_run_scenario_pattern_args(capsys):
     assert (
         cli_main(
-            ["scenario", "run", "syn-hot-lock", "--scale", "testing",
+            ["run", "syn-hot-lock", "--scale", "testing",
              "--pattern-arg", "acquisitions_per_thread=2", "--verify"]
         )
         == 0
@@ -41,28 +44,26 @@ def test_scenario_run_pattern_args(capsys):
     assert "monitor_enters" in out
 
 
-def test_scenario_run_rejects_bad_pattern_args(capsys):
-    assert (
-        cli_main(["scenario", "run", "syn-hot-lock", "--pattern-arg", "nope=1"]) == 2
-    )
+def test_run_rejects_bad_pattern_args(capsys):
+    assert cli_main(["run", "syn-hot-lock", "--pattern-arg", "nope=1"]) == 2
     assert "no parameter" in capsys.readouterr().err
     assert (
         cli_main(
-            ["scenario", "run", "syn-hot-lock", "--pattern-arg",
+            ["run", "syn-hot-lock", "--pattern-arg",
              "acquisitions_per_thread=many"]
         )
         == 2
     )
     assert "expected a int value" in capsys.readouterr().err
-    assert cli_main(["scenario", "run", "syn-hot-lock", "--pattern-arg", "x"]) == 2
+    assert cli_main(["run", "syn-hot-lock", "--pattern-arg", "x"]) == 2
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
-def test_scenario_run_trace_out(tmp_path, capsys):
+def test_run_scenario_trace_out(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     assert (
         cli_main(
-            ["scenario", "run", "syn-migratory", "--scale", "testing",
+            ["run", "syn-migratory", "--scale", "testing",
              "--trace-out", str(trace)]
         )
         == 0
