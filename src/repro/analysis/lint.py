@@ -22,10 +22,10 @@ HYP006   direct ``print()`` in library code (``repro/`` outside the CLI and
          the report renderers) — user-facing output goes through
          :mod:`repro.util.logging` or the designated stdout surfaces
 HYP007   a per-element ``ctx.get``/``ctx.put`` loop in scenario code
-         (``repro/scenarios/``) — homogeneous access runs go through the
-         bulk primitives (``ctx.get_run``/``ctx.put_run``) or the
-         pre-grouped ``*_run`` script ops; the batching entry point itself
-         is exempt by name
+         (``repro/scenarios/``) — accesses are emitted as script ops
+         (pre-grouped ``*_run`` ops for runs), which the interpreter
+         replays a segment per memory call; the per-op spec of that
+         replay is exempt by name
 =======  ==================================================================
 
 The linter is self-contained stdlib ``ast`` — no third-party dependency —
@@ -106,18 +106,18 @@ HYP006_EXEMPT_SUFFIXES = (
 )
 
 #: path fragments HYP007 polices: the scenario layer, whose interpreter owns
-#: the batched replay primitives (the rest of the tree accesses memory
-#: through its own layered entry points)
+#: segment replay (the rest of the tree accesses memory through its own
+#: layered entry points)
 HYP007_PATH_FRAGMENTS = ("repro/scenarios/",)
 
 #: per-access context calls HYP007 looks for inside loops
 HYP007_ACCESS_METHODS = frozenset({"get", "put", "aget", "aput"})
 
-#: functions exempt from HYP007 — the calibrated list of loops that *are*
-#: the batching machinery (dispatching compiled steps, not per-element ops)
+#: functions exempt from HYP007 — the calibrated list of loops that are
+#: per-element on purpose
 HYP007_EXEMPT_FUNCTIONS = frozenset(
     {
-        "replay_thread",  # the interpreter: its loop dispatches coalesced steps
+        "_replay_ops",  # the per-op spec segment replay is pinned against
     }
 )
 
@@ -380,11 +380,10 @@ class _Linter(ast.NodeVisitor):
                     node,
                     "HYP007",
                     f"per-element ctx.{node.func.attr}() inside a loop in "
-                    "scenario code — replay homogeneous runs through "
-                    "ctx.get_run()/ctx.put_run() (or emit pre-grouped "
-                    "*_run script ops) so the batched fast path applies; "
-                    "exempt deliberate per-element loops in "
-                    "repro.analysis.lint",
+                    "scenario code — emit the accesses as script ops "
+                    "(pre-grouped *_run ops for runs) so the interpreter "
+                    "replays each segment in one memory call; exempt "
+                    "deliberate per-element loops in repro.analysis.lint",
                 )
                 return
             stack.extend(ast.iter_child_nodes(node))

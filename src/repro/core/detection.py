@@ -105,7 +105,8 @@ class DetectionStrategy:
 
         The memory subsystem charges resident accesses inline: open-coded
         in its scalar ``get``/``put`` hot paths, through one range block
-        (``_fused_range_charges``) and one run method (``_charge_run``).
+        (``_fused_range_charges``) and in script segments
+        (``replay_segment``).
         Under the ``"hybrid"`` plan it charges the check only while a
         touched page is unpromoted and then calls
         :meth:`HybridDetection._observe`, exactly as ``detect_access``

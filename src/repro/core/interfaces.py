@@ -47,5 +47,8 @@ class SharedEntity(Protocol):
     def main_write_range(self, lo: int, hi: int, values: Sequence) -> None:
         """Write slots [lo, hi) of the reference copy."""
 
+    def main_write_slots(self, slots: Sequence[int], values: Sequence) -> None:
+        """Write ``values[k]`` to slot ``slots[k]`` of the reference copy."""
+
     def snapshot(self) -> Any:
         """Return a deep copy of the payload suitable for node-local caching."""

@@ -21,7 +21,7 @@ device of the simulator, not a semantic change).  Detection of remote objects
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,38 @@ from repro.core.interfaces import SharedEntity
 from repro.core.protocol import ConsistencyProtocol
 from repro.core.stats import RunStats
 from repro.dsm.page_manager import PageManager
+
+#: the step tags of :meth:`MemorySubsystem.replay_segment` (the access ops
+#: of the scenario script IR)
+GET, PUT, GET_RUN, PUT_RUN, COMPUTE = "get", "put", "get_run", "put_run", "compute"
+
+
+def _repeat(pending: float, count: int, amounts: tuple) -> float:
+    """*pending* plus the two or four *amounts* in order, *count* times over."""
+    if len(amounts) == 2:
+        base, check = amounts
+        for _ in range(count):
+            pending += base
+            pending += check
+    else:
+        base, check, extra_base, extra_check = amounts
+        for _ in range(count):
+            pending += base
+            pending += check
+            pending += extra_base
+            pending += extra_check
+    return pending
+
+
+def _fold(pending: float, steps: np.ndarray) -> float:
+    """*pending* plus ``steps[1:]`` added one at a time, in order.
+
+    ``steps[0]`` is overwritten with *pending*.  ``np.add.accumulate`` is
+    sequential (a reduction would sum pairwise), so the result is bit-equal
+    to charging each amount in turn; a zero amount leaves the sum unchanged.
+    """
+    steps[0] = pending
+    return float(np.add.accumulate(steps)[-1])
 
 
 class MemorySubsystem:
@@ -61,20 +93,19 @@ class MemorySubsystem:
         self._freq = cost_model.machine.frequency_hz
         self._base_cycles = cost_model.software.access_base_cycles
         self._detect = protocol.detect_access
-        # -- fused access fast path (the batched-replay substrate).  When
-        # the protocol can prove that charging a resident access inline is
-        # byte-identical to ``detect_access`` (a stock detection
-        # implementation — see ``access_fast_plan``), the scalar/range
-        # primitives below charge resident accesses inline and the run
-        # primitives price whole same-page runs at once (``_charge_run``).
-        # The hybrid plan checks only unpromoted pages and observes every
-        # fused access (``_observe``); a policy that observes writes gets
-        # its hook (``_note_write``) called after every fused write, and
-        # then multi-page spans, put runs and the block updater take the
-        # exact (or per-row) path, since a re-home can split an object's
-        # homes or land in the middle of a run.  Every miss, every unusual
-        # page and every disabled configuration falls back to the exact
-        # ``_detect`` path, byte for byte.
+        # -- fused access fast path.  When the protocol can prove that
+        # charging a resident access inline is byte-identical to
+        # ``detect_access`` (a stock detection implementation — see
+        # ``access_fast_plan``), the primitives below charge resident
+        # accesses inline and ``replay_segment`` prices a script segment at
+        # once.  The hybrid plan checks only unpromoted pages and observes
+        # every fused access (``_observe``); a policy that observes writes
+        # gets its hook (``_note_write``) called after every fused write,
+        # and then multi-page spans, segment writes and the block updater
+        # take the exact (or per-row) path, since a re-home can split an
+        # object's homes or land in the middle of a segment.  Every miss,
+        # every unusual page and every disabled configuration falls back to
+        # the exact ``_detect`` path, byte for byte.
         plan = self._fast_plan = protocol.access_fast_plan()
         self._note_write = protocol.write_observer() if plan is not None else None
         if plan == "hybrid":
@@ -175,45 +206,11 @@ class MemorySubsystem:
         """``get``: read one field/element of *obj* from *node*."""
         slot_size = obj.slot_size
         address = obj.address + index * slot_size
-        page_size = self._page_size
-        first = address // page_size
-        last = (address + slot_size - 1) // page_size
-        plan = self._fast_plan
-        if plan is not None and first == last:
-            # resident single-page access: the charges of the detect path
-            # below, in the same order.  This block and put's stay
-            # open-coded rather than calling _fused_range_charges: they run
-            # ~1.08M times per benchmark ``scenarios`` pass, and routing them
-            # through the helper measured 16.47 -> 16.07 cells/s there (won
-            # 1 of 10 A/B pairs)
-            rhome = self._home_by_page.get(first)
-            if rhome is not None and (
-                rhome == node or first in self._tables[node]._present
-            ):
-                try:
-                    ctx._pending_cpu += self._base_seconds
-                except AttributeError:
-                    ctx.charge_cpu(self._base_seconds)
-                stats = self._dsm_stats
-                stats.accesses += 1
-                if rhome != node:
-                    stats.remote_accesses += 1
-                if plan != "page_fault" and (
-                    plan != "hybrid" or first not in self._promoted[node]
-                ):
-                    stats.inline_checks += 1
-                    try:
-                        ctx._pending_cpu += self._check_seconds
-                    except AttributeError:
-                        ctx.charge_cpu(self._check_seconds)
-                if plan == "hybrid":
-                    self._observe(node, (first,), 1)
-                if obj.home_node == node:
-                    return obj.main_read(index)
-                return self._cache_entry(node, obj).read(index)
-        pages = (first,) if first == last else (first, last)
-        ctx.charge_cpu(self._base_cycles / self._freq)
-        self._detect(ctx, node, pages, 1, False)
+        first = address // self._page_size
+        last = (address + slot_size - 1) // self._page_size
+        if first != last or not self._fused_range_charges(ctx, node, first, first, 1, False):
+            ctx.charge_cpu(self._base_cycles / self._freq)
+            self._detect(ctx, node, (first,) if first == last else (first, last), 1, False)
         if obj.home_node == node:
             return obj.main_read(index)
         return self._cache_entry(node, obj).read(index)
@@ -228,45 +225,11 @@ class MemorySubsystem:
         """
         slot_size = obj.slot_size
         address = obj.address + index * slot_size
-        page_size = self._page_size
-        first = address // page_size
-        last = (address + slot_size - 1) // page_size
-        plan = self._fast_plan
-        if plan is not None and first == last:
-            # resident single-page access (see get)
-            rhome = self._home_by_page.get(first)
-            if rhome is not None and (
-                rhome == node or first in self._tables[node]._present
-            ):
-                try:
-                    ctx._pending_cpu += self._base_seconds
-                except AttributeError:
-                    ctx.charge_cpu(self._base_seconds)
-                stats = self._dsm_stats
-                stats.accesses += 1
-                if rhome != node:
-                    stats.remote_accesses += 1
-                if plan != "page_fault" and (
-                    plan != "hybrid" or first not in self._promoted[node]
-                ):
-                    stats.inline_checks += 1
-                    try:
-                        ctx._pending_cpu += self._check_seconds
-                    except AttributeError:
-                        ctx.charge_cpu(self._check_seconds)
-                if plan == "hybrid":
-                    self._observe(node, (first,), 1)
-                note = self._note_write
-                if note is not None:
-                    note(ctx, node, (first,))
-                if obj.home_node == node:
-                    obj.main_write(index, value)
-                    return
-                self._cache_entry(node, obj).write(index, value)
-                return
-        pages = (first,) if first == last else (first, last)
-        ctx.charge_cpu(self._base_cycles / self._freq)
-        self._detect(ctx, node, pages, 1, True)
+        first = address // self._page_size
+        last = (address + slot_size - 1) // self._page_size
+        if first != last or not self._fused_range_charges(ctx, node, first, first, 1, True):
+            ctx.charge_cpu(self._base_cycles / self._freq)
+            self._detect(ctx, node, (first,) if first == last else (first, last), 1, True)
         if obj.home_node == node:
             obj.main_write(index, value)
             return
@@ -284,10 +247,10 @@ class MemorySubsystem:
     ) -> bool:
         """Charge *count* accesses to the resident pages [first, last] inline.
 
-        The one copy of the range charge block: ``get_range``,
-        ``put_range`` and ``account_accesses`` call it (the block path of
-        :meth:`make_range_updater` evaluates the same expressions once per
-        block).  A *write* then reaches the policy's write hook,
+        The one copy of the range charge block: ``get``, ``put``,
+        ``get_range``, ``put_range`` and ``account_accesses`` call it (the
+        block path of :meth:`make_range_updater` evaluates the same
+        expressions once per block, and ``replay_segment`` for a segment).  A *write* then reaches the policy's write hook,
         before the caller moves any data.  Returns False — with nothing
         charged — whenever the exact ``_detect`` path must run instead: no
         plan, unregistered page, any page of [first, last] not readable
@@ -483,7 +446,7 @@ class MemorySubsystem:
         return count, 0
 
     def _charge_template(self, accesses, checks, row_seconds: float) -> np.ndarray:
-        """The charges of a block of rows, laid out for :meth:`_fold`.
+        """The charges of a block of rows, laid out for :func:`_fold`.
 
         *accesses* and *checks* are (rows, calls) arrays: each range call
         of a row in order, as :meth:`_block_access` counts it.  Returns
@@ -500,17 +463,6 @@ class MemorySubsystem:
         grid[:, 1:-1:2] = (self._check_cycles * checks) / self._freq
         grid[:, -1] = row_seconds
         return steps
-
-    @staticmethod
-    def _fold(ctx: AccessContext, steps: np.ndarray) -> None:
-        """Add ``steps[1:]`` to the pending CPU time one at a time, in order.
-
-        ``np.add.accumulate`` is sequential (a reduction would sum
-        pairwise), so the result is bit-equal to charging each amount in
-        turn; a zero amount leaves the sum unchanged.
-        """
-        steps[0] = ctx._pending_cpu
-        ctx._pending_cpu = float(np.add.accumulate(steps)[-1])
 
     def make_range_updater(
         self,
@@ -550,7 +502,7 @@ class MemorySubsystem:
         both), and must not modify its arguments.
 
         Both block paths fold every charge into ``ctx._pending_cpu`` in the
-        per-row order (:meth:`_fold`).  They need a fixed-home plan
+        per-row order (:func:`_fold`).  They need a fixed-home plan
         (``inline_check``, ``hoisted`` or ``page_fault``, no write
         observer), rows that are consecutive rows of one heap matrix
         (``matrix``/``matrix_row``; *into* of another) and a context with
@@ -648,7 +600,7 @@ class MemorySubsystem:
             grid[visits < 2, 2:4] = 0.0
             # unsafe casting, as put_range's slice assignment casts
             np.copyto(block, new, casting="unsafe", where=(visits == 2)[:, None])
-            self._fold(ctx, steps)
+            ctx._pending_cpu = _fold(ctx._pending_cpu, steps)
             stats.accesses += count * int(visits.sum()) + extra_accesses * visited
             if eremote:
                 stats.remote_accesses += extra * visited
@@ -750,7 +702,6 @@ class MemorySubsystem:
             segments.append((j, run))
             j = stop
         stats = self._dsm_stats
-        fold = self._fold
 
         def update(transform):
             if self._fast_plan is None:
@@ -762,210 +713,239 @@ class MemorySubsystem:
                 steps, views, out, accesses, checks = run
                 # unsafe casting, as put_range's slice assignment casts
                 np.copyto(out, transform(*views), casting="unsafe")
-                fold(ctx, steps)
+                ctx._pending_cpu = _fold(ctx._pending_cpu, steps)
                 stats.accesses += accesses
                 stats.inline_checks += checks
 
         return update
 
-    # -- batched runs (the replay interpreter's bulk primitives) --------------
-    def _page_runs(self, obj: SharedEntity, slots: Sequence[int]):
-        """Split *slots* of *obj* into maximal runs on one page.
+    # -- script segments (the replay interpreter's one call per segment) ------
+    def replays_segments(self) -> bool:
+        """True when :meth:`replay_segment` may run: there is a fast plan.
 
-        Yields ``(i, j, page)`` for each run ``slots[i:j]`` of one-page
-        slots on *page*; a slot straddling a page boundary comes alone,
-        with *page* None.
+        Without one (the sanitizer, :func:`reference_detection`) every
+        access must reach the exact entry points, so scripts replay op by op.
         """
-        slot_size = obj.slot_size
-        page_size = self._page_size
-        base_addr = obj.address
-        i = 0
-        n = len(slots)
-        while i < n:
-            address = base_addr + slots[i] * slot_size
-            page = address // page_size
-            if (address + slot_size - 1) // page_size != page:
-                yield i, i + 1, None
-                i += 1
-                continue
-            j = i + 1
-            while j < n:
-                a = base_addr + slots[j] * slot_size
-                if a // page_size != page or (a + slot_size - 1) // page_size != page:
-                    break
-                j += 1
-            yield i, j, page
-            i = j
+        return self._fast_plan is not None
 
-    def _charge_run(
-        self, ctx: AccessContext, node: int, page: int, n: int, extra: int, write: bool
-    ) -> bool:
-        """Charge a run of *n* one-slot accesses to the resident *page*.
+    def replay_segment(
+        self,
+        ctx: AccessContext,
+        node: int,
+        entities: Sequence[SharedEntity],
+        steps: Sequence[tuple],
+        extra: int = 0,
+        compute_seconds: Mapping[float, float] | None = None,
+    ) -> None:
+        """Replay *steps*, accesses and computes with no sync between them.
 
-        Equivalent to *n* scalar ``get``/``put`` accesses, each followed,
-        when *extra* is non-zero, by its ``account_accesses(count=extra)``
-        on the same slot.  The floats are added per element in that scalar
-        order (base, then check; extra base, then extra check), so the
-        pending time is bit-identical; integer counters commute and are
-        added once.  Returns False, with nothing charged, when the exact
-        path must run: no plan, a write while homes can move, *page* not
-        readable from *node*, or a context without ``_pending_cpu``.
+        Steps are ``(GET, o, slot)``, ``(PUT, o, slot, value)``,
+        ``(GET_RUN, o, slots)``, ``(PUT_RUN, o, slots, values)`` on
+        ``entities[o]`` (run slots a tuple, or a ``range`` when contiguous
+        and ascending) and ``(COMPUTE, cycles)``.  The spec is the per-op
+        sequence: for each access :meth:`get` or :meth:`put`, then
+        ``account_accesses(count=extra)`` on its slot when *extra* is
+        non-zero; for each compute, ``compute_seconds[cycles]`` of CPU.
+        Read values are discarded.  *ctx* keeps its pending CPU time in
+        ``_pending_cpu``.
+
+        Nothing yields within a segment, so only this thread acts on the
+        memory and residency only grows.  The first access to a page that
+        is not resident, a slot straddling two pages and, while homes can
+        move, every write run the spec's calls at their position
+        (:meth:`_exact_access`); the accesses after them read their page's
+        home afresh.  The others are charged here in the per-op order.
+        Outside the hybrid plan each adds the same base, check, extra base
+        and extra check, so consecutive ones are only counted until a
+        compute, an exact call or the end folds them (:func:`_repeat`);
+        under it, :meth:`_hybrid_charges` charges a page's accesses of one
+        step.  Counters are added once; a run is written with one write of
+        its last value per slot.
         """
         plan = self._fast_plan
-        if plan is None or (write and self._note_write is not None):
-            return False
-        rhome = self._home_by_page.get(page)
-        if rhome is None:
-            return False
-        remote = rhome != node
-        if remote and page not in self._tables[node]._present:
-            return False
-        try:
-            pending = ctx._pending_cpu
-        except AttributeError:
-            return False
-        base = self._base_seconds
-        extra_base = (self._base_cycles * extra) / self._freq
-        check = self._check_seconds
-        extra_check = (self._check_cycles * extra) / self._freq
-        total = n + n * extra
-        if plan == "hybrid":
-            # replay the per-page state element by element: each access
-            # (and each extra accounting access) pays the check while the
-            # page is unpromoted, then adds to the density, promoting at
-            # the threshold — the order ``_observe`` applies after a
-            # scalar access.  Density and promotion are written back once.
-            hybrid = self._hybrid
-            density = hybrid._density[node]
-            promoted = self._promoted[node]
-            seen = density.get(page, 0)
-            dense = page in promoted
-            threshold = hybrid.DENSITY_THRESHOLD
-            checks = 0
-            for _ in range(n):
-                pending += base
+        if plan is None:
+            raise RuntimeError("replay_segment needs a fast plan")
+        if len(steps) == 1 and steps[0][0] == COMPUTE:
+            # the think time between two critical sections needs no access state
+            ctx._pending_cpu += compute_seconds[steps[0][1]]
+            return
+        page_size = self._page_size
+        home_of = self._home_by_page.get
+        present = self._tables[node]._present
+        # a +0.0 check under page_fault leaves the sum bit-unchanged
+        check = 0.0 if plan == "page_fault" else self._check_seconds
+        amounts = (self._base_seconds, check)
+        if extra:  # then the charges of account_accesses(count=extra) on one page
+            amounts += (
+                (self._base_cycles * extra) / self._freq,
+                check if plan != "inline_check" and plan != "hybrid"  # hoisted: one per call
+                else (self._check_cycles * extra) / self._freq,
+            )
+        hybrid = plan == "hybrid"
+        observed = self._note_write is not None
+        pending = ctx._pending_cpu
+        run = 0  # resident accesses not yet charged (all plans but hybrid)
+        hits = remote_hits = hybrid_checks = 0
+        objects: dict[int, tuple] = {}
+        for step in steps:
+            tag = step[0]
+            if tag == COMPUTE:
+                if run:
+                    pending = _repeat(pending, run, amounts)
+                    run = 0
+                pending += compute_seconds[step[1]]
+                continue
+            o = step[1]
+            info = objects.get(o)
+            if info is None:
+                entity = entities[o]
+                address, slot_size = entity.address, entity.slot_size
+                # puts go to the home copy, or to the node's cached copy
+                entry = None if entity.home_node == node else self._cache_entry(node, entity)
+                info = objects[o] = (
+                    entity,
+                    address,
+                    slot_size,
+                    address % slot_size == 0 and page_size % slot_size == 0,  # no slot straddles
+                    *((entity.main_write, entity.main_write_slots) if entry is None
+                      else (entry.write, entry.write_slots)),
+                )
+            entity, address, slot_size, aligned, write_one, write_many = info
+            write = tag == PUT or tag == PUT_RUN
+            if write and observed:  # a write may re-home its page: put tells the policy
+                for slot, value in zip(*(((step[2],), (step[3],)) if tag == PUT else step[2:])):
+                    pending = self._exact_access(
+                        ctx, node, entity, slot, True, value, extra, _repeat(pending, run, amounts)
+                    )
+                    run = 0
+                continue
+            if tag == GET or tag == PUT:
+                slot = step[2]
+                start = address + slot * slot_size
+                page = start // page_size
+                rhome = home_of(page)
+                if (
+                    rhome is None
+                    or (rhome != node and page not in present)
+                    or (not aligned and (start + slot_size - 1) // page_size != page)
+                ):
+                    pending = self._exact_access(
+                        ctx, node, entity, slot, write, step[3] if write else None, extra,
+                        _repeat(pending, run, amounts),
+                    )
+                    run = 0
+                    continue
+                hits += 1
+                if rhome != node:
+                    remote_hits += 1
+                if hybrid:
+                    pending, checks = self._hybrid_charges(pending, node, page, 1, extra, amounts)
+                    hybrid_checks += checks
+                else:
+                    run += 1
+                if write:
+                    write_one(slot, step[3])
+                continue
+            # a run: its slots on one page at a time
+            slots = step[2]
+            contiguous = aligned and slots.__class__ is range
+            count = len(slots)
+            k = 0
+            while k < count:
+                slot = slots[k]
+                start = address + slot * slot_size
+                page = start // page_size
+                # the run's accesses on this page: up to the page's end if
+                # the slots are contiguous, else this one
+                n = min(count - k, ((page + 1) * page_size - start) // slot_size) if contiguous else 1
+                rhome = home_of(page)
+                if (
+                    rhome is None
+                    or (rhome != node and page not in present)
+                    or (not aligned and (start + slot_size - 1) // page_size != page)
+                ):
+                    pending = self._exact_access(
+                        ctx, node, entity, slot, write, step[3][k] if write else None, extra,
+                        _repeat(pending, run, amounts),
+                    )
+                    run = 0
+                    k += 1
+                    n -= 1  # the page is resident from here on
+                k += n
+                hits += n
+                if rhome != node:
+                    remote_hits += n
+                if not hybrid:
+                    run += n
+                elif n:
+                    pending, checks = self._hybrid_charges(pending, node, page, n, extra, amounts)
+                    hybrid_checks += checks
+            if write:
+                last = dict(zip(slots, step[3]))
+                write_many(list(last), list(last.values()))
+        ctx._pending_cpu = _repeat(pending, run, amounts) if run else pending
+        stats = self._dsm_stats
+        stats.accesses += hits * (1 + extra)
+        stats.remote_accesses += remote_hits * (1 + extra)
+        plan_checks = {"inline_check": 1 + extra, "hoisted": 2 if extra else 1}.get(plan, 0)
+        stats.inline_checks += hybrid_checks if hybrid else hits * plan_checks
+
+    def _hybrid_charges(
+        self, pending: float, node: int, page: int, n: int, extra: int, amounts: tuple
+    ) -> tuple[float, int]:
+        """Charge *n* resident accesses to *page* under the hybrid plan.
+
+        Each access, then its *extra* accounting, pays the check while the
+        page is unpromoted and adds to its density, promoting it at the
+        threshold, as ``_observe`` does after each access.  Returns the
+        pending time and the checks paid.
+        """
+        hybrid = self._hybrid
+        density = hybrid._density[node]
+        promoted = self._promoted[node]
+        threshold = hybrid.DENSITY_THRESHOLD
+        seen = density.get(page, 0)
+        dense = page in promoted
+        base, check = amounts[0], amounts[1]
+        checks = 0
+        for _ in range(n):
+            pending += base
+            if not dense:
+                pending += check
+                checks += 1
+            seen += 1
+            if seen >= threshold:
+                dense = True
+            if extra:
+                pending += amounts[2]
                 if not dense:
-                    pending += check
-                    checks += 1
-                seen += 1
+                    pending += amounts[3]
+                    checks += extra
+                seen += extra
                 if seen >= threshold:
                     dense = True
-                if extra:
-                    pending += extra_base
-                    if not dense:
-                        pending += extra_check
-                        checks += extra
-                    seen += extra
-                    if seen >= threshold:
-                        dense = True
-            density[page] = seen
-            if dense:
-                promoted.add(page)
-        else:
-            # a +0.0 check under page_fault leaves the sum bit-unchanged;
-            # a hoisted check is paid once per call, extra calls included
-            if plan == "page_fault":
-                check = extra_check = 0.0
-                checks = 0
-            elif plan == "hoisted":
-                extra_check = check
-                checks = 2 * n if extra else n
-            else:
-                checks = total
-            if extra:
-                for _ in range(n):
-                    pending += base
-                    pending += check
-                    pending += extra_base
-                    pending += extra_check
-            else:
-                for _ in range(n):
-                    pending += base
-                    pending += check
+        density[page] = seen
+        if dense:
+            promoted.add(page)
+        return pending, checks
+
+    def _exact_access(
+        self, ctx: AccessContext, node: int, obj: SharedEntity, slot: int, write: bool,
+        value, extra: int, pending: float,
+    ) -> float:
+        """One scripted access through the spec's own entry points.
+
+        *pending* is the segment's pending CPU time so far; returns it
+        after the access.
+        """
         ctx._pending_cpu = pending
-        stats = self._dsm_stats
-        stats.accesses += total
-        if remote:
-            stats.remote_accesses += total
-        stats.inline_checks += checks
-        return True
-
-    def get_run(
-        self,
-        ctx: AccessContext,
-        node: int,
-        obj: SharedEntity,
-        slots: Sequence[int],
-        extra: int = 0,
-    ) -> None:
-        """A run of scalar ``get``\\ s on *obj*, one per entry of *slots*.
-
-        Semantically identical — charge for charge, counter for counter —
-        to calling :meth:`get` for each slot in order (each followed by an
-        ``account_accesses(count=extra)`` when *extra* is non-zero, the
-        workload's ``work_multiplier`` accounting).  Values are not
-        returned: this is the accounting/coherence primitive behind the
-        script interpreter, whose replayed reads are discarded anyway.
-        Runs of slots sharing one resident page are priced at once
-        (:meth:`_charge_run`); everything else — misses, page-straddling
-        slots, disabled fast paths — degrades to the per-element entry
-        points of this instance (so installed wrappers observe every
-        access).
-        """
-        get = self.get
-        account = self.account_accesses
-        charge_run = self._charge_run
-        for i, j, page in self._page_runs(obj, slots):
-            while i < j and (
-                page is None or not charge_run(ctx, node, page, j - i, extra, False)
-            ):
-                # one exact access (fetching the page), then re-batch the rest
-                slot = slots[i]
-                get(ctx, node, obj, slot)
-                if extra:
-                    account(ctx, node, obj, extra, lo=slot, hi=slot + 1, write=False)
-                i += 1
-
-    def put_run(
-        self,
-        ctx: AccessContext,
-        node: int,
-        obj: SharedEntity,
-        slots: Sequence[int],
-        values: Sequence,
-        extra: int = 0,
-    ) -> None:
-        """A run of scalar ``put``\\ s: ``put(slots[k], values[k])`` for all k.
-
-        Batched twin of :meth:`get_run` for writes (the extra accounting
-        accesses are written-flagged, matching the unbatched interpreter).
-        Unlike reads, the data movement is not elidable: every element is
-        written to the home copy or recorded dirty in the node cache, so
-        monitor-exit flushes carry identical bytes.  While homes can move,
-        a re-home may land mid-run, so every element goes through
-        :meth:`put`.
-        """
-        if len(values) != len(slots):
-            raise ValueError(
-                f"put_run of {len(slots)} slots received {len(values)} values"
-            )
-        put = self.put
-        account = self.account_accesses
-        charge_run = self._charge_run
-        write = obj.main_write if obj.home_node == node else None
-        for i, j, page in self._page_runs(obj, slots):
-            while i < j and (
-                page is None or not charge_run(ctx, node, page, j - i, extra, True)
-            ):
-                slot = slots[i]
-                put(ctx, node, obj, slot, values[i])
-                if extra:
-                    account(ctx, node, obj, extra, lo=slot, hi=slot + 1, write=True)
-                i += 1
-            if i < j and write is None:
-                write = self._cache_entry(node, obj).write
-            for k in range(i, j):
-                write(slots[k], values[k])
+        if write:
+            self.put(ctx, node, obj, slot, value)
+        else:
+            self.get(ctx, node, obj, slot)
+        if extra:
+            self.account_accesses(ctx, node, obj, extra, lo=slot, hi=slot + 1, write=write)
+        return ctx._pending_cpu
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -893,7 +893,10 @@ def cmd_grid(args) -> int:
         .workload(args.scale)
     )
     if args.nodes:
-        matrix = matrix.nodes(*_comma_list(args.nodes, "--nodes", int))
+        node_counts = _comma_list(args.nodes, "--nodes", int)
+        if min(node_counts) < 1:
+            raise CliError(f"--nodes must be positive integers, got {args.nodes!r}")
+        matrix = matrix.nodes(*node_counts)
     job = _session(args).job(
         matrix,
         checkpoint_dir=args.checkpoint_dir,

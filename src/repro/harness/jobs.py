@@ -235,6 +235,20 @@ def _with_payloads(
     ]
 
 
+def _pool_context():
+    """How shard worker processes start: never by a plain ``fork``.
+
+    A job may run inside ``serve``, whose handler and sweep threads keep
+    running while the pool starts; a forked child would inherit their held
+    locks.  ``forkserver`` forks from a clean single-threaded process;
+    ``spawn`` stands in where the platform lacks it.
+    """
+    import multiprocessing
+
+    method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+    return multiprocessing.get_context(method)
+
+
 def _run_shard_payloads(
     shard_index: int,
     specs: list[ExperimentSpec],
@@ -542,7 +556,7 @@ class SweepJob:
             from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
             workers = min(self.jobs, len(pending))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
                 queue = list(pending)
                 in_flight = set()
                 while queue or in_flight:

@@ -123,6 +123,12 @@ class JavaObject:
             raise ValueError("value count does not match the slot range")
         self._data[lo:hi] = values
 
+    def main_write_slots(self, slots: Sequence[int], values: Sequence) -> None:
+        """Write ``values[k]`` to field slot ``slots[k]`` (distinct slots)."""
+        data = self._data
+        for slot, value in zip(slots, values):
+            data[slot] = value
+
     def snapshot(self) -> list:
         """Deep copy of the field payload for node-local caching."""
         return list(self._data)
@@ -212,6 +218,14 @@ class JavaArray:
     def main_write_range(self, lo: int, hi: int, values: Sequence) -> None:
         """Write elements [lo, hi) of the reference copy."""
         self._data[lo:hi] = values
+
+    def main_write_slots(self, slots: Sequence[int], values: Sequence) -> None:
+        """Write ``values[k]`` to element ``slots[k]`` (distinct slots).
+
+        The values are converted element by element, as :meth:`main_write`
+        converts one.
+        """
+        self._data[slots] = np.array(values, dtype=self._data.dtype)
 
     def snapshot(self) -> np.ndarray:
         """Deep copy of the element payload for node-local caching."""

@@ -20,7 +20,7 @@ paper's "future work" ablation (A3) explores.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Sequence
+from collections.abc import Callable, Generator, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -345,14 +345,20 @@ class JavaThreadContext(AccessContext):
             self, self._marcel.node_id, arrays, lo, hi, extra, row_seconds, into
         )
 
-    def get_run(self, obj, slots: Sequence[int], extra: int = 0) -> None:
-        """A run of scalar ``get``\\ s (accounting only; see memory.get_run)."""
-        self._memory.get_run(self, self._marcel.node_id, obj, slots, extra=extra)
+    def replay_segment(
+        self,
+        entities: Sequence,
+        steps: Sequence[tuple],
+        extra: int = 0,
+        compute_seconds: Mapping[float, float] | None = None,
+    ) -> None:
+        """Replay a sync-free stretch of script steps in one memory call.
 
-    def put_run(self, obj, slots: Sequence[int], values: Sequence, extra: int = 0) -> None:
-        """A run of scalar ``put``\\ s: ``put(slots[k], values[k])`` for all k."""
-        self._memory.put_run(
-            self, self._marcel.node_id, obj, slots, values, extra=extra
+        See ``memory.replay_segment``; *compute_seconds* maps each compute
+        step's cycles to the :meth:`compute_seconds` it charges.
+        """
+        self._memory.replay_segment(
+            self, self._marcel.node_id, entities, steps, extra, compute_seconds
         )
 
     def load(self, obj) -> None:

@@ -439,11 +439,11 @@ def generate_uniform(
 class StreamingWorkload(ScenarioWorkload):
     """Sequential whole-array scans: long homogeneous access runs.
 
-    The batched-replay stress case: each thread streams through page-aligned
+    The long-run stress case: each thread streams through page-aligned
     arrays chunk by chunk with *no* per-element compute, so scripts are
     dominated by maximal ``get``/``put`` runs.  The generator emits the runs
-    pre-grouped (``get_run``/``put_run`` ops), exercising the bulk context
-    primitives directly rather than relying on interpreter coalescing.
+    pre-grouped (``get_run``/``put_run`` ops), which segment replay prices
+    a page at a time.
     """
 
     #: slots of each per-node streamed array

@@ -5,8 +5,8 @@ seeded **access script**: a declared object layout plus one compact
 operation sequence per thread.  The generators in
 :mod:`repro.scenarios.patterns` emit scripts; the interpreter here replays
 them through the Hyperion runtime exactly like a translated Java program —
-every ``get``/``put`` goes through the Table 2 memory primitives (and
-therefore through the configured consistency protocol), monitors and
+every ``get``/``put`` is charged as the Table 2 memory primitives charge it
+(and therefore by the configured consistency protocol), monitors and
 barriers carry their usual Java-consistency side effects.
 
 Operations are plain tuples, keyed by their first element:
@@ -14,7 +14,7 @@ Operations are plain tuples, keyed by their first element:
 ==========================  =================================================
 ``("get", o, s)``            read slot *s* of layout object *o*
 ``("put", o, s, v)``         write value *v* to slot *s* of layout object *o*
-``("get_run", o, ss)``       read each slot of tuple *ss* in order (batched)
+``("get_run", o, ss)``       read each slot of tuple *ss* in order
 ``("put_run", o, ss, vs)``   write ``vs[k]`` to slot ``ss[k]`` in order
 ``("lock", o)``              enter the monitor of layout object *o*
 ``("unlock", o)``            exit the monitor of layout object *o*
@@ -23,13 +23,13 @@ Operations are plain tuples, keyed by their first element:
 ==========================  =================================================
 
 The two ``*_run`` forms are pre-grouped run-length encodings of adjacent
-scalar accesses to one object: semantically identical to the equivalent
-``get``/``put`` sequence (the determinism suite pins this), but replayed
-through the bulk context primitives so the interpreter doesn't pay the
-per-element dispatch.  The interpreter also discovers such runs on the fly
-(:func:`coalesce_ops`), so generators may emit either form; batches always
-end at ``lock``/``unlock``/``barrier``/``compute`` boundaries because runs
-only span *adjacent* accesses to a single object.
+scalar accesses to one object, semantically identical to the equivalent
+``get``/``put`` sequence.  Nothing yields between two synchronisation ops
+(``lock``/``unlock``/``barrier``), so the interpreter replays each stretch
+between them, a *segment*, with one memory call
+(:meth:`~repro.core.memory.MemorySubsystem.replay_segment`); the per-op
+replay stays as the spec, and runs wherever the memory layer must see each
+access.  The generated differential suite pins the two against each other.
 
 Keeping the IR this small is deliberate: a script is pure data (hashable
 tuples of tuples), so the same seed always produces the same script, and a
@@ -41,17 +41,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Generator, Sequence
 
+from repro.core.memory import COMPUTE as OP_COMPUTE
+from repro.core.memory import GET as OP_GET
+from repro.core.memory import GET_RUN as OP_GET_RUN
+from repro.core.memory import PUT as OP_PUT
+from repro.core.memory import PUT_RUN as OP_PUT_RUN
 from repro.util.validation import check_non_negative
 
-#: operation tags understood by the interpreter
-OP_GET = "get"
-OP_PUT = "put"
-OP_GET_RUN = "get_run"
-OP_PUT_RUN = "put_run"
+#: operation tags understood by the interpreter: the memory layer's access
+#: steps, plus the synchronisation ops that end a segment
 OP_LOCK = "lock"
 OP_UNLOCK = "unlock"
 OP_BARRIER = "barrier"
-OP_COMPUTE = "compute"
 
 #: tag -> expected tuple arity (including the tag itself)
 _OP_ARITY: dict[str, int] = {
@@ -64,6 +65,9 @@ _OP_ARITY: dict[str, int] = {
     OP_BARRIER: 1,
     OP_COMPUTE: 2,
 }
+
+#: the ops that end a segment
+_SYNC_TAGS = frozenset({OP_LOCK, OP_UNLOCK, OP_BARRIER})
 
 #: one IR operation (see module docstring for the forms)
 Op = tuple
@@ -302,11 +306,11 @@ class ScriptBuilder:
         self._ops[thread].append((OP_PUT, obj, slot, value))
 
     def get_run(self, thread: int, obj: int, slots: Sequence[int]) -> None:
-        """Append one pre-grouped batched read of *slots* (in order)."""
+        """Append one pre-grouped read of *slots* (in order)."""
         self._ops[thread].append((OP_GET_RUN, obj, tuple(slots)))
 
     def put_run(self, thread: int, obj: int, slots: Sequence[int], values: Sequence) -> None:
-        """Append one pre-grouped batched write of *values* to *slots*."""
+        """Append one pre-grouped write of *values* to *slots*."""
         self._ops[thread].append((OP_PUT_RUN, obj, tuple(slots), tuple(values)))
 
     def lock(self, thread: int, obj: int) -> None:
@@ -363,61 +367,83 @@ def materialise_layout(ctx, script: AccessScript) -> list:
     return entities
 
 
-def coalesce_ops(ops: Sequence[Op]) -> tuple[tuple[Op, int], ...]:
-    """Group adjacent homogeneous scalar accesses into run steps.
+def _run_step(op: Op) -> Op:
+    """A run op as a segment step: contiguous ascending slots as a range."""
+    slots = op[2]
+    span = range(slots[0], slots[0] + len(slots))
+    return (op[0], op[1], span) + op[3:] if slots == tuple(span) else op
 
-    Returns ``(op, nops)`` pairs: a discovered run of *k* adjacent scalar
-    ``get``/``put`` ops on one object becomes a single ``get_run``/``put_run``
-    step with ``nops == k`` (each scalar op still counts as executed); every
-    other op — including pre-grouped run ops, which count as one op — passes
-    through with ``nops == 1``.  Synchronisation and compute ops are never
-    merged over, so a batch always flushes at ``lock``/``unlock``/``barrier``
-    boundaries.
+
+def compile_thread(ops: Sequence[Op]) -> tuple[tuple, tuple[float, ...]]:
+    """Split one thread's ops into segments for :func:`replay_thread`.
+
+    Returns ``(items, cycles)``.  *items* pairs each segment, the steps of
+    the ops before a ``lock``/``unlock``/``barrier`` (None when there are
+    none), with that sync op (None after the last segment); a run whose
+    slots are contiguous and ascending carries them as a ``range``, which
+    :meth:`~repro.core.memory.MemorySubsystem.replay_segment` splits into
+    pages arithmetically.  *cycles* are the distinct cycle counts of the
+    thread's ``compute`` ops.
     """
-    steps: list[tuple[Op, int]] = []
-    i = 0
-    n = len(ops)
-    while i < n:
-        op = ops[i]
+    items = []
+    steps: list[Op] = []
+    for op in ops:
         tag = op[0]
-        if tag == OP_GET or tag == OP_PUT:
-            obj = op[1]
-            j = i + 1
-            while j < n and ops[j][0] == tag and ops[j][1] == obj:
-                j += 1
-            if j - i > 1:
-                slots = tuple(ops[k][2] for k in range(i, j))
-                if tag == OP_GET:
-                    steps.append(((OP_GET_RUN, obj, slots), j - i))
-                else:
-                    values = tuple(ops[k][3] for k in range(i, j))
-                    steps.append(((OP_PUT_RUN, obj, slots, values), j - i))
-                i = j
-                continue
-        steps.append((op, 1))
-        i += 1
-    return tuple(steps)
+        if tag in _SYNC_TAGS:
+            items.append((tuple(steps) if steps else None, op))
+            steps = []
+        else:
+            steps.append(_run_step(op) if tag == OP_GET_RUN or tag == OP_PUT_RUN else op)
+    if steps:
+        items.append((tuple(steps), None))
+    cycles = sorted({op[1] for op in ops if op[0] == OP_COMPUTE})
+    return tuple(items), tuple(cycles)
 
 
-#: the last replayed script and its threads' coalesced steps (None until
-#: a thread of it replays).  One entry: the cells of a sweep that share a
-#: script run back to back, and memoising every script would pin each one's
-#: steps for as long as the script cache holds it.  Concurrent replays of
-#: different scripts at worst coalesce again.
-_last_coalesced: tuple[AccessScript | None, list] = (None, [])
+#: the last replayed script and its threads' :func:`compile_thread` results
+#: (None until a thread of it replays).  One entry: the cells of a sweep that
+#: share a script run back to back, and keeping every cached script's
+#: segments would pin a second copy of its ops for as long as the script
+#: cache holds the script.  Concurrent replays of different scripts at worst
+#: compile again.
+_last_compiled: tuple[AccessScript | None, list] = (None, [])
 
 
-def _coalesced_steps(script: AccessScript, thread_index: int) -> tuple:
-    """``coalesce_ops`` of one thread of *script*, kept while it is the last."""
-    global _last_coalesced
-    last, steps = _last_coalesced
+def _compiled(script: AccessScript, thread_index: int) -> tuple:
+    """:func:`compile_thread` of one thread of *script*, kept while it is the last."""
+    global _last_compiled
+    last, threads = _last_compiled
     if last is not script:
-        steps = [None] * len(script.threads)
-        _last_coalesced = (script, steps)
-    thread_steps = steps[thread_index]
-    if thread_steps is None:
-        thread_steps = steps[thread_index] = coalesce_ops(script.threads[thread_index])
-    return thread_steps
+        threads = [None] * len(script.threads)
+        _last_compiled = (script, threads)
+    compiled = threads[thread_index]
+    if compiled is None:
+        compiled = threads[thread_index] = compile_thread(script.threads[thread_index])
+    return compiled
+
+
+def _replay_ops(ctx, ops: Sequence[Op], entities: Sequence, extra: int, work_multiplier: float) -> None:
+    """The per-op spec of a segment: every access through its own context call.
+
+    Each scripted access is one ``get``/``put`` followed, when *extra* is
+    non-zero, by ``account_accesses(count=extra)`` on its slot; a run op is
+    its accesses in order.
+    """
+    for op in ops:
+        tag = op[0]
+        if tag == OP_COMPUTE:
+            ctx.compute(cycles=op[1] * work_multiplier)
+            continue
+        entity = entities[op[1]]
+        run = tag == OP_GET_RUN or tag == OP_PUT_RUN
+        write = tag == OP_PUT or tag == OP_PUT_RUN
+        for k, slot in enumerate(op[2] if run else (op[2],)):
+            if write:
+                ctx.put(entity, slot, op[3][k] if run else op[3])
+            else:
+                ctx.get(entity, slot)
+            if extra:
+                ctx.account_accesses(entity, extra, lo=slot, hi=slot + 1, write=write)
 
 
 def replay_thread(
@@ -437,43 +463,30 @@ def replay_thread(
     a scaled-down script keeps the paper-scale check/fault balance without
     moving more data.  Returns the number of ops executed.
 
-    Adjacent scalar accesses to one object are coalesced up front
-    (:func:`coalesce_ops`, once per thread of the last replayed script) and
-    replayed through the bulk context primitives
-    ``get_run``/``put_run`` — including the per-access extra accounting, which
-    the memory layer interleaves exactly as the scalar path would.  The
-    result is pinned byte-identical to the unbatched replay by the
-    determinism suite.
+    The thread is compiled into segments once per script
+    (:func:`compile_thread`).  Each segment replays with one
+    ``ctx.replay_segment`` call when the memory layer allows it
+    (``replays_segments``), else op by op (:func:`_replay_ops`, the spec);
+    the differential suite pins the two byte-identical.
     """
     extra = max(0, int(round(work_multiplier)) - 1)
-    executed = 0
-    for op, nops in _coalesced_steps(script, thread_index):
-        tag = op[0]
-        if tag == OP_GET_RUN:
-            ctx.get_run(entities[op[1]], op[2], extra=extra)
-        elif tag == OP_PUT_RUN:
-            ctx.put_run(entities[op[1]], op[2], op[3], extra=extra)
-        elif tag == OP_GET:
-            ctx.get(entities[op[1]], op[2])
-            if extra:
-                ctx.account_accesses(
-                    entities[op[1]], extra, lo=op[2], hi=op[2] + 1, write=False
-                )
-        elif tag == OP_PUT:
-            ctx.put(entities[op[1]], op[2], op[3])
-            if extra:
-                ctx.account_accesses(
-                    entities[op[1]], extra, lo=op[2], hi=op[2] + 1, write=True
-                )
-        elif tag == OP_COMPUTE:
-            ctx.compute(cycles=op[1] * work_multiplier)
-        elif tag == OP_LOCK:
-            yield from ctx.monitor_enter(entities[op[1]])
+    items, cycles = _compiled(script, thread_index)
+    segmented = ctx.runtime.memory.replays_segments()
+    if segmented:
+        seconds = {c: ctx.compute_seconds(c * work_multiplier) for c in cycles}
+    for segment, sync in items:
+        if segment is not None:
+            if segmented:
+                ctx.replay_segment(entities, segment, extra, seconds)
+            else:
+                _replay_ops(ctx, segment, entities, extra, work_multiplier)
+        if sync is None:
+            break
+        tag = sync[0]
+        if tag == OP_LOCK:
+            yield from ctx.monitor_enter(entities[sync[1]])
         elif tag == OP_UNLOCK:
-            yield from ctx.monitor_exit(entities[op[1]])
-        elif tag == OP_BARRIER:
+            yield from ctx.monitor_exit(entities[sync[1]])
+        else:
             yield from ctx.barrier(barrier)
-        else:  # pragma: no cover - build() validates tags
-            raise ValueError(f"unknown op tag {tag!r}")
-        executed += nops
-    return executed
+    return len(script.threads[thread_index])

@@ -187,21 +187,24 @@ def test_hyp007_only_applies_to_scenario_modules():
     assert _codes(source, "repro/core/memory.py") == []
 
 
-def test_hyp007_exempts_the_batching_entry_point():
+def test_hyp007_exempts_the_per_op_spec():
     source = (
-        "def replay_thread(ctx, steps):\n"
+        "def _replay_ops(ctx, steps):\n"
         "    for op in steps:\n"
         "        ctx.get(op[0], op[1])\n"
     )
     assert _codes(source, "repro/scenarios/script.py") == []
+    assert _codes(source.replace("_replay_ops", "replay_thread"), "repro/scenarios/script.py") == [
+        "HYP007"
+    ]
 
 
-def test_hyp007_ignores_bulk_primitives_and_non_ctx_receivers():
+def test_hyp007_ignores_segment_replay_and_non_ctx_receivers():
     source = (
-        "def stream(ctx, builder, obj, runs):\n"
-        "    for slots in runs:\n"
-        "        ctx.get_run(obj, slots)\n"
-        "        builder.get(0, obj, slots[0])\n"
+        "def stream(ctx, builder, obj, segments):\n"
+        "    for steps in segments:\n"
+        "        ctx.replay_segment([obj], steps)\n"
+        "        builder.get(0, obj, 0)\n"
     )
     assert _codes(source, "repro/scenarios/custom.py") == []
 

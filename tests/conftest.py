@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.apps.workloads import WorkloadPreset
 from repro.cluster.presets import myrinet_cluster, sci_cluster
 from repro.hyperion.runtime import HyperionRuntime, RuntimeConfig
 from repro.simulation.engine import Engine
+
+#: ``pytest --hypothesis-profile=deep``: the generated differential suites at
+#: depth, as their own CI step (tier-1 keeps each to a few seconds)
+settings.register_profile("deep", max_examples=300, deadline=None)
 
 
 @pytest.fixture

@@ -102,3 +102,33 @@ def test_invalidate_requires_clean_cache():
     assert dropped == 1
     assert len(cache) == 0
     assert cache.invalidations == 1
+
+
+def test_flush_all_lists_homes_in_insertion_order_not_write_order():
+    """``updateMainMemory`` charges one message per home in this order."""
+    cache = ObjectCache(node_id=0)
+    arrays = [JavaArray("double", 4, address=0x100 * (i + 1), home_node=h) for i, h in enumerate((3, 1, 2))]
+    entries = [cache.insert(a) for a in arrays]
+    cache.insert(JavaArray("double", 4, address=0x900, home_node=4))  # never written
+    for entry in reversed(entries):
+        entry.write(0, 1.0)
+    total, per_home = cache.flush_all()
+    assert total == 3 * 8
+    assert list(per_home) == [3, 1, 2]
+    # nothing is written since: a second flush sends nothing
+    assert cache.flush_all() == (0, {})
+    entries[2].write(1, 2.0)
+    assert cache.flush_all() == (8, {2: 8})
+
+
+def test_write_slots_records_each_slot_and_flushes_runs():
+    array = make_array(32)
+    cached = CachedObject(array)
+    cached.write_slots([9, 3, 4, 5, 20], [1.5, 2.0, 3.0, 4.0, 7])
+    assert cached.dirty_slot_count() == 5
+    assert cached.flush_to_main() == 5 * 8
+    assert array.as_numpy()[[3, 4, 5, 9, 20]].tolist() == [2.0, 3.0, 4.0, 1.5, 7.0]
+    fields = CachedObject(make_object())
+    fields.write_slots([1, 0], [5, 6])
+    fields.flush_to_main()
+    assert [fields.obj.main_read(i) for i in (0, 1)] == [6, 5]

@@ -152,6 +152,54 @@ class PendingContext(AccessContext):
 ROW_SECONDS = 3.3e-7
 
 
+#: one script segment over the drive's ``[skewed, remote, wide]``: a tuple
+#: run over the slot straddling two pages, a contiguous run on the unaligned
+#: array, duplicate slots (the last put wins), a contiguous run across two
+#: page boundaries of ``wide`` and computes between the accesses
+SEGMENT = (
+    ("get_run", 0, (509, 510, 511, 512, 513)),
+    ("compute", 40.0),
+    ("put_run", 0, range(510, 513), (1.0, 2.0, 3.0)),
+    ("get", 1, 5),
+    ("get_run", 1, (0, 1, 2, 60, 61, 1)),
+    ("put", 1, 7, 2.5),
+    ("put_run", 2, (0, 1, 1000, 1001, 1000), (4.0, 5.0, 6.0, 7.0, 8.0)),
+    ("get_run", 2, range(500, 1030)),
+    ("compute", 40.0),
+    ("put", 2, 1400, 1.5),
+)
+#: CPU seconds of each compute step of the segments replayed here
+COMPUTE_SECONDS = {40.0: 2.0e-7}
+
+
+def _replay(memory, ctx, node, entities, steps, extra, compute_seconds=COMPUTE_SECONDS):
+    """``replay_segment`` of *steps* where it runs, else its per-op spec.
+
+    The spec needs no fast plan, and charges a context that keeps no
+    ``_pending_cpu`` (a ``RecordingContext``) through ``charge_cpu``.
+    """
+    if memory.replays_segments() and hasattr(ctx, "_pending_cpu"):
+        memory.replay_segment(ctx, node, entities, steps, extra, compute_seconds)
+        return
+    for step in steps:
+        if step[0] == "compute":
+            ctx.charge_cpu(compute_seconds[step[1]])
+            continue
+        obj = entities[step[1]]
+        write = step[0] in ("put", "put_run")
+        if step[0] in ("get", "put"):
+            slots, values = (step[2],), step[3:]
+        else:
+            slots, values = step[2], (step[3] if write else ())
+        for k, slot in enumerate(slots):
+            if write:
+                memory.put(ctx, node, obj, slot, values[k])
+            else:
+                memory.get(ctx, node, obj, slot)
+            if extra:
+                memory.account_accesses(ctx, node, obj, extra, lo=slot, hi=slot + 1, write=write)
+
+
 def _drive_primitives(rig, ctx) -> list:
     """One fixed sequence of every access primitive, from node 0.
 
@@ -170,7 +218,8 @@ def _drive_primitives(rig, ctx) -> list:
     narrower slot range, unaligned rows whose north and south rows span
     different page counts, ``extra=0``, plain arrays and a destination in
     the source mesh, and one prepared
-    updater runs after ``disable_access_fast_path()``.  Returns
+    updater runs after ``disable_access_fast_path()``.  Each phase also
+    replays :data:`SEGMENT` with and without extra accounting.  Returns
     everything read back, in order.
     """
     memory, heap, node = rig.memory, rig.heap, 0
@@ -311,10 +360,8 @@ def _drive_primitives(rig, ctx) -> list:
         out.append(memory.get(ctx, node, skewed, 511))
         memory.put(ctx, node, skewed, 511, 9.0)
         out.append(memory.get(ctx, node, skewed, 511))
-        memory.get_run(ctx, node, skewed, [509, 510, 511, 512, 513], extra=2)
-        memory.put_run(ctx, node, skewed, [510, 511, 512], [1.0, 2.0, 3.0], extra=1)
-        memory.get_run(ctx, node, remote, [0, 1, 2, 60, 61])
-        memory.put_run(ctx, node, wide, [0, 1, 1000, 1001], [4.0, 5.0, 6.0, 7.0])
+        _replay(memory, ctx, node, [skewed, remote, wide], SEGMENT, extra=2)
+        _replay(memory, ctx, node, [skewed, remote, wide], SEGMENT, extra=0)
         # release then acquire: remote pages go absent again under java_ic,
         # protected again under java_pf
         memory.update_main_memory(ctx, node)
@@ -445,20 +492,14 @@ def test_mixed_home_span_takes_the_exact_path(rig_factory):
     assert stats["page_fetches"] == 3  # the first page, then the other two
 
 
-def test_migratory_put_run_rehomes_mid_run(rig_factory):
-    """A ``put_run`` whose page is re-homed part-way equals scalar puts."""
-    slots = list(range(8))
-    values = [float(v) for v in range(8)]
+def test_migratory_segment_rehomes_mid_segment(rig_factory):
+    """A segment of puts whose page is re-homed part-way equals per-op puts."""
+    steps = (("put_run", 0, range(8), tuple(float(v) for v in range(8))), ("get", 0, 3))
 
     def drive(rig, ctx, fast):
         memory = rig.memory
         obj = rig.heap.new_array("double", 64, home_node=1)
-        if fast:
-            memory.put_run(ctx, 0, obj, slots, values, extra=1)
-        else:
-            for slot, value in zip(slots, values):
-                memory.put(ctx, 0, obj, slot, value)
-                memory.account_accesses(ctx, 0, obj, 1, lo=slot, hi=slot + 1, write=True)
+        _replay(memory, ctx, 0, [obj], steps, extra=1)
         memory.update_main_memory(ctx, 0)
         return obj.main_read_range(0, 64).tolist()
 
@@ -468,6 +509,36 @@ def test_migratory_put_run_rehomes_mid_run(rig_factory):
     assert stats["page_rehomes"] == 1
     # the re-home landed mid-run: only the accesses before it were remote
     assert 0 < stats["remote_accesses"] < stats["accesses"]
+
+
+#: one step of a generated single-object segment
+_STEP = st.one_of(
+    st.tuples(st.sampled_from(["get", "put"]), st.integers(0, 63)),
+    st.tuples(
+        st.sampled_from(["get_run", "put_run"]),
+        st.one_of(
+            st.lists(st.integers(0, 63), min_size=1, max_size=12).map(tuple),
+            st.tuples(st.integers(0, 56), st.integers(1, 8)).map(lambda t: range(t[0], t[0] + t[1])),
+        ),
+    ),
+    st.just(("compute",)),
+)
+
+
+def _segment(raw) -> tuple:
+    """Steps on object 0 from generated ``(tag, slots)`` pairs."""
+    steps = []
+    for item in raw:
+        tag = item[0]
+        if tag == "compute":
+            steps.append(("compute", 40.0))
+        elif tag in ("get", "get_run"):
+            steps.append((tag, 0, item[1]))
+        elif tag == "put":
+            steps.append((tag, 0, item[1], float(item[1])))
+        else:
+            steps.append((tag, 0, item[1], tuple(float(slot) for slot in item[1])))
+    return tuple(steps)
 
 
 @pytest.mark.parametrize(
@@ -480,26 +551,24 @@ def test_migratory_put_run_rehomes_mid_run(rig_factory):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    write=st.booleans(),
     remote=st.booleans(),
     to_threshold=st.integers(min_value=-2, max_value=6),
     extra=st.integers(min_value=0, max_value=3),
-    slots=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=12),
+    raw=st.lists(_STEP, min_size=1, max_size=8),
 )
-def test_hybrid_runs_match_scalar_accesses(
-    rig_factory, protocol, write, remote, to_threshold, extra, slots
+def test_replay_segment_matches_per_op_accesses(
+    rig_factory, protocol, remote, to_threshold, extra, raw
 ):
-    """``get_run``/``put_run`` price runs bit for bit under every plan.
+    """``replay_segment`` charges a segment bit for bit under every plan.
 
-    Run pricing is one method for every plan.  The page starts resident,
-    a few accesses short of (or just past)
-    :data:`HybridDetection.DENSITY_THRESHOLD`; the run on a fast rig must
-    equal the scalar ``get``/``put`` plus ``account_accesses(extra)``
-    sequence on an exact-path twin in pending CPU time and DSM counters,
-    and under ``java_hybrid`` in density and promotion too.
+    The page starts resident, a few accesses short of (or just past)
+    :data:`HybridDetection.DENSITY_THRESHOLD`; the segment on a fast rig
+    must equal its per-op spec on an exact-path twin in pending CPU and
+    wait time, DSM counters, the data flushed home, and under
+    ``java_hybrid`` in density and promotion too.
     """
     topology = _ORACLE_TOPOLOGY.get(protocol, CrossbarTopology)
-    values = [float(slot) for slot in slots]
+    steps = _segment(raw)
     results = []
     for fast in (True, False):
         rig = rig_factory(protocol=protocol, topology_factory=topology)
@@ -511,27 +580,19 @@ def test_hybrid_runs_match_scalar_accesses(
         # fetch the page and bring its density near the threshold
         start = HybridDetection.DENSITY_THRESHOLD - to_threshold
         memory.account_accesses(ctx, 0, obj, start, lo=0, hi=1)
-        if fast and write:
-            memory.put_run(ctx, 0, obj, slots, values, extra=extra)
-        elif fast:
-            memory.get_run(ctx, 0, obj, slots, extra=extra)
-        else:
-            for slot, value in zip(slots, values):
-                if write:
-                    memory.put(ctx, 0, obj, slot, value)
-                else:
-                    memory.get(ctx, 0, obj, slot)
-                if extra:
-                    memory.account_accesses(
-                        ctx, 0, obj, extra, lo=slot, hi=slot + 1, write=write
-                    )
-        data = None
-        if write:
-            memory.update_main_memory(ctx, 0)
-            data = obj.main_read_range(0, 64).tolist()
+        _replay(memory, ctx, 0, [obj], steps, extra)
+        memory.update_main_memory(ctx, 0)
         hybrid = _hybrid_state(rig) if protocol == "java_hybrid" else None
         stats = dataclasses.asdict(rig.page_manager.stats)
-        results.append((ctx._pending_cpu.hex(), stats, hybrid, data))
+        results.append(
+            (
+                ctx._pending_cpu.hex(),
+                ctx._pending_wait.hex(),
+                stats,
+                hybrid,
+                obj.main_read_range(0, 64).tolist(),
+            )
+        )
     assert results[0] == results[1]
 
 

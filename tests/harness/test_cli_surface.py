@@ -171,6 +171,18 @@ def test_a_non_positive_node_count_is_rejected(argv, capsys):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nodes", ["0", "-1", "1,0"])
+def test_grid_rejects_a_non_positive_node_count_before_running(nodes, monkeypatch, capsys):
+    from repro.harness import executor
+
+    executed = []
+    monkeypatch.setattr(executor, "run_spec", executed.append)
+    argv = ["grid", "--apps", "pi", "--scale", "testing", f"--nodes={nodes}"]
+    assert cli_main(argv) == 2
+    assert executed == []
+    assert "--nodes must be positive integers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, cluster",
     [

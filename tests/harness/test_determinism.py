@@ -35,8 +35,8 @@ COMPOSED_PROTOCOLS = ("java_hybrid", "java_ic_mig")
 #: barrier-heavy and monitor-heavy interpreter paths here)
 SCENARIO_APPS = ("syn-false-sharing", "syn-hot-lock")
 #: fast-vs-reference detection also covers the hoisted check and the
-#: topology-aware home policy; syn-streaming drives the pre-grouped batched
-#: runs through the memory subsystem's run pricing (``_charge_run``)
+#: topology-aware home policy; syn-streaming drives the pre-grouped runs
+#: through segment replay's page-at-a-time pricing
 DETECTION_PROTOCOLS = ("java_ic_hoisted",) + COMPOSED_PROTOCOLS + ("java_ic_loc",)
 DETECTION_SCENARIO_APPS = SCENARIO_APPS + ("syn-streaming",)
 #: non-uniform cluster shapes pinned to the same contract: a multi-cluster

@@ -306,3 +306,10 @@ def test_job_without_telemetry_keeps_sweep_counters_only(grid_specs, tmp_path):
     families = payload["metrics"]["families"]
     assert _family_total(families, "sweep_cells_completed_total") == 8
     assert "sim_events_dispatched_total" not in families
+
+
+def test_shard_workers_never_start_by_fork():
+    """Pools start from a clean process: ``serve`` runs jobs beside live threads."""
+    from repro.harness.jobs import _pool_context
+
+    assert _pool_context().get_start_method() in ("forkserver", "spawn")

@@ -546,6 +546,7 @@ def _served_bodies(tmp_path, jobs):
 
 
 def test_in_process_hand_over_serves_the_process_pool_bytes(tmp_path):
+    """jobs=1 and jobs=2 serve the same bytes, and both equal a serial run."""
     local, records = _served_bodies(tmp_path, jobs=1)
     pooled, _ = _served_bodies(tmp_path, jobs=2)
     assert list(local) == list(pooled)
@@ -558,7 +559,7 @@ def test_in_process_hand_over_serves_the_process_pool_bytes(tmp_path):
         result = Session().run(parse_sweep_request(request).build())
         serial.update(result.to_dict())
         serial_reports.update(result.reports)
-    for path, body in local.items():
+    for path, body in [*local.items(), *pooled.items()]:
         payload = json.loads(body)
         if path.endswith("/grid"):
             for label, report in payload["grid"].items():

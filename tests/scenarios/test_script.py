@@ -19,7 +19,7 @@ from repro.scenarios.script import (
     AccessScript,
     ObjectDecl,
     ScriptBuilder,
-    coalesce_ops,
+    compile_thread,
     materialise_layout,
 )
 from tests.conftest import make_runtime
@@ -170,58 +170,61 @@ def test_builder_run_helpers():
 
 
 # ---------------------------------------------------------------------------
-# coalescing (the batched-replay compile pass)
+# compiling a thread into segments
 # ---------------------------------------------------------------------------
-def test_coalesce_merges_adjacent_same_object_accesses():
+def test_compile_thread_splits_at_sync_ops():
     ops = (
         (OP_GET, 0, 0),
-        (OP_GET, 0, 1),
-        (OP_GET, 0, 2),
-        (OP_PUT, 0, 3, 7),
-        (OP_PUT, 0, 4, 8),
-    )
-    steps = coalesce_ops(ops)
-    assert steps == (
-        ((OP_GET_RUN, 0, (0, 1, 2)), 3),
-        ((OP_PUT_RUN, 0, (3, 4), (7, 8)), 2),
-    )
-    # executed-op accounting: discovered runs preserve the scalar op count
-    assert sum(nops for _, nops in steps) == len(ops)
-
-
-def test_coalesce_breaks_at_sync_compute_and_object_boundaries():
-    ops = (
-        (OP_GET, 0, 0),
-        (OP_GET, 0, 1),
-        (OP_LOCK, 1),       # sync boundary: the batch must flush here
-        (OP_GET, 0, 2),
+        (OP_COMPUTE, 10.0),    # computes stay inside a segment
+        (OP_PUT, 0, 1, 7),
+        (OP_LOCK, 1),
+        (OP_LOCK, 1),          # no steps between two sync ops: no segment
+        (OP_GET, 1, 0),
         (OP_UNLOCK, 1),
-        (OP_GET, 0, 3),
+        (OP_UNLOCK, 1),
         (OP_COMPUTE, 10.0),
-        (OP_GET, 0, 4),
-        (OP_GET, 1, 0),     # different object: separate run
+        (OP_COMPUTE, 5.0),
         (OP_BARRIER,),
+        (OP_GET, 0, 2),
     )
-    steps = coalesce_ops(ops)
-    tags = [op[0] for op, _ in steps]
-    assert tags == [
-        OP_GET_RUN, OP_LOCK, OP_GET, OP_UNLOCK, OP_GET,
-        OP_COMPUTE, OP_GET, OP_GET, OP_BARRIER,
-    ]
-    assert steps[0] == ((OP_GET_RUN, 0, (0, 1)), 2)
-    # lone accesses between boundaries stay scalar (no run overhead)
-    assert sum(nops for _, nops in steps) == len(ops)
+    items, cycles = compile_thread(ops)
+    assert items == (
+        (((OP_GET, 0, 0), (OP_COMPUTE, 10.0), (OP_PUT, 0, 1, 7)), (OP_LOCK, 1)),
+        (None, (OP_LOCK, 1)),
+        (((OP_GET, 1, 0),), (OP_UNLOCK, 1)),
+        (None, (OP_UNLOCK, 1)),
+        (((OP_COMPUTE, 10.0), (OP_COMPUTE, 5.0)), (OP_BARRIER,)),
+        (((OP_GET, 0, 2),), None),
+    )
+    assert cycles == (5.0, 10.0)
+    # a thread ending in a sync op has no trailing segment
+    assert compile_thread(((OP_LOCK, 0), (OP_UNLOCK, 0)))[0] == (
+        (None, (OP_LOCK, 0)),
+        (None, (OP_UNLOCK, 0)),
+    )
 
 
-def test_coalesce_passes_pregrouped_runs_through():
-    ops = ((OP_GET_RUN, 0, (0, 1, 2)), (OP_GET, 0, 3), (OP_PUT_RUN, 0, (4,), (9,)))
-    steps = coalesce_ops(ops)
-    # pre-grouped run ops count as one op each and are never re-merged
-    assert steps == tuple((op, 1) for op in ops)
+def test_compile_thread_turns_contiguous_runs_into_ranges():
+    ops = (
+        (OP_GET_RUN, 0, (3, 4, 5, 6)),
+        (OP_PUT_RUN, 0, (8, 9), (1, 2)),
+        (OP_GET_RUN, 0, (3, 5, 4)),    # not ascending
+        (OP_PUT_RUN, 0, (2, 2), (1, 2)),  # a repeated slot
+        (OP_GET_RUN, 0, (7,)),
+    )
+    (steps, sync), = compile_thread(ops)[0]
+    assert sync is None
+    assert steps == (
+        (OP_GET_RUN, 0, range(3, 7)),
+        (OP_PUT_RUN, 0, range(8, 10), (1, 2)),
+        (OP_GET_RUN, 0, (3, 5, 4)),
+        (OP_PUT_RUN, 0, (2, 2), (1, 2)),
+        (OP_GET_RUN, 0, range(7, 8)),
+    )
 
 
 # ---------------------------------------------------------------------------
-# batched replay == scalar replay, byte for byte
+# segment replay
 # ---------------------------------------------------------------------------
 def _batchy_script(num_threads=2):
     """Runs straddling every boundary kind: locks, barriers, compute.
@@ -236,7 +239,7 @@ def _batchy_script(num_threads=2):
     for t in range(num_threads):
         base = t * 16
         builder.get_run(t, arr, range(base, base + 8))  # pre-grouped
-        for k in range(8):  # scalar ops the interpreter should coalesce
+        for k in range(8):  # scalar ops of one segment
             builder.put(t, arr, base + k, k)
     builder.barrier_all()
     for t in range(num_threads):
@@ -264,43 +267,8 @@ def _run_custom(script, workload, protocol="java_ic", **config_kwargs):
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
-@pytest.mark.parametrize("protocol", ["java_ic", "java_pf", "java_ic_hoisted"])
-@pytest.mark.parametrize("work_multiplier", [1.0, 3.0])
-def test_batched_replay_is_byte_identical_to_scalar(
-    monkeypatch, protocol, work_multiplier
-):
-    """Coalesced replay (with sync-boundary flushes) matches op-at-a-time."""
-    from repro.scenarios.registry import scenario_workload
-
-    script = _batchy_script()
-    workload = scenario_workload("syn-uniform", "testing", work_multiplier=work_multiplier)
-    batched = _run_custom(script, workload)
-
-    # fully scalar interpretation of the same script: expand the pre-grouped
-    # runs into their scalar op sequences and disable interpreter coalescing
-    def expand(ops):
-        out = []
-        for op in ops:
-            if op[0] == OP_GET_RUN:
-                out.extend((OP_GET, op[1], s) for s in op[2])
-            elif op[0] == OP_PUT_RUN:
-                out.extend((OP_PUT, op[1], s, v) for s, v in zip(op[2], op[3]))
-            else:
-                out.append(op)
-        return tuple(out)
-
-    scalar_script = AccessScript(
-        layout=script.layout, threads=tuple(expand(ops) for ops in script.threads)
-    ).validate()
-    monkeypatch.setattr(
-        "repro.scenarios.script.coalesce_ops", lambda ops: tuple((op, 1) for op in ops)
-    )
-    scalar = _run_custom(scalar_script, workload)
-    assert batched == scalar
-
-
-def test_back_to_back_cells_coalesce_each_thread_once(monkeypatch):
-    """Cells replaying one script reuse its coalesced steps; a new one redoes them."""
+def test_back_to_back_cells_compile_each_thread_once(monkeypatch):
+    """Cells replaying one script reuse its compiled threads; a new one redoes them."""
     from repro.scenarios import script as script_module
     from repro.scenarios.registry import scenario_workload
 
@@ -308,9 +276,9 @@ def test_back_to_back_cells_coalesce_each_thread_once(monkeypatch):
 
     def counting(ops):
         calls.append(ops)
-        return coalesce_ops(ops)
+        return compile_thread(ops)
 
-    monkeypatch.setattr(script_module, "coalesce_ops", counting)
+    monkeypatch.setattr(script_module, "compile_thread", counting)
     workload = scenario_workload("syn-uniform", "testing")
     script = _batchy_script()
     runs = [_run_custom(script, workload, protocol) for protocol in ("java_ic", "java_pf")]
@@ -324,7 +292,7 @@ def test_back_to_back_cells_coalesce_each_thread_once(monkeypatch):
 
 
 def test_batched_replay_trace_on_off_identical():
-    """Tracing must not perturb batched replay (and vice versa)."""
+    """Tracing must not perturb segment replay (and vice versa)."""
     from repro.scenarios.registry import scenario_workload
 
     script = _batchy_script()
