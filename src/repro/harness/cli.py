@@ -695,18 +695,17 @@ def _cell_workload(args):
         raise CliError(str(exc)) from exc
 
 
-def _check_nodes(args) -> None:
-    """Reject a ``--nodes`` count the ``--cluster`` preset cannot host."""
-    size = cluster_by_name(args.cluster).num_nodes
-    if args.nodes > size:
-        raise CliError(
-            f"--nodes {args.nodes}: cluster {args.cluster!r} has {size} nodes"
-        )
+def _check_nodes(nodes: int, clusters: list[str]) -> None:
+    """Reject a ``--nodes`` count that none of the *clusters* presets can host."""
+    sizes = {name: cluster_by_name(name).num_nodes for name in clusters}
+    largest = max(sizes, key=sizes.__getitem__)
+    if nodes > sizes[largest]:
+        raise CliError(f"--nodes {nodes}: cluster {largest!r} has {sizes[largest]} nodes")
 
 
 def _cell_specs(args, apps: list[str], **options) -> list[ExperimentSpec]:
     """One spec per app, at the cell the cell and scenario flags describe."""
-    _check_nodes(args)
+    _check_nodes(args.nodes, [args.cluster])
     workload = _cell_workload(args)
     return [
         ExperimentSpec(
@@ -795,7 +794,7 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_nodes(args)
+    _check_nodes(args.nodes, [args.cluster])
     values = None
     if args.values is not None:
         values = tuple(_comma_list(args.values, "--values", ABLATIONS[args.kind].value_type))
@@ -885,10 +884,11 @@ def cmd_grid(args) -> int:
     enable_console(json_lines=args.log_json)
     logger = get_logger("harness.grid")
     telemetry = args.telemetry or bool(args.telemetry_out)
+    clusters = _comma_list(args.clusters, "--clusters")
     matrix = (
         ExperimentMatrix()
         .apps(*_comma_list(args.apps, "--apps"))
-        .clusters(*_comma_list(args.clusters, "--clusters"))
+        .clusters(*clusters)
         .protocols(*_protocol_columns(args))
         .workload(args.scale)
     )
@@ -896,6 +896,8 @@ def cmd_grid(args) -> int:
         node_counts = _comma_list(args.nodes, "--nodes", int)
         if min(node_counts) < 1:
             raise CliError(f"--nodes must be positive integers, got {args.nodes!r}")
+        # a count some preset can host is skipped on the others, per cluster
+        _check_nodes(max(node_counts), clusters)
         matrix = matrix.nodes(*node_counts)
     job = _session(args).job(
         matrix,

@@ -52,6 +52,9 @@ class MonitorManager:
         self.engine = engine
         self.topology = topology
         self.cost_model = cost_model
+        # the enter/exit costs, priced once (the cost model is frozen)
+        self._local_seconds = cost_model.monitor_local_seconds()
+        self._remote_seconds = cost_model.monitor_remote_seconds()
         self.stats = stats if stats is not None else MonitorStats()
         #: optional telemetry hook (duck-typed: ``observe_acquire(latency,
         #: contended)``, see :class:`repro.obs.ledger.MonitorInstrument`);
@@ -70,16 +73,16 @@ class MonitorManager:
 
     def _charge_entry_cost(self, ctx, monitor: Monitor) -> None:
         if monitor.home_node == ctx.node_id:
-            ctx.charge_cpu(self.cost_model.monitor_local_seconds())
+            ctx.charge_cpu(self._local_seconds)
         else:
             self.stats.remote_enters += 1
-            ctx.charge_wait(self.cost_model.monitor_remote_seconds())
+            ctx.charge_wait(self._remote_seconds)
 
     def _charge_exit_cost(self, ctx, monitor: Monitor) -> None:
         if monitor.home_node == ctx.node_id:
-            ctx.charge_cpu(self.cost_model.monitor_local_seconds())
+            ctx.charge_cpu(self._local_seconds)
         else:
-            ctx.charge_wait(self.cost_model.monitor_remote_seconds())
+            ctx.charge_wait(self._remote_seconds)
 
     # ------------------------------------------------------------------
     # operations (all used through ``yield from`` except notify)

@@ -51,6 +51,12 @@ class ClusterBarrier:
         self.home_node = home_node
         self.name = name
         self.sim_barrier = SimBarrier(runtime.engine, parties, name=name)
+        # what a participant pays on arrival, priced once (the cost model is
+        # frozen): a control round trip from off the home node, else the
+        # local monitor cost
+        cost_model = runtime.cost_model
+        self.round_trip_seconds = cost_model.rpc_round_trip_seconds(32, 32)
+        self.local_seconds = cost_model.monitor_local_seconds()
 
     @property
     def episodes(self) -> int:
@@ -135,6 +141,10 @@ class JavaThreadContext(AccessContext):
         self._cycles_per_int_op = machine.cycles_per_int_op
         self._marcel = thread.marcel
         self._memory = runtime.memory
+        self._marcel_runtime = runtime.marcel
+        self._run_stats = runtime.run_stats
+        self._engine = runtime.engine
+        self._monitors = runtime.monitors
         # virtual-time span tracer (None unless the spec opted into
         # telemetry); observes engine.now around existing yields only — it
         # must never add or split a yield, or scheduling would change
@@ -217,17 +227,19 @@ class JavaThreadContext(AccessContext):
         self._pending_cpu = 0.0
         self._pending_wait = 0.0
         spans = self._spans
-        marcel = self.runtime.marcel
+        thread = self._marcel
+        # a thread cannot migrate while it flushes, so its node holds
+        node_id = thread.node_id
         if cpu > 0.0:
-            self.runtime.run_stats.record_cpu(self.node_id, cpu)
-            yield from marcel.occupy_cpu(self.thread.marcel, cpu)
+            self._run_stats.record_cpu(node_id, cpu)
+            yield from self._marcel_runtime.occupy_cpu(thread, cpu)
             if spans is not None:
-                spans.flush_cpu(self.thread.name, cpu, self.runtime.engine.now)
+                spans.flush_cpu(self.thread.name, cpu, self._engine.now)
         if wait > 0.0:
-            self.runtime.run_stats.record_wait(self.node_id, wait)
-            yield from marcel.wait(self.thread.marcel, wait)
+            self._run_stats.record_wait(node_id, wait)
+            yield from self._marcel_runtime.wait(thread, wait)
             if spans is not None:
-                spans.flush_wait(self.thread.name, wait, self.runtime.engine.now)
+                spans.flush_wait(self.thread.name, wait, self._engine.now)
 
     # ------------------------------------------------------------------
     # heap allocation
@@ -370,21 +382,25 @@ class JavaThreadContext(AccessContext):
     # ------------------------------------------------------------------
     def monitor_enter(self, obj) -> Generator:
         """Enter *obj*'s monitor (acquire + cache invalidation)."""
-        yield from self._flush()
+        # _flush is a no-op with nothing pending; skip building it then
+        if self._pending_cpu or self._pending_wait:
+            yield from self._flush()
         spans = self._spans
         if spans is not None:
             spans.begin(self.thread.name, "monitor_wait")
-        yield from self.runtime.monitors.enter(self, obj)
-        yield from self._flush()
+        yield from self._monitors.enter(self, obj)
+        if self._pending_cpu or self._pending_wait:
+            yield from self._flush()
         if spans is not None:
-            spans.end(self.thread.name, self.runtime.engine.now)
-        self.runtime.memory.invalidate_cache(self, self.node_id)
+            spans.end(self.thread.name, self._engine.now)
+        self._memory.invalidate_cache(self, self._marcel.node_id)
 
     def monitor_exit(self, obj) -> Generator:
         """Exit *obj*'s monitor (flush modifications + release)."""
-        self.runtime.memory.update_main_memory(self, self.node_id)
-        yield from self._flush()
-        self.runtime.monitors.exit(self, obj)
+        self._memory.update_main_memory(self, self._marcel.node_id)
+        if self._pending_cpu or self._pending_wait:
+            yield from self._flush()
+        self._monitors.exit(self, obj)
 
     def synchronized(self, obj, critical_section: Callable[[], Any]) -> Generator:
         """Run ``critical_section()`` inside *obj*'s monitor.
@@ -436,11 +452,12 @@ class JavaThreadContext(AccessContext):
                 self._pending_cpu,
                 self._pending_wait,
             )
-        self.runtime.memory.update_main_memory(self, self.node_id)
-        if self.node_id != barrier.home_node:
-            self.charge_wait(self.runtime.cost_model.rpc_round_trip_seconds(32, 32))
+        node_id = self._marcel.node_id
+        self._memory.update_main_memory(self, node_id)
+        if node_id != barrier.home_node:
+            self._pending_wait += barrier.round_trip_seconds
         else:
-            self.charge_cpu(self.runtime.cost_model.monitor_local_seconds())
+            self._pending_cpu += barrier.local_seconds
         yield from self._flush()
         sanitizer = self.runtime.sanitizer
         if sanitizer is None:
@@ -448,12 +465,12 @@ class JavaThreadContext(AccessContext):
         else:
             # arrival snapshot (post-flush) feeds the episode clock; the
             # resume edge lands just before the acquire-side invalidation
-            generation = sanitizer.note_barrier_arrive(self.node_id, barrier)
+            generation = sanitizer.note_barrier_arrive(node_id, barrier)
             yield barrier.sim_barrier.wait()
-            sanitizer.note_barrier_resume(self.node_id, barrier, generation)
+            sanitizer.note_barrier_resume(node_id, barrier, generation)
         if spans is not None:
-            spans.end(self.thread.name, self.runtime.engine.now)
-        self.runtime.memory.invalidate_cache(self, self.node_id)
+            spans.end(self.thread.name, self._engine.now)
+        self._memory.invalidate_cache(self, node_id)
 
     def join(self, thread: JavaThread) -> Generator:
         """``Thread.join()``: wait for *thread* and see its writes."""

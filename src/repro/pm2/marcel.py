@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from collections.abc import Generator
 
 from repro.simulation.engine import Engine
-from repro.simulation.events import SimEvent
+from repro.simulation.events import SimEvent, Timeout
 from repro.simulation.process import Process
 from repro.simulation.resources import Lock
-from repro.util.validation import check_non_negative
 
 
 @dataclass
@@ -30,12 +29,6 @@ class NodeCpu:
     lock: Lock
     busy_seconds: float = 0.0
     dispatches: int = 0
-
-    def charge(self, seconds: float) -> None:
-        """Account *seconds* of CPU busy time."""
-        check_non_negative("seconds", seconds)
-        self.busy_seconds += seconds
-        self.dispatches += 1
 
 
 class MarcelThread:
@@ -120,23 +113,27 @@ class MarcelRuntime:
         degenerates to a plain delay; with several threads per node it
         serialises their compute segments.
         """
-        check_non_negative("seconds", seconds)
-        if seconds == 0.0:
+        if seconds <= 0.0:
+            if seconds < 0.0:
+                raise ValueError(f"seconds must be >= 0, got {seconds!r}")
             return
         cpu = self.cpus[thread.node_id]
-        yield cpu.lock.acquire(owner=thread)
-        yield self.engine.timeout(seconds)
-        cpu.charge(seconds)
+        lock = cpu.lock
+        yield lock.acquire(owner=thread)
+        yield Timeout(self.engine, seconds)
+        cpu.busy_seconds += seconds
+        cpu.dispatches += 1
         thread.cpu_seconds += seconds
-        cpu.lock.release()
+        lock.release()
 
     def wait(self, thread: MarcelThread, seconds: float) -> Generator:
         """Block *thread* for *seconds* without holding the CPU."""
-        check_non_negative("seconds", seconds)
-        if seconds == 0.0:
+        if seconds <= 0.0:
+            if seconds < 0.0:
+                raise ValueError(f"seconds must be >= 0, got {seconds!r}")
             return
         thread.wait_seconds += seconds
-        yield self.engine.timeout(seconds)
+        yield Timeout(self.engine, seconds)
 
     def join(self, thread: MarcelThread) -> Generator:
         """Wait for *thread* to finish; returns its body's return value."""

@@ -122,7 +122,12 @@ class AccessScript:
 
     # ------------------------------------------------------------------
     def validate(self) -> "AccessScript":
-        """Check every op refers to a declared object and an in-range slot.
+        """Check that the script is well formed and that replay can run it.
+
+        Every op must refer to a declared object and an in-range slot, locks
+        must balance, and no thread may enter a monitor after a put with no
+        unlock or barrier in between: the enter drops the node's cached
+        copies, and replay refuses to drop an unflushed write.
 
         The script is frozen, so a passing check is final: it marks the
         instance and later calls return at once.  That is what lets the
@@ -153,6 +158,8 @@ class AccessScript:
         arity_of = _OP_ARITY.get
         for tid, ops in enumerate(self.threads):
             depth = 0
+            # a put since the last unlock or barrier (see the docstring)
+            dirty = False
             for op in ops:
                 tag = op[0]
                 arity = arity_of(tag)
@@ -177,6 +184,8 @@ class AccessScript:
                             f"thread {tid}: op {op!r} addresses slot {slot} of "
                             f"{decl.name!r} ({decl.num_slots} slots)"
                         )
+                    if tag == OP_PUT:
+                        dirty = True
                 elif tag == OP_GET_RUN or tag == OP_PUT_RUN:
                     obj = op[1]
                     if not 0 <= obj < num_objects:
@@ -196,11 +205,13 @@ class AccessScript:
                                     f"thread {tid}: run op {op!r} addresses slot "
                                     f"{slot} of {decl.name!r} ({decl.num_slots} slots)"
                                 )
-                    if tag == OP_PUT_RUN and len(op[3]) != len(slots):
-                        raise ValueError(
-                            f"thread {tid}: put_run op has {len(slots)} slots but "
-                            f"{len(op[3])} values"
-                        )
+                    if tag == OP_PUT_RUN:
+                        if len(op[3]) != len(slots):
+                            raise ValueError(
+                                f"thread {tid}: put_run op has {len(slots)} slots but "
+                                f"{len(op[3])} values"
+                            )
+                        dirty = True
                 elif tag == OP_LOCK or tag == OP_UNLOCK:
                     obj = op[1]
                     if not 0 <= obj < num_objects:
@@ -209,11 +220,19 @@ class AccessScript:
                             f"layout has {num_objects}"
                         )
                     if tag == OP_LOCK:
+                        if dirty:
+                            raise ValueError(
+                                f"thread {tid}: op {op!r} enters a monitor after a "
+                                "put with no unlock or barrier in between"
+                            )
                         depth += 1
                     else:
+                        dirty = False
                         depth -= 1
                         if depth < 0:
                             raise ValueError(f"thread {tid}: unlock without a lock")
+                elif tag == OP_BARRIER:
+                    dirty = False
                 elif tag == OP_COMPUTE and op[1] < 0:
                     raise ValueError(f"thread {tid}: negative compute {op!r}")
             if depth != 0:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from collections.abc import Callable, Generator
+from heapq import heappop, heappush
 from typing import Any
 
 from repro.simulation.errors import DeadlockError, SimulationError
@@ -14,6 +15,24 @@ from repro.simulation.trace import TraceRecorder
 
 class Engine:
     """Event loop with a monotonically advancing virtual clock.
+
+    Events are delivered in ``(time, seq)`` order: by virtual time, and in
+    scheduling order among equal times.  The pending events sit in two
+    queues.  An event due at the current time (``now + delay == now``, which
+    a vanishing delay such as ``1e-300`` at ``now = 1.0`` also satisfies)
+    goes on a FIFO; every other event goes on a heap of ``(time, seq,
+    event)``.  Dispatch takes, while the FIFO is non-empty, a heap head with
+    ``time <= now`` first and otherwise the FIFO head; once the FIFO is
+    empty it pops the heap and advances the clock.
+
+    That is exactly ``(time, seq)`` order.  The clock only advances with an
+    empty FIFO, so every FIFO entry was scheduled at the current time, in
+    FIFO order, after the clock reached it.  A heap entry due now was pushed
+    before the clock reached now (pushed at now it would have gone on the
+    FIFO), so it precedes every FIFO entry in scheduling order, and the
+    heap yields such entries in ``seq`` order.  A heap entry due later
+    follows every FIFO entry in time.  FIFO entries therefore need no
+    ``seq``; the heap keeps one for its ties.
 
     Parameters
     ----------
@@ -29,7 +48,10 @@ class Engine:
 
     def __init__(self, trace: TraceRecorder | None = None, strict_deadlock: bool = True):
         self._now: float = 0.0
-        self._queue: list[tuple[float, int, SimEvent]] = []
+        #: events due later than now, as (time, seq, event)
+        self._heap: list[tuple[float, int, SimEvent]] = []
+        #: events due at now, in scheduling order
+        self._fifo: deque[SimEvent] = deque()
         self._seq = 0
         self._processes: set = set()
         self._failures: list[tuple[Process, BaseException]] = []
@@ -55,7 +77,7 @@ class Engine:
     @property
     def queue_length(self) -> int:
         """Number of events currently scheduled."""
-        return len(self._queue)
+        return len(self._heap) + len(self._fifo)
 
     # ------------------------------------------------------------------
     # factory helpers
@@ -92,8 +114,13 @@ class Engine:
         if event._scheduled:
             raise SimulationError(f"{event!r} is already scheduled")
         event._scheduled = True
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        now = self._now
+        time = now + delay
+        if time == now:
+            self._fifo.append(event)
+        else:
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (time, seq, event))
 
     def step(self) -> float:
         """Process the next event; return the new virtual time.
@@ -102,19 +129,27 @@ class Engine:
         has terminated with an unhandled exception (chained as
         ``__cause__``).
         """
-        if not self._queue:
+        heap = self._heap
+        fifo = self._fifo
+        if fifo:
+            if heap and heap[0][0] <= self._now:
+                event = heappop(heap)[2]
+            else:
+                event = fifo.popleft()
+        elif heap:
+            time, _seq, event = heappop(heap)
+            if time < self._now:  # pragma: no cover - defensive, cannot happen
+                raise SimulationError("event scheduled in the past")
+            self._now = time
+        else:
             raise SimulationError("step() called on an empty event queue")
-        time, _seq, event = heapq.heappop(self._queue)
-        if time < self._now:  # pragma: no cover - defensive, cannot happen
-            raise SimulationError("event scheduled in the past")
-        self._now = time
         callbacks = event.callbacks
         event.callbacks = None
         self._events_processed += 1
         if self.trace is not None:
-            self.trace.record(time, event)
+            self.trace.record(self._now, event)
         if self.metrics is not None:
-            self.metrics.record_event(type(event).__name__, len(self._queue))
+            self.metrics.record_event(type(event).__name__, len(heap) + len(fifo))
         for callback in callbacks:
             callback(event)
         if self._failures:
@@ -125,13 +160,16 @@ class Engine:
         """Run until the queue drains (or until virtual time *until*).
 
         The loop is inlined rather than delegating to :meth:`step`: event
-        dispatch is the innermost loop of every simulation, so the queue, the
-        heap-pop and the failure list are resolved once, and the trace /
+        dispatch is the innermost loop of every simulation, so the queues,
+        the pops and the failure list are resolved once, and the trace /
         deadline branches are hoisted out of the common (untraced, unbounded)
-        configuration entirely.
+        configuration entirely.  Both loops follow the dispatch rule of the
+        class docstring.
 
         Raises
         ------
+        ValueError
+            If *until* lies before the current time.
         DeadlockError
             If ``strict_deadlock`` is set and processes remain blocked when
             the queue empties.
@@ -139,19 +177,31 @@ class Engine:
             If any process terminated with an unhandled exception; the
             original exception is chained as ``__cause__``.
         """
-        queue = self._queue
-        pop = heapq.heappop
+        now = self._now
+        if until is not None and until < now:
+            raise ValueError(f"until={until!r} lies before now={now!r}")
+        heap = self._heap
+        fifo = self._fifo
+        pop = heappop
+        popleft = fifo.popleft
         trace = self.trace
         metrics = self.metrics
         failures = self._failures
         processed = self._events_processed
-        exhausted = False
         try:
             if until is None and trace is None and metrics is None:
                 # the hot configuration: no deadline, no tracing
-                while queue:
-                    time, _seq, event = pop(queue)
-                    self._now = time
+                while True:
+                    if fifo:
+                        if heap and heap[0][0] <= now:
+                            event = pop(heap)[2]
+                        else:
+                            event = popleft()
+                    elif heap:
+                        now, _seq, event = pop(heap)
+                        self._now = now
+                    else:
+                        break
                     callbacks = event.callbacks
                     event.callbacks = None
                     processed += 1
@@ -159,34 +209,39 @@ class Engine:
                         callback(event)
                     if failures:
                         self._raise_failure()
-                exhausted = True
             else:
-                while queue:
-                    if until is not None and queue[0][0] > until:
-                        self._now = until
+                while True:
+                    if fifo:
+                        if heap and heap[0][0] <= now:
+                            event = pop(heap)[2]
+                        else:
+                            event = popleft()
+                    elif heap:
+                        if until is not None and heap[0][0] > until:
+                            self._now = until
+                            return until
+                        now, _seq, event = pop(heap)
+                        self._now = now
+                    else:
                         break
-                    time, _seq, event = pop(queue)
-                    self._now = time
                     callbacks = event.callbacks
                     event.callbacks = None
                     processed += 1
                     if trace is not None:
-                        trace.record(time, event)
+                        trace.record(now, event)
                     if metrics is not None:
-                        metrics.record_event(type(event).__name__, len(queue))
+                        metrics.record_event(type(event).__name__, len(heap) + len(fifo))
                     for callback in callbacks:
                         callback(event)
                     if failures:
                         self._raise_failure()
-                else:
-                    exhausted = True
         finally:
             self._events_processed = processed
-        if exhausted and self.strict_deadlock and self._processes:
+        if self.strict_deadlock and self._processes:
             waiting = [p for p in self._processes if p.is_alive]
             if waiting:
                 raise DeadlockError(waiting)
-        return self._now
+        return now
 
     def _raise_failure(self) -> None:
         """Raise the first recorded process failure (chained)."""
@@ -210,6 +265,6 @@ class Engine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Engine now={self._now:.6f} queued={len(self._queue)} "
+            f"<Engine now={self._now:.6f} queued={self.queue_length} "
             f"processes={len(self._processes)}>"
         )

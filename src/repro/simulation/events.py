@@ -116,10 +116,16 @@ class Timeout(SimEvent):
             # the formatted label is only observable through the trace
             # recorder; skip the f-string on the (hot) untraced path
             name = f"timeout({delay:g})" if engine.trace is not None else "timeout"
-        super().__init__(engine, name=name)
-        self.delay = delay
+        # SimEvent's slots, set here without the super().__init__ call:
+        # a timeout is the most frequently created event
+        self.engine = engine
+        self.callbacks = []
         self._value = value
-        self.engine.schedule(self, delay)
+        self._exception = None
+        self._scheduled = False
+        self.name = name
+        self.delay = delay
+        engine.schedule(self, delay)
 
 
 class _Composite(SimEvent):

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Process(SimEvent):
     """A running generator in virtual time."""
 
-    __slots__ = ("generator", "_waiting_on", "_started", "_dead")
+    __slots__ = ("generator", "_send", "_waiting_on", "_started", "_dead", "_resume_cb")
 
     def __init__(self, engine: "Engine", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -33,13 +33,17 @@ class Process(SimEvent):
             )
         super().__init__(engine, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
+        self._send = generator.send
         self._waiting_on: SimEvent | None = None
         self._started = False
         self._dead = False
+        #: ``_resume`` bound once (like ``_send``): it is subscribed at
+        #: every yield
+        self._resume_cb = self._resume
         # Kick the process off via the event queue so that creation order is
         # preserved but nothing runs before Engine.run().
         start = SimEvent(engine, name=f"start:{self.name}")
-        start.callbacks.append(self._resume)
+        start.callbacks.append(self._resume_cb)
         start._value = None
         engine.schedule(start, 0.0)
         engine._register_process(self)
@@ -62,7 +66,7 @@ class Process(SimEvent):
             return
         event = SimEvent(self.engine, name=f"interrupt:{self.name}")
         event._exception = InterruptError(cause)
-        event.callbacks.append(self._resume)
+        event.callbacks.append(self._resume_cb)
         self.engine.schedule(event, 0.0)
 
     # ------------------------------------------------------------------
@@ -73,8 +77,8 @@ class Process(SimEvent):
         self._started = True
         self._waiting_on = None
         try:
-            if event.ok:
-                target = self.generator.send(event._value)
+            if event._exception is None:
+                target = self._send(event._value)
             else:
                 target = self.generator.throw(event._exception)
         except StopIteration as stop:
@@ -92,7 +96,11 @@ class Process(SimEvent):
             self._finish(exception=exc)
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume_cb)
+        else:  # already processed: add_callback re-delivers it via the queue
+            target.add_callback(self._resume_cb)
 
     def _finish(self, value: Any = None, exception: BaseException | None = None) -> None:
         self._dead = True

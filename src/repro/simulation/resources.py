@@ -45,14 +45,17 @@ class Lock:
         """Return an event that triggers once the caller owns the lock."""
         # the formatted label is only observable through the trace recorder;
         # skip the f-string on the (hot) untraced path
+        engine = self.engine
         event = SimEvent(
-            self.engine,
-            name=f"acquire:{self.name}" if self.engine.trace is not None else "acquire",
+            engine, f"acquire:{self.name}" if engine.trace is not None else "acquire"
         )
         if self._holder is None:
             self._holder = owner if owner is not None else event
             self.acquisitions += 1
-            event.succeed(self)
+            # succeed(self), without its already-triggered check: the event
+            # was created just above
+            event._value = self
+            engine.schedule(event)
         else:
             self.contended_acquisitions += 1
             self._waiters.append((event, owner))
@@ -164,7 +167,11 @@ class Barrier:
 
     def wait(self) -> SimEvent:
         """Return an event that triggers once all parties have arrived."""
-        event = SimEvent(self.engine, name=f"barrier:{self.name}")
+        # as in Lock.acquire: the formatted label only reaches the trace
+        event = SimEvent(
+            self.engine,
+            name=f"barrier:{self.name}" if self.engine.trace is not None else "barrier",
+        )
         self._waiting.append(event)
         if len(self._waiting) >= self.parties:
             generation = self.generations

@@ -197,3 +197,29 @@ def test_a_node_count_beyond_the_cluster_is_a_cli_error(argv, cluster, capsys):
     assert cli_main(argv) == 2
     size = cluster_by_name(cluster).num_nodes
     assert f"cluster {cluster!r} has {size} nodes" in capsys.readouterr().err
+
+
+def test_grid_rejects_a_node_count_no_cluster_can_host(monkeypatch, capsys):
+    from repro.cluster.presets import cluster_by_name
+    from repro.harness import executor
+
+    executed = []
+    monkeypatch.setattr(executor, "run_spec", executed.append)
+    argv = ["grid", "--apps", "pi", "--clusters", "myrinet,sci", "--nodes=2,1000",
+            "--scale", "testing"]
+    assert cli_main(argv) == 2
+    assert executed == []
+    size = cluster_by_name("myrinet").num_nodes
+    assert f"--nodes 1000: cluster 'myrinet' has {size} nodes" in capsys.readouterr().err
+
+
+def test_grid_skips_a_node_count_on_the_clusters_too_small_for_it(capsys):
+    from repro.cluster.presets import cluster_by_name
+
+    nodes = cluster_by_name("sci").num_nodes + 1
+    assert nodes <= cluster_by_name("myrinet").num_nodes
+    argv = ["grid", "--apps", "pi", "--clusters", "myrinet,sci", f"--nodes={nodes}",
+            "--protocols", "java_ic", "--scale", "testing"]
+    assert cli_main(argv) == 0
+    grid = json.loads(capsys.readouterr().out)
+    assert list(grid) == [f"pi/myrinet/java_ic/n{nodes}"]

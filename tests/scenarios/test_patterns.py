@@ -183,3 +183,16 @@ def test_workload_from_preset_hook_on_classes():
     assert app_class("pi").workload_from_preset(
         WorkloadPreset.testing()
     ) == WorkloadPreset.testing().pi
+
+
+@pytest.mark.parametrize(
+    "scale, nodes",
+    [("bench", 8), ("bench", 16), ("bench", 64), ("testing", 4), ("testing", 1024)],
+)
+def test_every_pattern_passes_validation_at_the_benchmark_shapes(scale, nodes):
+    # generate() builds through ScriptBuilder.build, which validates, so a
+    # pattern that entered a monitor after an unflushed put would raise here
+    for name, pattern in scenario_patterns().items():
+        script = pattern.generate(scenario_workload(name, scale), nodes, nodes)
+        assert script.num_threads == nodes
+        assert script.validate() is script

@@ -71,6 +71,28 @@ def test_validate_rejects_unbalanced_locks():
         AccessScript(layout=_one_object_layout(), threads=((("lock", 0),),)).validate()
 
 
+def test_validate_rejects_a_lock_after_an_unflushed_put():
+    # two threads on two nodes, the object homed on node 0: thread 1's write
+    # is still in its node's cache when the enter would drop that cache
+    layout = (ObjectDecl("o", home_node=0),)
+    threads = ((), ((OP_PUT, 0, 0, 0), (OP_LOCK, 0), (OP_UNLOCK, 0)))
+    with pytest.raises(ValueError, match=r"thread 1: op \('lock', 0\) enters a monitor"):
+        AccessScript(layout=layout, threads=threads).validate()
+    run_then_nested = ((OP_LOCK, 0), (OP_PUT_RUN, 0, (0,), (1,)), (OP_LOCK, 0))
+    with pytest.raises(ValueError, match="thread 0: .* after a put"):
+        AccessScript(layout=layout, threads=(run_then_nested,)).validate()
+
+
+def test_an_unlock_or_barrier_flushes_before_the_next_lock():
+    after_unlock = (
+        (OP_LOCK, 0), (OP_PUT, 0, 0, 0), (OP_UNLOCK, 0), (OP_LOCK, 0), (OP_UNLOCK, 0)
+    )
+    after_barrier = ((OP_PUT, 0, 0, 0), (OP_BARRIER,), (OP_LOCK, 0), (OP_UNLOCK, 0))
+    AccessScript(
+        layout=_one_object_layout(), threads=(after_unlock, after_barrier)
+    ).validate()
+
+
 def test_validate_rejects_empty_layout_and_threads():
     with pytest.raises(ValueError, match="at least one declared object"):
         AccessScript(layout=(), threads=(((("barrier",)),),)).validate()

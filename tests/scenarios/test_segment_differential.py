@@ -103,7 +103,8 @@ def _thread_phase(draw, layout) -> list:
     """Reads, then critical sections, then any accesses.
 
     A monitor enter drops the node's cached copies, which must hold no
-    unflushed write (the runtime refuses that), so writes outside a
+    unflushed write, and ``AccessScript.validate`` rejects a put followed
+    by a lock with no unlock or barrier in between.  So writes outside a
     critical section come only after the phase's last one: the barrier
     ending the phase flushes them.
     """
