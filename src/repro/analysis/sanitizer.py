@@ -35,8 +35,9 @@ zero for a correct protocol):
 ``structural``
     DSM directory invariants broken: ``_home_by_page`` disagreeing with the
     page directory, a home node without a present READ_WRITE reference
-    copy (``rehome_page`` atomicity), or a node page table whose presence
-    mirror set disagrees with its entries.
+    copy (``rehome_page`` atomicity), or a node holding a present replica
+    that is not READ_WRITE (the page manager counts one ``mprotect`` per
+    replica it re-protects or re-opens on that premise).
 
 plus one class of **application diagnostics**, reported separately because
 they are properties of the workload, not of the protocol:
@@ -617,8 +618,9 @@ class ConsistencySanitizer:
                     f"says {info.home_node if info else 'unregistered'}",
                 )
                 continue
-            entry = pm.tables[home]._entries.get(page)
-            if entry is None or not entry.present:
+            table = pm.tables[home]
+            protection = table._protection.get(page, PageProtection.READ_WRITE)
+            if page not in table._present:
                 self._violation(
                     "structural",
                     ("home_present", page),
@@ -626,25 +628,31 @@ class ConsistencySanitizer:
                     f"home node {home} holds no present reference copy of "
                     f"page {page}",
                 )
-            elif entry.protection is not PageProtection.READ_WRITE:
+            elif protection is not PageProtection.READ_WRITE:
                 self._violation(
                     "structural",
                     ("home_protection", page),
                     f"page={page}",
                     f"home node {home}'s reference copy of page {page} is "
-                    f"protected {entry.protection.value}",
+                    f"protected {protection.value}",
                 )
+        home_map = pm._home_by_page
         for table in pm.tables.materialised():
-            mirror = {p for p, e in table._entries.items() if e.present}
-            if mirror != table._present:
+            node, protections = table.node_id, table._protection
+            closed = sorted(
+                page
+                for page in table._present
+                if home_map[page] != node
+                and protections.get(page, PageProtection.READ_WRITE)
+                is not PageProtection.READ_WRITE
+            )
+            if closed:
                 self._violation(
                     "structural",
-                    ("presence_mirror", table.node_id),
-                    f"node={table.node_id}",
-                    f"node {table.node_id}'s presence mirror disagrees with "
-                    f"its page-table entries "
-                    f"(mirror-only: {sorted(table._present - mirror)}, "
-                    f"entries-only: {sorted(mirror - table._present)})",
+                    ("replica_protection", node),
+                    f"node={node}",
+                    f"node {node} holds {len(closed)} present replica(s) that "
+                    f"are not READ_WRITE (pages {closed[:5]})",
                 )
 
     # ------------------------------------------------------------------

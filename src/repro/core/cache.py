@@ -26,8 +26,8 @@ class CachedObject:
     """
 
     __slots__ = (
-        "obj", "data", "is_array", "_dirty_mask", "_dirty_slots", "loads",
-        "_modified", "_log", "_seq",
+        "obj", "data", "is_array", "_dirty_mask", "_dirty_slots", "_modified",
+        "_log", "_seq",
     )
 
     def __init__(self, obj: SharedEntity, log: dict | None = None, seq: int = 0):
@@ -35,7 +35,6 @@ class CachedObject:
         self.data = obj.snapshot()
         #: True when the cached payload is a numpy array (a Java array)
         self.is_array = isinstance(self.data, np.ndarray)
-        self.loads = 1
         # arrays get a boolean mask (lazily allocated); scalar objects a set
         self._dirty_mask: np.ndarray | None = None
         self._dirty_slots: set | None = None
@@ -161,7 +160,6 @@ class CachedObject:
     def refresh(self) -> None:
         """Re-copy the reference data into the local copy (after invalidation)."""
         self.data = self.obj.snapshot()
-        self.loads += 1
         if self._dirty_mask is not None:
             self._dirty_mask[:] = False
         if self._dirty_slots:
@@ -187,10 +185,6 @@ class ObjectCache:
         self._entries: dict[int, CachedObject] = {}
         #: entries written since the last flush, keyed by insertion position
         self._written: dict[int, CachedObject] = {}
-        self.hits = 0
-        self.misses = 0
-        self.flushes = 0
-        self.invalidations = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -201,12 +195,7 @@ class ObjectCache:
 
     def lookup(self, obj: SharedEntity) -> CachedObject | None:
         """Return the cached copy of *obj*, or None."""
-        entry = self._entries.get(obj.oid)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
+        return self._entries.get(obj.oid)
 
     def insert(self, obj: SharedEntity) -> CachedObject:
         """Create (or refresh) the cached copy of *obj* from its home data."""
@@ -253,8 +242,6 @@ class ObjectCache:
                 home = entry.obj.home_node
                 per_home[home] = per_home.get(home, 0) + nbytes
             self._written.clear()
-        if total:
-            self.flushes += 1
         return total, per_home
 
     def invalidate(self) -> int:
@@ -275,5 +262,4 @@ class ObjectCache:
             self._written.clear()
         count = len(self._entries)
         self._entries.clear()
-        self.invalidations += 1
         return count

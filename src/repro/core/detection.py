@@ -161,19 +161,21 @@ class DetectionStrategy:
         """Take one fault per page of *faulting*, fetch *missing*, re-open.
 
         Every non-resident page starts protected (the protocol protects the
-        whole shared region at start-up), so the table is made to reflect
-        that before the fetch; the fault handler then re-opens access to the
-        arrived pages with ``mprotect``.
+        whole shared region at start-up), so each faulting page goes from
+        NONE to READ_WRITE: the fault handler re-opens the arrived pages
+        with one ``mprotect`` each.
         """
         page_manager = self.page_manager
-        entry = self._tables[node_id].entry
-        for page in faulting:
-            entry(page).protection = PageProtection.NONE
-            page_manager.record_fault(node_id, page)
-        ctx.charge_cpu(self._page_fault_s * len(faulting))
+        faults = len(faulting)
+        stats = self.stats
+        stats.record_fault(page_manager._stat_node[node_id], faults)
+        ctx.charge_cpu(self._page_fault_s * faults)
         self._fetch(ctx, node_id, missing)
-        calls = page_manager.unprotect_after_fetch(node_id, faulting)
-        ctx.charge_cpu(self._mprotect_s * calls)
+        self._tables[node_id]._protection.update(
+            dict.fromkeys(faulting, PageProtection.READ_WRITE)
+        )
+        stats.mprotect_calls += faults
+        ctx.charge_cpu(self._mprotect_s * faults)
 
 
 class InlineCheckDetection(DetectionStrategy):

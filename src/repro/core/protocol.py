@@ -86,6 +86,11 @@ class ConsistencyProtocol(DsmProtocolHooks):
         self._miss_overhead_s = cost_model.cache_miss_overhead_seconds()
         self._page_fault_s = cost_model.software.page_fault_seconds
         self._mprotect_s = cost_model.software.mprotect_seconds
+        #: whether ``_fetch`` must announce each arrived page: only a
+        #: subclass that overrides the no-op hook listens
+        self._receives_pages = (
+            type(self).on_page_received is not DsmProtocolHooks.on_page_received
+        )
 
     # ------------------------------------------------------------------
     # common helpers
@@ -94,8 +99,9 @@ class ConsistencyProtocol(DsmProtocolHooks):
         """Fetch *missing* pages to *node_id*, charging the request latency."""
         latency = self.page_manager.fetch_pages(node_id, missing)
         ctx.charge_wait(latency)
-        for page in missing:
-            self.on_page_received(ctx, node_id, page)
+        if self._receives_pages:
+            for page in missing:
+                self.on_page_received(ctx, node_id, page)
         return latency
 
     # ------------------------------------------------------------------

@@ -16,14 +16,13 @@ The two Java-consistency protocols of the paper (``java_ic`` and ``java_pf``)
 live in :mod:`repro.core`; this package provides the mechanisms they share.
 """
 
-from repro.dsm.page import PageInfo, PageProtection, PageTableEntry
+from repro.dsm.page import PageInfo, PageProtection
 from repro.dsm.page_manager import DsmStats, NodePageTable, PageManager
 from repro.dsm.protocol_api import DsmProtocolHooks
 
 __all__ = [
     "PageInfo",
     "PageProtection",
-    "PageTableEntry",
     "PageManager",
     "NodePageTable",
     "DsmStats",

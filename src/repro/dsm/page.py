@@ -51,55 +51,3 @@ class PageInfo:
         """True if *address* falls within this page."""
         return self.base_address <= address < self.end_address
 
-
-class PageTableEntry:
-    """Mutable per-node state of one page mapping.
-
-    A plain ``__slots__`` class rather than a dataclass: page-table entries
-    are the most numerous mutable objects of a simulation (one per node per
-    touched page) and sit on the per-access hot path, so the smaller memory
-    footprint and faster attribute access matter.
-
-    Attributes
-    ----------
-    present:
-        True when the node holds an up-to-date copy of the page (the home
-        node's entry is always present).
-    protection:
-        Simulated ``mprotect`` state; only meaningful to fault-based
-        protocols (``java_ic`` leaves everything READ_WRITE forever).
-    fetches:
-        Number of times this node has fetched the page from its home.
-    faults:
-        Number of page faults this node has taken on the page.
-    """
-
-    __slots__ = ("present", "protection", "fetches", "faults")
-
-    def __init__(
-        self,
-        present: bool = False,
-        protection: PageProtection = PageProtection.READ_WRITE,
-        fetches: int = 0,
-        faults: int = 0,
-    ):
-        self.present = present
-        self.protection = protection
-        self.fetches = fetches
-        self.faults = faults
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PageTableEntry):
-            return NotImplemented
-        return (
-            self.present == other.present
-            and self.protection == other.protection
-            and self.fetches == other.fetches
-            and self.faults == other.faults
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PageTableEntry(present={self.present}, protection={self.protection}, "
-            f"fetches={self.fetches}, faults={self.faults})"
-        )

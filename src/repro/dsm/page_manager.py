@@ -18,24 +18,29 @@ passed in by the caller so the same mechanics serve both protocols.
 
 Hot-path layout: the manager keeps a flat ``page -> home node`` dictionary
 (``_home_by_page``) beside the :class:`~repro.dsm.page.PageInfo` directory,
-and each :class:`NodePageTable` mirrors its entries' ``present`` bits in a
-set, so the per-access questions — "is this page remote?" and "is it
-resident here?" — are single dict/set probes instead of dataclass attribute
-chains.  All presence transitions must go through
-:meth:`NodePageTable.mark_present` / :meth:`NodePageTable.mark_absent` to
-keep the mirror consistent.
+and each :class:`NodePageTable` records its node's presence in one set, the
+only record of which pages a node holds, so the per-access questions — "is
+this page remote?" and "is it resident here?" — are single dict/set probes.
+A fetch is one pass over its pages: it groups the missing ones by home,
+prices each group from a table keyed by the topology's price class, splits
+the traffic by island from one per-node tuple and marks each group present
+with one set update.  Invalidation is one list of the node's remote pages
+and one set difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 from repro.cluster.costs import CostModel
-from repro.cluster.topology import Topology
-from repro.dsm.page import PageInfo, PageProtection, PageTableEntry
+from repro.cluster.topology import LinkPathTopology, Topology
+from repro.dsm.page import PageInfo, PageProtection
 from repro.pm2.isoaddr import IsoAddressAllocator
 from repro.util.validation import check_non_negative
+
+_READ_WRITE = PageProtection.READ_WRITE
+_NONE = PageProtection.NONE
 
 
 @dataclass(slots=True)
@@ -78,13 +83,6 @@ class DsmStats:
     fetches_by_node: dict[int, int] = field(default_factory=dict)
     faults_by_node: dict[int, int] = field(default_factory=dict)
 
-    def record_fetch(self, node: int, pages: int, nbytes: int) -> None:
-        """Account a fetch of *pages* pages (*nbytes* total) into *node*."""
-        self.page_fetches += pages
-        self.bytes_transferred += nbytes
-        by_node = self.fetches_by_node
-        by_node[node] = by_node.get(node, 0) + pages
-
     def record_fault(self, node: int, count: int = 1) -> None:
         """Account *count* page faults taken on *node*."""
         self.page_faults += count
@@ -110,81 +108,22 @@ class DsmStats:
 class NodePageTable:
     """Per-node view of the page space: presence and protection.
 
-    The ``present`` bits of the entries are mirrored in :attr:`_present` so
-    the access fast path can answer membership with one set probe, and — when
-    the table belongs to a :class:`PageManager` — in the manager's shared
-    ``page -> holder nodes`` replica directory, so ``replica_count`` is
-    O(replicas) instead of a scan over every node.  Presence must therefore
-    only change through :meth:`mark_present` / :meth:`mark_absent` (or the
-    inlined-equivalent :meth:`forget_present`); writing ``entry.present``
-    directly desynchronises the mirrors.
+    :attr:`_present` is the one record of which pages the node holds, its
+    home pages included; the access paths, fetches, invalidations and
+    :meth:`PageManager.replica_count` all read it.  :attr:`_protection`
+    holds the simulated ``mprotect`` state of the pages a fault-based
+    protocol has protected or re-opened; an untracked page is READ_WRITE,
+    which is all ``java_ic`` ever needs.  A present page is always
+    READ_WRITE: fault-based protocols re-protect a page only as they drop
+    it, and re-open it as they fetch it back.
     """
 
-    __slots__ = ("node_id", "_entries", "_present", "_replicas")
+    __slots__ = ("node_id", "_present", "_protection")
 
-    def __init__(self, node_id: int, replicas: "dict[int, set[int]] | None" = None):
+    def __init__(self, node_id: int):
         self.node_id = node_id
-        self._entries: dict[int, PageTableEntry] = {}
-        self._present: set = set()
-        #: the owning manager's shared replica directory (``None`` for
-        #: standalone tables built in tests)
-        self._replicas = replicas
-
-    def entry(self, page: int) -> PageTableEntry:
-        """The (lazily created) table entry for *page*."""
-        entry = self._entries.get(page)
-        if entry is None:
-            entry = PageTableEntry()
-            self._entries[page] = entry
-        return entry
-
-    def mark_present(self, page: int) -> PageTableEntry:
-        """Set *page* present on this node (creating the entry if needed)."""
-        entry = self.entry(page)
-        if not entry.present:
-            entry.present = True
-            self._present.add(page)
-            replicas = self._replicas
-            if replicas is not None:
-                holders = replicas.get(page)
-                if holders is None:
-                    replicas[page] = {self.node_id}
-                else:
-                    holders.add(self.node_id)
-        return entry
-
-    def mark_absent(self, page: int) -> None:
-        """Clear *page*'s presence on this node (no-op for unknown pages)."""
-        entry = self._entries.get(page)
-        if entry is not None and entry.present:
-            self.forget_present(page, entry)
-
-    def forget_present(self, page: int, entry: PageTableEntry) -> None:
-        """:meth:`mark_absent` for callers already holding the present entry.
-
-        The single transition point every bulk invalidation path routes
-        through: it keeps the presence set and the shared replica directory
-        in lock-step with ``entry.present``, so no caller can desynchronise
-        the mirrors by flipping the bit directly.
-        """
-        entry.present = False
-        self._present.discard(page)
-        replicas = self._replicas
-        if replicas is not None:
-            holders = replicas.get(page)
-            if holders is not None:
-                holders.discard(self.node_id)
-
-    def known_pages(self) -> list[int]:
-        """Pages that have an entry on this node."""
-        return list(self._entries)
-
-    def present_pages(self) -> list[int]:
-        """Pages currently replicated (or homed) on this node."""
-        return [p for p, e in self._entries.items() if e.present]
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._entries
+        self._present: set[int] = set()
+        self._protection: dict[int, PageProtection] = {}
 
 
 class NodePageTables(dict):
@@ -197,17 +136,16 @@ class NodePageTables(dict):
     nodes raise ``IndexError`` like the eager list used to.
     """
 
-    __slots__ = ("num_nodes", "_replicas")
+    __slots__ = ("num_nodes",)
 
-    def __init__(self, num_nodes: int, replicas: "dict[int, set[int]]"):
+    def __init__(self, num_nodes: int):
         super().__init__()
         self.num_nodes = num_nodes
-        self._replicas = replicas
 
     def __missing__(self, node: int) -> NodePageTable:
         if not 0 <= node < self.num_nodes:
             raise IndexError(f"node {node} out of range for {self.num_nodes} node(s)")
-        table = NodePageTable(node, self._replicas)
+        table = NodePageTable(node)
         self[node] = table
         return table
 
@@ -225,6 +163,8 @@ class PageManager:
     #: byte-identically; thousand-node runs bucket by island instead of
     #: growing a dict entry per node.
     NODE_STAT_CAP = 64
+    #: size of the page request message a fetch sends to the home node
+    REQUEST_BYTES = 64
 
     def __init__(
         self,
@@ -250,17 +190,47 @@ class PageManager:
         #: flat page -> home-node map; the access fast path reads this
         #: instead of chasing PageInfo attributes
         self._home_by_page: dict[int, int] = {}
-        #: page -> nodes whose tables hold it present (the replica
-        #: directory); maintained by the tables' presence transitions
-        self._replicas: dict[int, set[int]] = {}
-        self.tables = NodePageTables(self.num_nodes, self._replicas)
-        if self.num_nodes > self.NODE_STAT_CAP:
-            island_of = topology.island_of
-            self._stat_node: "tuple[int, ...] | None" = tuple(
-                island_of(node) for node in range(self.num_nodes)
-            )
-        else:
-            self._stat_node = None
+        self.tables = NodePageTables(self.num_nodes)
+        island_of = topology.island_of
+        #: island of every node: the fetch's intra/inter split
+        self._island_of_node: tuple[int, ...] = tuple(
+            island_of(node) for node in range(self.num_nodes)
+        )
+        #: key of every node in the per-node stat dicts (see :meth:`stat_node`)
+        self._stat_node: tuple[int, ...] = (
+            self._island_of_node
+            if self.num_nodes > self.NODE_STAT_CAP
+            else tuple(range(self.num_nodes))
+        )
+        self._rpc_service = cost_model.software.rpc_service_seconds
+        self._pair_class = self._price_class_of(topology)
+        #: ``(pair price class, pages) -> group latency``: the exact float of
+        #: ``round_trip_time(...) + rpc_service`` for one fetch group
+        self._group_prices: dict[tuple, float] = {}
+
+    @staticmethod
+    def _price_class_of(topology: Topology) -> "Callable[[int, int], tuple | None] | None":
+        """``(node, home) -> price class`` of a fetch round trip, or None.
+
+        Two pairs of one class pay bit-identical round trips for the same
+        payload, because the topology prices each direction by exactly the
+        key it memoises on: the hop count under ``hop_uniform_pricing``, the
+        :meth:`~repro.cluster.topology.LinkPathTopology.path_class` on link
+        paths (where ``None`` means unclassifiable).  Other topologies get no
+        class and every group is priced afresh.
+        """
+        if topology.hop_uniform_pricing:
+            hops = topology.hops
+            return lambda node, home: (hops(node, home), hops(home, node))
+        if isinstance(topology, LinkPathTopology):
+            path_class = topology.path_class
+
+            def pair_class(node: int, home: int) -> "tuple | None":
+                there, back = path_class(node, home), path_class(home, node)
+                return None if there is None or back is None else (there, back)
+
+            return pair_class
+        return None
 
     def stat_node(self, node: int) -> int:
         """Key under which *node*'s per-node stats accumulate.
@@ -270,8 +240,7 @@ class PageManager:
         ``fetches_by_node``/``faults_by_node`` by the island count instead
         of the node count.
         """
-        mapping = self._stat_node
-        return node if mapping is None else mapping[node]
+        return self._stat_node[node]
 
     # ------------------------------------------------------------------
     # registration
@@ -280,8 +249,8 @@ class PageManager:
         """Register the pages backing an allocation; returns their numbers.
 
         The home node of each page is derived from the iso-address arena the
-        address falls into; the home node's page-table entry is created
-        present and READ_WRITE (the reference copy).
+        address falls into; the home node holds the page present and
+        READ_WRITE (the reference copy).
         """
         check_non_negative("address", address)
         if size <= 0:
@@ -294,8 +263,7 @@ class PageManager:
                     page_number=page, home_node=home, page_size=self.page_size
                 )
                 self._home_by_page[page] = home
-                home_entry = self.tables[home].mark_present(page)
-                home_entry.protection = PageProtection.READ_WRITE
+                self.tables[home]._present.add(page)
         return pages
 
     def page_info(self, page: int) -> PageInfo:
@@ -312,10 +280,6 @@ class PageManager:
         except KeyError:
             raise KeyError(f"page {page} has not been registered") from None
 
-    def registered_pages(self) -> list[int]:
-        """All registered page numbers (sorted)."""
-        return sorted(self._pages)
-
     def pages_for_range(self, address: int, size: int) -> list[int]:
         """Page numbers spanned by [address, address+size)."""
         return list(self.isoaddr.pages_of_range(address, size))
@@ -327,33 +291,12 @@ class PageManager:
         """True if *node* holds a copy of *page* (home nodes always do)."""
         if page in self.tables[node]._present:
             return True
-        home = self._home_by_page.get(page)
-        if home is None:
-            raise KeyError(f"page {page} has not been registered")
-        return home == node
+        return self.home_node(page) == node
 
     def protection(self, node: int, page: int) -> PageProtection:
         """Current protection of *page* on *node* (READ_WRITE if untracked)."""
         self.page_info(page)
-        entry = self.tables[node]._entries.get(page)
-        if entry is None:
-            return PageProtection.READ_WRITE
-        return entry.protection
-
-    def missing_pages(self, node: int, pages: Iterable[int]) -> list[int]:
-        """Subset of *pages* not present on *node*."""
-        present = self.tables[node]._present
-        home = self._home_by_page
-        missing: list[int] = []
-        for page in pages:
-            if page in present:
-                continue
-            owner = home.get(page)
-            if owner is None:
-                raise KeyError(f"page {page} has not been registered")
-            if owner != node:
-                missing.append(page)
-        return missing
+        return self.tables[node]._protection.get(page, _READ_WRITE)
 
     # ------------------------------------------------------------------
     # mechanics used by the protocols
@@ -366,86 +309,90 @@ class PageManager:
         pages (DSM-PM2 batches contiguous pages of one request).  The caller
         charges the returned latency to the faulting/checking thread.
         """
-        missing = self.missing_pages(node, pages)
-        if not missing:
-            return 0.0
-        latency = 0.0
+        present = self.tables[node]._present
         home_map = self._home_by_page
         by_home: dict[int, list[int]] = {}
-        for page in missing:
-            by_home.setdefault(home_map[page], []).append(page)
-        table = self.tables[node]
+        try:
+            for page in pages:
+                if page not in present:
+                    home = home_map[page]
+                    if home != node:
+                        group = by_home.get(home)
+                        if group is None:
+                            by_home[home] = [page]
+                        else:
+                            group.append(page)
+        except KeyError:
+            raise KeyError(f"page {page} has not been registered") from None
+        if not by_home:
+            return 0.0
         stats = self.stats
-        rpc_service = self.cost_model.software.rpc_service_seconds
-        round_trip = self.topology.round_trip_time
-        island_of = self.topology.island_of
-        record_fetch = stats.record_fetch
         telemetry = self.telemetry
-        node_island = island_of(node)
-        stat_key = self.stat_node(node)
+        page_size = self.page_size
+        islands = self._island_of_node
+        node_island = islands[node]
+        pair_class = self._pair_class
+        prices = self._group_prices
+        latency = 0.0
+        fetched = 0
         for home, group in by_home.items():
-            payload = len(group) * self.page_size
-            group_latency = round_trip(node, home, 64, payload) + rpc_service
+            count = len(group)
+            payload = count * page_size
+            key = None if pair_class is None else pair_class(node, home)
+            if key is None:
+                group_latency = self._price_group(node, home, payload)
+            else:
+                key = (key, count)
+                group_latency = prices.get(key)
+                if group_latency is None:
+                    group_latency = prices[key] = self._price_group(node, home, payload)
             latency += group_latency
-            record_fetch(stat_key, len(group), payload)
-            intra = island_of(home) == node_island
+            fetched += count
+            intra = islands[home] == node_island
             if intra:
-                stats.intra_island_page_fetches += len(group)
+                stats.intra_island_page_fetches += count
                 stats.intra_island_fetch_seconds += group_latency
             else:
-                stats.inter_island_page_fetches += len(group)
+                stats.inter_island_page_fetches += count
                 stats.inter_island_fetch_seconds += group_latency
                 stats.inter_island_bytes += payload
             if telemetry is not None:
-                telemetry.observe_fetch(intra, group_latency, len(group), payload)
-            for page in group:
-                entry = table.mark_present(page)
-                entry.fetches += 1
+                telemetry.observe_fetch(intra, group_latency, count, payload)
+            present.update(group)
+        stats.page_fetches += fetched
+        stats.bytes_transferred += fetched * page_size
+        by_node = stats.fetches_by_node
+        key = self._stat_node[node]
+        by_node[key] = by_node.get(key, 0) + fetched
         return latency
 
-    def set_protection(self, node: int, page: int, protection: PageProtection) -> bool:
-        """Set *page*'s protection on *node*; returns True if it changed.
+    def _price_group(self, node: int, home: int, payload: int) -> float:
+        """Latency of one fetch group: the round trip plus the home's service."""
+        return (
+            self.topology.round_trip_time(node, home, self.REQUEST_BYTES, payload)
+            + self._rpc_service
+        )
 
-        Each actual change corresponds to one ``mprotect`` system call and is
-        counted in the statistics.
-        """
-        if page not in self._pages:
-            raise KeyError(f"page {page} has not been registered")
-        entry = self.tables[node].entry(page)
-        if entry.protection is protection:
-            return False
-        entry.protection = protection
-        self.stats.mprotect_calls += 1
-        return True
-
-    def record_fault(self, node: int, page: int) -> None:
-        """Account one page fault taken by *node* on *page*."""
-        entry = self.tables[node].entry(page)
-        entry.faults += 1
-        self.stats.record_fault(self.stat_node(node))
+    def _remote_present(self, node: int) -> "tuple[NodePageTable, list[int]]":
+        """*node*'s table and the non-home pages it holds."""
+        table = self.tables[node]
+        home_map = self._home_by_page
+        return table, [page for page in table._present if home_map[page] != node]
 
     def protect_remote_present_pages(self, node: int) -> int:
         """``mprotect`` every replicated non-home page on *node* to NONE.
 
         Used by ``java_pf`` on monitor entry so that the next access to any
-        remote object faults and re-validates the page.  Returns the number
-        of ``mprotect`` calls performed (pages whose protection changed).
+        remote object faults and re-validates the page.  Every present page
+        is READ_WRITE, so each dropped replica costs one ``mprotect`` call;
+        returns their number.
         """
-        table = self.tables[node]
-        home_map = self._home_by_page
-        entries = table._entries
-        calls = 0
-        for page in list(table._present):
-            if home_map[page] == node:
-                continue
-            entry = entries[page]
-            if entry.protection is not PageProtection.NONE:
-                entry.protection = PageProtection.NONE
-                table.forget_present(page, entry)
-                calls += 1
-        if calls:
-            self.stats.mprotect_calls += calls
-        return calls
+        table, remote = self._remote_present(node)
+        if remote:
+            table._present.difference_update(remote)
+            table._protection.update(dict.fromkeys(remote, _NONE))
+            self.stats.mprotect_calls += len(remote)
+        return len(remote)
 
     def drop_remote_present_pages(self, node: int) -> int:
         """Forget every replicated non-home page on *node* (``java_ic``).
@@ -454,19 +401,13 @@ class PageManager:
         memory READ_WRITE forever and simply clears its presence table.
         Returns the number of pages dropped.
         """
-        table = self.tables[node]
-        home_map = self._home_by_page
-        entries = table._entries
-        dropped = 0
-        for page in list(table._present):
-            if home_map[page] == node:
-                continue
-            table.forget_present(page, entries[page])
-            dropped += 1
-        return dropped
+        table, remote = self._remote_present(node)
+        if remote:
+            table._present.difference_update(remote)
+        return len(remote)
 
     def invalidate_remote_present_pages(
-        self, node: int, protect_pages
+        self, node: int, protect_pages: "set[int]"
     ) -> "tuple[int, int]":
         """Drop or re-protect every replicated non-home page on *node*.
 
@@ -477,25 +418,15 @@ class PageManager:
         :meth:`drop_remote_present_pages` does.  Returns
         ``(mprotect_calls, dropped)``.
         """
-        table = self.tables[node]
-        home_map = self._home_by_page
-        entries = table._entries
-        calls = 0
-        dropped = 0
-        for page in list(table._present):
-            if home_map[page] == node:
-                continue
-            entry = entries[page]
-            table.forget_present(page, entry)
-            if page in protect_pages:
-                if entry.protection is not PageProtection.NONE:
-                    entry.protection = PageProtection.NONE
-                    calls += 1
-            else:
-                dropped += 1
-        if calls:
-            self.stats.mprotect_calls += calls
-        return calls, dropped
+        table, remote = self._remote_present(node)
+        if not remote:
+            return 0, 0
+        table._present.difference_update(remote)
+        protected = protect_pages.intersection(remote)
+        if protected:
+            table._protection.update(dict.fromkeys(protected, _NONE))
+            self.stats.mprotect_calls += len(protected)
+        return len(protected), len(remote) - len(protected)
 
     # ------------------------------------------------------------------
     # home re-assignment (migratory home policies)
@@ -506,7 +437,7 @@ class PageManager:
         The directory hook behind
         :class:`~repro.core.home_policy.MigratoryHomePolicy`: the page→home
         map and the :class:`~repro.dsm.page.PageInfo` entry are updated, the
-        new home's table entry becomes a present READ/WRITE reference copy,
+        new home holds the page as a present READ/WRITE reference copy,
         and the old home's copy is left as an ordinary replica (to be
         dropped or re-protected at its next invalidation like any other).
         Callers charge the transfer latency themselves — the manager only
@@ -524,37 +455,26 @@ class PageManager:
             page_number=page, home_node=new_home, page_size=self.page_size
         )
         self._home_by_page[page] = new_home
-        entry = self.tables[new_home].mark_present(page)
-        entry.protection = PageProtection.READ_WRITE
+        table = self.tables[new_home]
+        table._present.add(page)
+        if page in table._protection:
+            table._protection[page] = _READ_WRITE
         self.stats.page_rehomes += 1
         return old_home
-
-    def unprotect_after_fetch(self, node: int, pages: Sequence[int]) -> int:
-        """Set *pages* back to READ_WRITE on *node* after a fault-driven fetch.
-
-        Returns the number of ``mprotect`` calls (protection transitions).
-        """
-        calls = 0
-        for page in pages:
-            if self.set_protection(node, page, PageProtection.READ_WRITE):
-                calls += 1
-        return calls
 
     # ------------------------------------------------------------------
     def replica_count(self, page: int) -> int:
         """Number of nodes currently holding *page* (including its home).
 
-        O(1) via the replica directory: the home always counts (it owns the
-        reference copy even when its table entry was dropped), every other
-        holder is a directory member.
+        Scans the materialised tables only: a node whose table was never
+        touched holds nothing.
         """
-        info = self.page_info(page)
-        holders = self._replicas.get(page)
-        if not holders:
-            return 1
-        if info.home_node in holders:
-            return len(holders)
-        return len(holders) + 1
+        home = self.home_node(page)
+        return 1 + sum(
+            1
+            for table in self.tables.values()
+            if table.node_id != home and page in table._present
+        )
 
     def replica_count_reference(self, page: int) -> int:
         """Readable twin of :meth:`replica_count`: the all-nodes scan."""

@@ -515,6 +515,18 @@ def _protocol_columns(args) -> tuple:
     return names
 
 
+def _cluster_columns(args) -> list[str]:
+    """Parse and validate a ``--clusters`` comma list."""
+    names = _comma_list(args.clusters, "--clusters")
+    known = list_clusters()
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise CliError(
+            f"unknown cluster(s) {', '.join(unknown)}; available: {', '.join(known)}"
+        )
+    return names
+
+
 def _figure_clusters(args) -> tuple:
     """The cluster columns a figure plots: the paper pair or one preset."""
     if args.topology:
@@ -884,7 +896,7 @@ def cmd_grid(args) -> int:
     enable_console(json_lines=args.log_json)
     logger = get_logger("harness.grid")
     telemetry = args.telemetry or bool(args.telemetry_out)
-    clusters = _comma_list(args.clusters, "--clusters")
+    clusters = _cluster_columns(args)
     matrix = (
         ExperimentMatrix()
         .apps(*_comma_list(args.apps, "--apps"))

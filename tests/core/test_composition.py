@@ -180,6 +180,36 @@ def test_describe_legacy_fallback_uses_flag(rig_factory):
     assert "page faults" in legacy.describe()
 
 
+def test_page_arrival_hook_hears_every_fetched_page_only_when_overridden(rig_factory):
+    class ListeningProtocol(ConsistencyProtocol):
+        name = "listening_tmp"
+
+        def __init__(self, page_manager, cost_model):
+            super().__init__(page_manager, cost_model)
+            self.received = []
+
+        def detect_access(self, ctx, node_id, pages, count, write):
+            missing = [p for p in pages if not self.page_manager.is_present(node_id, p)]
+            self._fetch(ctx, node_id, missing)
+            return len(missing)
+
+        def on_monitor_enter(self, ctx, node_id):
+            pass
+
+        def on_page_received(self, ctx, node_id, page):
+            self.received.append((node_id, page))
+
+    rig = rig_factory()
+    listening = ListeningProtocol(rig.page_manager, rig.cost_model)
+    array = rig.heap.new_array("double", 1024, home_node=1, page_aligned=True)
+    pages = rig.page_manager.pages_for_range(array.address, array.size_bytes)
+    assert len(pages) > 1
+    assert listening.detect_access(rig.ctx(0), 0, pages, 1, False) == len(pages)
+    assert listening.received == [(0, page) for page in pages]
+    # the stock protocols keep the no-op hook, so their fetches skip it
+    assert listening._receives_pages and not rig.protocol._receives_pages
+
+
 # ---------------------------------------------------------------------------
 # hybrid detection: per-page promotion by observed access density
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tests for pages and protections."""
 
-from repro.dsm.page import PageInfo, PageProtection, PageTableEntry
+from repro.dsm.page import PageInfo, PageProtection
 
 
 def test_protection_semantics():
@@ -20,9 +20,3 @@ def test_page_info_addresses():
     assert info.contains(45055)
     assert not info.contains(45056)
 
-
-def test_page_table_entry_defaults():
-    entry = PageTableEntry()
-    assert not entry.present
-    assert entry.protection is PageProtection.READ_WRITE
-    assert entry.fetches == 0 and entry.faults == 0

@@ -1,20 +1,17 @@
-"""Scale-out behaviour of the page manager: lazy tables, the replica
-directory, bounded per-node stats, and the presence-mirror regression.
+"""Scale-out behaviour of the page manager: lazy tables, the single
+presence set, and bounded per-node stats.
 
 These pin the thousand-node fixes:
 
 * ``PageManager.tables`` materialises per-node tables on first touch — a
   1024-node manager holds tables only for the nodes the run touched;
-* ``replica_count`` reads the O(replicas) directory and must agree with the
-  brute-force all-nodes scan after any interleaving of fetches and bulk
-  invalidations (hypothesis drives the interleaving);
+* every node's presence set, its tracked protections, ``replica_count``
+  and the DSM counters agree with a dict-of-sets reference model after any
+  interleaving of accesses (through the real detection strategies, so
+  fetches and fault-ins), invalidations (drop, re-protect, the hybrid's
+  split) and home moves (hypothesis drives the interleaving);
 * per-node stat dicts stay exact below ``NODE_STAT_CAP`` and bucket by
-  island above it;
-* the bulk invalidation paths (`protect_remote_present_pages`,
-  ``drop_remote_present_pages``, ``invalidate_remote_present_pages``) route
-  presence transitions through the shared helper, so the presence mirror
-  and the replica directory can never desynchronise (the regression the
-  module docstring's invariant mandates).
+  island above it.
 """
 
 from __future__ import annotations
@@ -27,6 +24,10 @@ from repro.cluster.costs import CostModel, SoftwareCosts
 from repro.cluster.network import NetworkSpec
 from repro.cluster.node import MachineSpec
 from repro.cluster.topology import CrossbarTopology, MultiClusterTopology
+from repro.core.context import RecordingContext
+from repro.core.detection import HybridDetection
+from repro.core.protocol import create_protocol
+from repro.dsm.page import PageProtection
 from repro.dsm.page_manager import PageManager
 from repro.pm2.isoaddr import IsoAddressAllocator
 
@@ -54,16 +55,93 @@ def register(pm, isoaddr, node: int, pages: int = 1) -> list[int]:
     return pm.register_range(allocation.address, allocation.size)
 
 
-def assert_mirrors_consistent(pm) -> None:
-    """Presence mirror == entries, replica directory == union of mirrors."""
-    holders_by_page: dict[int, set[int]] = {}
-    for table in pm.tables.materialised():
-        mirror = {p for p, e in table._entries.items() if e.present}
-        assert mirror == table._present, f"node {table.node_id} desynchronised"
-        for page in mirror:
-            holders_by_page.setdefault(page, set()).add(table.node_id)
-    directory = {page: set(nodes) for page, nodes in pm._replicas.items() if nodes}
-    assert directory == holders_by_page
+class DsmModel:
+    """Reference model of the page tables: presence as a dict of sets.
+
+    It replays each operation's specified effect the plain way — presence
+    per node as a set, protection per node as a dict of the pages a
+    fault-based miss or invalidation touched, counters as a dict — for
+    :func:`assert_matches_model` to hold the page manager against.
+    """
+
+    def __init__(self, pm):
+        self.home = dict(pm._home_by_page)
+        self.present: dict[int, set[int]] = {}
+        for page, home in self.home.items():
+            self.present.setdefault(home, set()).add(page)
+        self.protection: dict[int, dict[int, PageProtection]] = {}
+        self.density: dict[tuple[int, int], int] = {}
+        self.counters = dict.fromkeys(
+            ("page_fetches", "page_faults", "mprotect_calls", "page_rehomes"), 0
+        )
+
+    def access(self, mode: str, node: int, pages, count: int) -> None:
+        held = self.present.setdefault(node, set())
+        missing = [p for p in pages if self.home[p] != node and p not in held]
+        if mode == "java_pf":
+            faulting = missing
+        elif mode == "java_hybrid":
+            threshold = HybridDetection.DENSITY_THRESHOLD
+            faulting = [p for p in missing if self.density.get((node, p), 0) >= threshold]
+        else:
+            faulting = []
+        held.update(missing)
+        self.counters["page_fetches"] += len(missing)
+        self.counters["page_faults"] += len(faulting)
+        self.counters["mprotect_calls"] += len(faulting)
+        for page in faulting:
+            self.protection.setdefault(node, {})[page] = PageProtection.READ_WRITE
+        for page in pages:
+            self.density[node, page] = self.density.get((node, page), 0) + count
+
+    def invalidate(self, mode: str, node: int) -> None:
+        held = self.present.setdefault(node, set())
+        remote = {p for p in held if self.home[p] != node}
+        held -= remote
+        if mode == "java_pf":
+            protect = remote
+        elif mode == "java_hybrid":
+            threshold = HybridDetection.DENSITY_THRESHOLD
+            protect = {p for p in remote if self.density.get((node, p), 0) >= threshold}
+        else:
+            protect = set()
+        self.counters["mprotect_calls"] += len(protect)
+        for page in protect:
+            self.protection.setdefault(node, {})[page] = PageProtection.NONE
+
+    def rehome(self, page: int, node: int) -> None:
+        if self.home[page] == node:
+            return
+        self.home[page] = node
+        self.present.setdefault(node, set()).add(page)
+        if page in self.protection.get(node, {}):
+            self.protection[node][page] = PageProtection.READ_WRITE
+        self.counters["page_rehomes"] += 1
+
+    def replicas(self, page: int) -> int:
+        return sum(1 for held in self.present.values() if page in held)
+
+
+def assert_matches_model(pm, model: DsmModel) -> None:
+    """Presence, protections, replica counts and counters equal the model's."""
+    tables = pm.tables.materialised()
+    assert {t.node_id: t._present for t in tables if t._present} == {
+        node: held for node, held in model.present.items() if held
+    }
+    assert {t.node_id: t._protection for t in tables if t._protection} == {
+        node: tracked for node, tracked in model.protection.items() if tracked
+    }
+    assert pm._home_by_page == model.home
+    for page in model.home:
+        assert pm.replica_count(page) == model.replicas(page)
+        assert pm.replica_count_reference(page) == model.replicas(page)
+    stats = pm.stats
+    assert {name: getattr(stats, name) for name in model.counters} == model.counters
+    assert stats.page_fetches == stats.intra_island_page_fetches + stats.inter_island_page_fetches
+    # the premise of the bulk mprotect counts: present replicas are open
+    for table in tables:
+        for page in table._present:
+            assert pm.protection(table.node_id, page) is PageProtection.READ_WRITE
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +178,7 @@ def test_thousand_node_manager_stays_small():
 
 
 # ---------------------------------------------------------------------------
-# the replica directory vs the brute-force scan
+# the presence set vs the dict-of-sets model
 # ---------------------------------------------------------------------------
 def test_replica_count_counts_home_exactly_once():
     pm, isoaddr = make_manager(6)
@@ -114,56 +192,81 @@ def test_replica_count_counts_home_exactly_once():
 
 @settings(max_examples=60, deadline=None)
 @given(
+    st.sampled_from(("java_ic", "java_pf", "java_hybrid")),
     st.lists(
         st.tuples(
-            st.sampled_from(("fetch", "protect", "drop", "invalidate")),
+            st.sampled_from(("access", "invalidate", "rehome")),
             st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=3),
+            st.sampled_from((1, 300)),
         ),
         max_size=24,
-    )
+    ),
 )
-def test_replica_count_matches_brute_force_under_interleaving(ops):
+def test_page_tables_match_the_model_under_interleaving(mode, ops):
+    """Accesses, invalidations and home moves, as one protocol runs them.
+
+    Accesses go through the protocol's own ``detect_access`` (fetches, and
+    fault-ins with their bulk fault and ``mprotect`` counts), invalidations
+    through its ``on_monitor_enter`` (drop, re-protect or the hybrid's
+    split); 300-access bursts push pages past the hybrid's promotion
+    threshold.  An access touches one page or a page and its neighbour.
+    """
     pm, isoaddr = make_manager(6)
     pages = register(pm, isoaddr, node=0, pages=2)
     pages += register(pm, isoaddr, node=3, pages=2)
-    protect_set = set(pages[:2])
-    for action, node in ops:
-        if action == "fetch":
-            pm.fetch_pages(node, pages)
-        elif action == "protect":
-            pm.protect_remote_present_pages(node)
-        elif action == "drop":
-            pm.drop_remote_present_pages(node)
+    protocol = create_protocol(mode, pm, pm.cost_model)
+    model = DsmModel(pm)
+    ctx = RecordingContext(0)
+    for action, node, index, count in ops:
+        if action == "access":
+            touched = pages[index : index + 2]
+            protocol.detect_access(ctx, node, touched, count, False)
+            model.access(mode, node, touched, count)
+        elif action == "invalidate":
+            protocol.on_monitor_enter(ctx, node)
+            model.invalidate(mode, node)
         else:
-            pm.invalidate_remote_present_pages(node, protect_set)
-    for page in pages:
-        assert pm.replica_count(page) == pm.replica_count_reference(page)
-    assert_mirrors_consistent(pm)
+            pm.rehome_page(pages[index], node)
+            model.rehome(pages[index], node)
+    assert_matches_model(pm, model)
 
 
 # ---------------------------------------------------------------------------
-# the presence-mirror regression (bulk invalidation paths)
+# the bulk invalidation paths
 # ---------------------------------------------------------------------------
-def test_bulk_invalidations_keep_mirror_and_directory_synchronised():
+def test_bulk_invalidations_clear_exactly_the_remote_replicas():
     pm, isoaddr = make_manager(6)
     pages = register(pm, isoaddr, node=0, pages=4)
     for node in (1, 2, 3):
         pm.fetch_pages(node, pages)
-    assert_mirrors_consistent(pm)
+    model = DsmModel(pm)
+    for node in (1, 2, 3):
+        model.access("java_ic", node, pages, 1)
+    assert_matches_model(pm, model)
 
     assert pm.protect_remote_present_pages(1) == 4
-    assert_mirrors_consistent(pm)
+    model.invalidate("java_pf", 1)
+    assert_matches_model(pm, model)
     assert pm.replica_count(pages[0]) == 3  # home + nodes 2, 3
 
     assert pm.drop_remote_present_pages(2) == 4
-    assert_mirrors_consistent(pm)
+    model.invalidate("java_ic", 2)
+    assert_matches_model(pm, model)
     assert pm.replica_count(pages[0]) == 2
 
     calls, dropped = pm.invalidate_remote_present_pages(3, set(pages[:1]))
     assert (calls, dropped) == (1, 3)
-    assert_mirrors_consistent(pm)
+    model.present[3] -= set(pages)
+    model.protection[3] = {pages[0]: PageProtection.NONE}
+    model.counters["mprotect_calls"] += 1
+    assert_matches_model(pm, model)
     for page in pages:
         assert pm.replica_count(page) == 1  # only the home remains
+    # nothing left to drop or protect: no further mprotect
+    assert pm.protect_remote_present_pages(3) == 0
+    assert pm.invalidate_remote_present_pages(3, set(pages)) == (0, 0)
+    assert_matches_model(pm, model)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +276,11 @@ def test_stat_node_is_identity_at_paper_scale():
     pm, isoaddr = make_manager(16)
     pages = register(pm, isoaddr, node=0)
     pm.fetch_pages(9, pages)
-    pm.record_fault(11, pages[0])
+    create_protocol("java_pf", pm, pm.cost_model).detect_access(
+        RecordingContext(11), 11, pages, 1, False
+    )
     assert pm.stat_node(9) == 9
-    assert pm.stats.fetches_by_node == {9: 1}
+    assert pm.stats.fetches_by_node == {9: 1, 11: 1}
     assert pm.stats.faults_by_node == {11: 1}
 
 
@@ -190,10 +295,12 @@ def test_stat_node_buckets_by_island_above_the_cap():
     pages = register(pm, isoaddr, node=0)
     pm.fetch_pages(9, pages)  # island 1
     pm.fetch_pages(17, pages)  # island 2
-    pm.record_fault(1023, pages[0])  # island 127
+    create_protocol("java_pf", pm, pm.cost_model).detect_access(
+        RecordingContext(1023), 1023, pages, 1, False
+    )  # island 127
     assert pm.stat_node(9) == 1
-    assert pm.stats.fetches_by_node == {1: 1, 2: 1}
+    assert pm.stats.fetches_by_node == {1: 1, 2: 1, 127: 1}
     assert pm.stats.faults_by_node == {127: 1}
     # scalar totals are untouched by the bucketing
-    assert pm.stats.page_fetches == 2
+    assert pm.stats.page_fetches == 3
     assert pm.stats.page_faults == 1

@@ -213,6 +213,20 @@ def test_grid_rejects_a_node_count_no_cluster_can_host(monkeypatch, capsys):
     assert f"--nodes 1000: cluster 'myrinet' has {size} nodes" in capsys.readouterr().err
 
 
+def test_grid_rejects_an_unknown_cluster_before_running(monkeypatch, capsys):
+    from repro.cluster.presets import list_clusters
+    from repro.harness import executor
+
+    executed = []
+    monkeypatch.setattr(executor, "run_spec", executed.append)
+    argv = ["grid", "--apps", "pi", "--clusters", "myrinet,bogus", "--scale", "testing"]
+    assert cli_main(argv) == 2
+    assert executed == []
+    err = capsys.readouterr().err
+    assert "unknown cluster(s) bogus" in err
+    assert all(name in err for name in list_clusters())
+
+
 def test_grid_skips_a_node_count_on_the_clusters_too_small_for_it(capsys):
     from repro.cluster.presets import cluster_by_name
 
