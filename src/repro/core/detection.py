@@ -165,10 +165,9 @@ class DetectionStrategy:
         NONE to READ_WRITE: the fault handler re-opens the arrived pages
         with one ``mprotect`` each.
         """
-        page_manager = self.page_manager
         faults = len(faulting)
         stats = self.stats
-        stats.record_fault(page_manager._stat_node[node_id], faults)
+        stats.record_fault(self.page_manager._stat_node[node_id], faults)
         ctx.charge_cpu(self._page_fault_s * faults)
         self._fetch(ctx, node_id, missing)
         self._tables[node_id]._protection.update(

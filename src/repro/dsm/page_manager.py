@@ -83,7 +83,7 @@ class DsmStats:
     fetches_by_node: dict[int, int] = field(default_factory=dict)
     faults_by_node: dict[int, int] = field(default_factory=dict)
 
-    def record_fault(self, node: int, count: int = 1) -> None:
+    def record_fault(self, node: int, count: int) -> None:
         """Account *count* page faults taken on *node*."""
         self.page_faults += count
         by_node = self.faults_by_node
@@ -362,8 +362,8 @@ class PageManager:
         stats.page_fetches += fetched
         stats.bytes_transferred += fetched * page_size
         by_node = stats.fetches_by_node
-        key = self._stat_node[node]
-        by_node[key] = by_node.get(key, 0) + fetched
+        stat_key = self._stat_node[node]
+        by_node[stat_key] = by_node.get(stat_key, 0) + fetched
         return latency
 
     def _price_group(self, node: int, home: int, payload: int) -> float:
