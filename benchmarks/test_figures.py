@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import FIGURE_NODE_COUNTS, record_figure
 from repro.harness.figures import generate_figure
-from repro.harness.report import figure_table
+from repro.harness.report import render_experiments_markdown
 
 
 def _generate(number, bench_preset, session=None):
@@ -30,7 +30,7 @@ def test_fig1_pi(benchmark, bench_preset, bench_session, results_dir):
         _generate, args=(1, bench_preset, bench_session), rounds=1, iterations=1
     )
     record_figure(benchmark, figure, results_dir)
-    print(figure_table(figure))
+    print(render_experiments_markdown({figure.number: figure}))
     for cluster in ("myrinet", "sci"):
         for nodes, improvement in figure.improvements(cluster).items():
             assert abs(improvement) < 6.0, (cluster, nodes, improvement)
@@ -43,7 +43,7 @@ def test_fig2_jacobi(benchmark, bench_preset, bench_session, results_dir):
         _generate, args=(2, bench_preset, bench_session), rounds=1, iterations=1
     )
     record_figure(benchmark, figure, results_dir)
-    print(figure_table(figure))
+    print(render_experiments_markdown({figure.number: figure}))
     myrinet = figure.improvements("myrinet")
     assert all(imp > 25.0 for imp in myrinet.values())
     assert max(myrinet.values()) - min(myrinet.values()) < 10.0
@@ -57,7 +57,7 @@ def test_fig3_barnes(benchmark, bench_preset, bench_session, results_dir):
         _generate, args=(3, bench_preset, bench_session), rounds=1, iterations=1
     )
     record_figure(benchmark, figure, results_dir)
-    print(figure_table(figure))
+    print(render_experiments_markdown({figure.number: figure}))
     myrinet = figure.improvements("myrinet")
     counts = sorted(myrinet)
     assert myrinet[counts[0]] > myrinet[counts[-1]]
@@ -72,7 +72,7 @@ def test_fig4_tsp(benchmark, bench_preset, bench_session, results_dir):
         _generate, args=(4, bench_preset, bench_session), rounds=1, iterations=1
     )
     record_figure(benchmark, figure, results_dir)
-    print(figure_table(figure))
+    print(render_experiments_markdown({figure.number: figure}))
     myrinet = figure.improvements("myrinet")
     assert all(35.0 < imp < 60.0 for imp in myrinet.values())
 
@@ -84,7 +84,7 @@ def test_fig5_asp(benchmark, bench_preset, bench_session, results_dir):
         _generate, args=(5, bench_preset, bench_session), rounds=1, iterations=1
     )
     record_figure(benchmark, figure, results_dir)
-    print(figure_table(figure))
+    print(render_experiments_markdown({figure.number: figure}))
     myrinet = figure.improvements("myrinet")
     assert myrinet[1] == pytest.approx(64.0, abs=5.0)
     assert all(imp > 45.0 for imp in myrinet.values())

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.harness.figures import FIGURE_APPS
-from repro.harness.report import improvement_table
 from repro.harness.session import Session
 
 
@@ -30,12 +29,11 @@ def test_improvement_summary(benchmark, bench_preset, bench_session, results_dir
     comparisons = benchmark.pedantic(
         _summary, args=(bench_preset, bench_session), rounds=1, iterations=1
     )
-    table = improvement_table(comparisons)
-    print(table)
     summary = {
         cluster: {app: comp.mean_improvement() for app, comp in by_app.items()}
         for cluster, by_app in comparisons.items()
     }
+    print(json.dumps(summary, indent=2))
     benchmark.extra_info["improvements"] = summary
     (results_dir / "improvement_summary.json").write_text(json.dumps(summary, indent=2))
 

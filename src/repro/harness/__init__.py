@@ -31,8 +31,8 @@ On top of that sit the paper-specific layers:
   (imported on first use of its names, so the HTTP stack loads only for
   the service);
 * :mod:`~repro.harness.figures` — Figures 1-5 of the paper;
-* :mod:`~repro.harness.report` — text tables, ASCII plots and the Section 4.3
-  improvement summary;
+* :mod:`~repro.harness.report` — the markdown sections of EXPERIMENTS.md
+  (which the CLI prints too), ASCII plots and the Section 4.3 summary;
 * :mod:`~repro.harness.calibration` — checks the cost model against the
   constants the paper publishes and the improvements it reports;
 * :mod:`~repro.harness.cli` — the ``hyperion-sim`` command-line interface.
@@ -63,10 +63,10 @@ from repro.harness.figures import (
 )
 from repro.harness.report import (
     ascii_plot,
-    figure_table,
     improvement_summary,
-    improvement_table,
     render_experiments_document,
+    render_experiments_markdown,
+    render_improvement_markdown,
 )
 from repro.harness.calibration import CalibrationReport, calibrate
 from repro.harness.sweep import ABLATIONS, Ablation, SweepResult, ablation_by_name
@@ -104,11 +104,11 @@ __all__ = [
     "FigureData",
     "generate_figure",
     "generate_all_figures",
-    "figure_table",
     "ascii_plot",
-    "improvement_table",
     "improvement_summary",
     "render_experiments_document",
+    "render_experiments_markdown",
+    "render_improvement_markdown",
     # calibration
     "CalibrationReport",
     "calibrate",

@@ -2,8 +2,8 @@
 
 Sub-commands::
 
-    hyperion-sim figure 2 --protocols java_ic,java_pf,java_hybrid
     hyperion-sim all --jobs 4 --cache-dir .hyperion-cache
+    hyperion-sim all 2 --protocols java_ic,java_pf,java_hybrid --plot
     hyperion-sim run jacobi --protocol java_pf --cluster myrinet --nodes 4
     hyperion-sim run syn-uniform --seed 7 --pattern-arg write_fraction=0.5 --json
     hyperion-sim run asp --trace-out asp.jsonl   # also --sanitize / --telemetry
@@ -46,15 +46,15 @@ from repro.harness.figures import (
     PAPER_PROTOCOLS,
     PROTOCOL_FAMILY,
     generate_all_figures,
-    generate_figure,
     generate_scenario_grid,
 )
 from repro.harness.matrix import ExperimentMatrix
 from repro.harness.report import (
     ascii_plot,
-    figure_table,
-    improvement_table,
     render_experiments_document,
+    render_experiments_markdown,
+    render_improvement_markdown,
+    render_scenario_grid_markdown,
 )
 from repro.harness.session import Session
 from repro.harness.spec import ExperimentSpec, resolve_workload
@@ -77,6 +77,13 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw}")
     return value
+
+
+def _figure_number(raw: str) -> int:
+    # a type, not choices=: argparse checks an empty nargs="*" list against choices
+    if raw not in map(str, FIGURE_APPS):
+        raise argparse.ArgumentTypeError(f"no figure {raw!r}; the paper has 1 to 5")
+    return int(raw)
 
 
 # ----------------------------------------------------------------------
@@ -173,26 +180,28 @@ def _add_topology_flag(
     )
 
 
-def _add_sanitize_flags(parser: argparse.ArgumentParser) -> None:
+def _add_sanitize_flags(parser: argparse.ArgumentParser, out: bool = True) -> None:
     parser.add_argument(
         "--sanitize",
         action="store_true",
         help="run under the JMM consistency sanitizer and print its findings",
     )
-    parser.add_argument(
-        "--sanitize-out",
-        default=None,
-        metavar="PATH",
-        help="also write the sanitizer report to PATH as JSON (implies --sanitize)",
-    )
+    if out:
+        parser.add_argument(
+            "--sanitize-out",
+            default=None,
+            metavar="PATH",
+            help="also write the sanitizer report to PATH as JSON (implies --sanitize)",
+        )
 
 
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
+def _add_telemetry_flags(parser: argparse.ArgumentParser, chrome: bool = True) -> None:
+    """``--telemetry`` and ``--telemetry-out`` and, unless *chrome* is off,
+    ``--chrome-out``."""
     parser.add_argument(
         "--telemetry",
         action="store_true",
-        help="collect the out-of-band telemetry ledger (metrics + virtual-time "
-        "spans) and print the per-phase breakdown",
+        help="collect the out-of-band telemetry ledger (metrics + virtual-time spans)",
     )
     parser.add_argument(
         "--telemetry-out",
@@ -200,12 +209,13 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="also write the telemetry ledger to PATH as JSON (implies --telemetry)",
     )
-    parser.add_argument(
-        "--chrome-out",
-        default=None,
-        metavar="PATH",
-        help="also write a Chrome trace-event JSON for Perfetto (implies --telemetry)",
-    )
+    if chrome:
+        parser.add_argument(
+            "--chrome-out",
+            default=None,
+            metavar="PATH",
+            help="also write a Chrome trace-event JSON for Perfetto (implies --telemetry)",
+        )
 
 
 def _add_log_json_flag(parser: argparse.ArgumentParser) -> None:
@@ -223,17 +233,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    figure = sub.add_parser("figure", help="regenerate one of the paper's figures")
-    figure.add_argument("number", type=int, choices=sorted(FIGURE_APPS))
-    _add_scale_flag(figure)
-    figure.add_argument("--plot", action="store_true", help="also print an ASCII plot")
-    _add_output_flags(figure)
-    _add_protocols_flag(figure, PAPER_PROTOCOLS)
-    _add_topology_flag(figure)
-    _add_session_flags(figure)
-
-    everything = sub.add_parser("all", help="regenerate all five figures")
+    everything = sub.add_parser(
+        "all", help="regenerate the paper's figures and the improvement summary"
+    )
+    everything.add_argument(
+        "numbers",
+        nargs="*",
+        type=_figure_number,
+        metavar="N",
+        help="regenerate only these figures (default: all five)",
+    )
     _add_scale_flag(everything)
+    everything.add_argument("--plot", action="store_true", help="also print ASCII plots")
     _add_output_flags(everything)
     _add_protocols_flag(everything, PAPER_PROTOCOLS)
     _add_topology_flag(everything)
@@ -293,11 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated swept values (default: the sweep's own grid)",
     )
-    sweep.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run every cell under the JMM consistency sanitizer",
-    )
+    _add_sanitize_flags(sweep, out=False)
     _add_session_flags(sweep)
 
     grid = sub.add_parser(
@@ -343,18 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reload finished shards from --checkpoint-dir instead of rerunning",
     )
     _add_output_flags(grid, output="also write the grid JSON to PATH")
-    grid.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="run every cell with the out-of-band telemetry ledger on",
-    )
-    grid.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="PATH",
-        help="write the job-level telemetry (aggregated metrics + cell "
-        "ledgers) to PATH as JSON (implies --telemetry)",
-    )
+    _add_telemetry_flags(grid, chrome=False)
     _add_log_json_flag(grid)
     _add_session_flags(grid)
 
@@ -515,61 +511,27 @@ def _protocol_columns(args) -> tuple:
     return names
 
 
-def _cluster_columns(args) -> list[str]:
-    """Parse and validate a ``--clusters`` comma list."""
-    names = _comma_list(args.clusters, "--clusters")
-    known = list_clusters()
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise CliError(
-            f"unknown cluster(s) {', '.join(unknown)}; available: {', '.join(known)}"
-        )
-    return names
-
-
-def _figure_clusters(args) -> tuple:
-    """The cluster columns a figure plots: the paper pair or one preset."""
-    if args.topology:
-        return (args.topology,)
-    return ("myrinet", "sci")
-
-
-def cmd_figure(args) -> int:
-    data = generate_figure(
-        args.number,
-        workload=args.scale,
-        clusters=_figure_clusters(args),
-        protocols=_protocol_columns(args),
-        session=_session(args),
-    )
-    if args.json:
-        print(json.dumps(data.to_dict(), indent=2))
-    else:
-        print(figure_table(data))
-        if args.plot:
-            print()
-            print(ascii_plot(data))
-    return 0
-
-
 def cmd_all(args) -> int:
+    """The figures (the paper pair of clusters, or one topology preset) as
+    EXPERIMENTS.md shows them, then the improvement summary."""
     figures = generate_all_figures(
         workload=args.scale,
-        clusters=_figure_clusters(args),
+        clusters=(args.topology,) if args.topology else ("myrinet", "sci"),
         protocols=_protocol_columns(args),
         session=_session(args),
+        numbers=args.numbers or None,
     )
     if args.json:
         print(json.dumps({n: f.to_dict() for n, f in figures.items()}, indent=2))
         return 0
-    for number in sorted(figures):
-        print(figure_table(figures[number]))
-        print()
-    comparisons = {}
-    for figure in figures.values():
-        for cluster, comparison in figure.comparisons.items():
-            comparisons.setdefault(cluster, {})[figure.app] = comparison
-    print(improvement_table(comparisons))
+    for number, figure in figures.items():
+        print(render_experiments_markdown({number: figure}))
+        if args.plot:
+            print(ascii_plot(figure))
+            print()
+    improvements = render_improvement_markdown(figures)
+    if improvements:
+        print(improvements)
     return 0
 
 
@@ -707,17 +669,16 @@ def _cell_workload(args):
         raise CliError(str(exc)) from exc
 
 
-def _check_nodes(nodes: int, clusters: list[str]) -> None:
-    """Reject a ``--nodes`` count that none of the *clusters* presets can host."""
-    sizes = {name: cluster_by_name(name).num_nodes for name in clusters}
-    largest = max(sizes, key=sizes.__getitem__)
-    if nodes > sizes[largest]:
-        raise CliError(f"--nodes {nodes}: cluster {largest!r} has {sizes[largest]} nodes")
+def _check_nodes(nodes: int, cluster: str) -> None:
+    """Reject a ``--nodes`` count the *cluster* preset cannot host."""
+    size = cluster_by_name(cluster).num_nodes
+    if nodes > size:
+        raise CliError(f"--nodes {nodes}: cluster {cluster!r} has {size} nodes")
 
 
 def _cell_specs(args, apps: list[str], **options) -> list[ExperimentSpec]:
     """One spec per app, at the cell the cell and scenario flags describe."""
-    _check_nodes(args.nodes, [args.cluster])
+    _check_nodes(args.nodes, args.cluster)
     workload = _cell_workload(args)
     return [
         ExperimentSpec(
@@ -801,12 +762,12 @@ def cmd_scenario(args) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(grid.render())
+        print(render_scenario_grid_markdown(grid))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    _check_nodes(args.nodes, [args.cluster])
+    _check_nodes(args.nodes, args.cluster)
     values = None
     if args.values is not None:
         values = tuple(_comma_list(args.values, "--values", ABLATIONS[args.kind].value_type))
@@ -892,27 +853,25 @@ def cmd_grid(args) -> int:
 
     if args.resume and not args.checkpoint_dir:
         raise CliError("--resume needs --checkpoint-dir to resume from")
+    matrix = (
+        ExperimentMatrix()
+        .apps(*_comma_list(args.apps, "--apps"))
+        .clusters(*_comma_list(args.clusters, "--clusters"))
+        .protocols(*_comma_list(args.protocols, "--protocols"))
+        .workload(args.scale)
+    )
+    if args.nodes:
+        matrix = matrix.nodes(*_comma_list(args.nodes, "--nodes", int))
+    try:
+        specs = matrix.build()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     _check_writable(("-o", args.output), ("--telemetry-out", args.telemetry_out))
     enable_console(json_lines=args.log_json)
     logger = get_logger("harness.grid")
     telemetry = args.telemetry or bool(args.telemetry_out)
-    clusters = _cluster_columns(args)
-    matrix = (
-        ExperimentMatrix()
-        .apps(*_comma_list(args.apps, "--apps"))
-        .clusters(*clusters)
-        .protocols(*_protocol_columns(args))
-        .workload(args.scale)
-    )
-    if args.nodes:
-        node_counts = _comma_list(args.nodes, "--nodes", int)
-        if min(node_counts) < 1:
-            raise CliError(f"--nodes must be positive integers, got {args.nodes!r}")
-        # a count some preset can host is skipped on the others, per cluster
-        _check_nodes(max(node_counts), clusters)
-        matrix = matrix.nodes(*node_counts)
     job = _session(args).job(
-        matrix,
+        specs,
         checkpoint_dir=args.checkpoint_dir,
         shard_size=args.shard_size,
         resume=args.resume,
@@ -1212,7 +1171,6 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``hyperion-sim`` console script."""
     args = _build_parser().parse_args(argv)
     handlers = {
-        "figure": cmd_figure,
         "all": cmd_all,
         "run": cmd_run,
         "scenario": cmd_scenario,

@@ -92,12 +92,6 @@ class FigureData:
                 return entry
         raise KeyError(f"no series for {cluster}/{protocol}")
 
-    def cell_dicts(self) -> dict[str, dict]:
-        """Label-keyed :meth:`CellResult.to_dict` view (label-sorted) — the
-        same serialised shape sweep shards and the serve API produce."""
-        cells = sorted(self.cells, key=lambda cell: cell.label())
-        return {cell.label(): cell.to_dict() for cell in cells}
-
     def has_paper_pair(self) -> bool:
         """True when both paper protocols are among the plotted series."""
         protocols = {series.protocol for series in self.series}
@@ -138,89 +132,33 @@ def figure_for_app(app: str) -> int:
     raise KeyError(f"application {app!r} does not correspond to a paper figure")
 
 
-def _figure_plan(
-    number: int,
-    workload,
-    clusters: Iterable[str],
-    node_counts: dict[str, Sequence[int]] | None,
-    protocols: Iterable[str],
-    config: RuntimeConfig | None,
-    verify: bool,
-) -> tuple[FigureData, list[tuple[str, ProtocolComparison, list[ExperimentSpec]]]]:
-    """A figure skeleton plus, per cluster, the comparison and its specs."""
-    try:
-        app = FIGURE_APPS[number]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {number}; the paper has figures {sorted(FIGURE_APPS)}"
-        ) from None
-    workload_name = workload if isinstance(workload, str) else getattr(workload, "name", "bench")
-    data = FigureData(number=number, app=app, workload_name=str(workload_name))
-    plan = []
-    for cluster_name in clusters:
-        spec = cluster_by_name(cluster_name)
-        if node_counts and cluster_name in node_counts:
-            counts: Sequence[int] = node_counts[cluster_name]
-        else:
-            counts = [
-                n
-                for n in DEFAULT_NODE_COUNTS.get(cluster_name, spec.node_counts())
-                if n <= spec.num_nodes
-            ]
-        comparison, specs = comparison_specs(
-            app,
-            spec,
-            node_counts=counts,
-            workload=workload,
-            protocols=protocols,
-            config=config,
-            verify=verify,
-        )
-        plan.append((cluster_name, comparison, specs))
-    return data, plan
-
-
-def _assemble_figure(data, plan, result, protocols) -> FigureData:
-    """Fill a figure skeleton from a finished :class:`SessionResult`."""
-    for cluster_name, comparison, specs in plan:
-        fill_comparison(comparison, specs, result)
-        data.cells.extend(result.cell(spec) for spec in specs)
-        data.comparisons[cluster_name] = comparison
-        for protocol in protocols:
-            data.series.append(
-                FigureSeries(
-                    cluster=cluster_name,
-                    protocol=protocol,
-                    points=comparison.series(protocol),
-                )
-            )
-    return data
-
-
 def generate_figure(
     number: int,
     workload=None,
     clusters: Iterable[str] = ("myrinet", "sci"),
     node_counts: dict[str, Sequence[int]] | None = None,
-    protocols: Iterable[str] = ("java_ic", "java_pf"),
+    protocols: Iterable[str] = PAPER_PROTOCOLS,
     config: RuntimeConfig | None = None,
     verify: bool = False,
     session: Session | None = None,
 ) -> FigureData:
-    """Regenerate one of the paper's figures.
+    """Regenerate one of the paper's figures (see :func:`generate_all_figures`).
 
     ``workload`` accepts the same forms as :meth:`repro.harness.session.Session.cell`
     (a preset name, a :class:`WorkloadPreset`, a workload object or None for
     the bench preset).  ``session`` selects the executor and result cache;
     the default is serial and storeless.
     """
-    protocol_list = list(protocols)
-    data, plan = _figure_plan(
-        number, workload, clusters, node_counts, protocol_list, config, verify
-    )
-    all_specs = [spec for _, _, specs in plan for spec in specs]
-    result = (session or default_session()).run(all_specs)
-    return _assemble_figure(data, plan, result, protocol_list)
+    return generate_all_figures(
+        workload,
+        clusters,
+        node_counts,
+        config,
+        session,
+        protocols,
+        numbers=(number,),
+        verify=verify,
+    )[number]
 
 
 @dataclass
@@ -245,11 +183,6 @@ class ScenarioGridData:
     cells: list[CellResult] = field(default_factory=list)
 
     # ------------------------------------------------------------------
-    def cell_dicts(self) -> dict[str, dict]:
-        """Label-keyed :meth:`CellResult.to_dict` view (label-sorted)."""
-        cells = sorted(self.cells, key=lambda cell: cell.label())
-        return {cell.label(): cell.to_dict() for cell in cells}
-
     def stat(self, scenario: str, protocol: str, num_nodes: int, key: str):
         """One stats-dictionary entry of one cell."""
         report = self.comparisons[scenario].report(protocol, num_nodes)
@@ -324,47 +257,6 @@ class ScenarioGridData:
                 }
             out["scenarios"][name] = entry
         return out
-
-    def _has_inter_cluster_traffic(self) -> bool:
-        """True when any cell crossed an inter-cluster link."""
-        return any(
-            report.inter_cluster_page_fetches > 0
-            for comparison in self.comparisons.values()
-            for report in comparison.reports.values()
-        )
-
-    def render(self) -> str:
-        """Text table: per scenario, execution time per protocol and the gap."""
-        lines = [
-            f"Synthetic scenario grid on {self.cluster} "
-            f"({self.workload_name} scale)",
-            "",
-        ]
-        header = ["scenario", "nodes"] + [f"{p} [s]" for p in self.protocols]
-        gap = "java_ic" in self.protocols and "java_pf" in self.protocols
-        if gap:
-            header.append("fault gap")
-        # only multi-island topologies produce inter-cluster traffic; the
-        # single-switch grids keep their historical column set
-        shares = self._has_inter_cluster_traffic()
-        if shares:
-            header.append("inter share")
-        widths = [max(24, len(header[0]) + 2), 7] + [14] * (len(header) - 2)
-        lines.append("".join(h.rjust(w) for h, w in zip(header, widths, strict=True)))
-        for name in sorted(self.comparisons):
-            comparison = self.comparisons[name]
-            for n in self.node_counts:
-                row = [name, str(n)]
-                for protocol in self.protocols:
-                    row.append(f"{comparison.report(protocol, n).execution_seconds:.6f}")
-                if gap:
-                    row.append(str(self.page_fault_gap(name, n)))
-                if shares:
-                    row.append(
-                        f"{max(comparison.report(p, n).inter_cluster_cost_share for p in self.protocols):.3f}"
-                    )
-                lines.append("".join(cell.rjust(w) for cell, w in zip(row, widths, strict=True)))
-        return "\n".join(lines)
 
 
 def generate_scenario_grid(
@@ -462,11 +354,6 @@ class TopologyGridData:
         """The report of one grid cell."""
         return self.reports[(app, topology, protocol)]
 
-    def cell_dicts(self) -> dict[str, dict]:
-        """Label-keyed :meth:`CellResult.to_dict` view (label-sorted)."""
-        cells = sorted(self.cells, key=lambda cell: cell.label())
-        return {cell.label(): cell.to_dict() for cell in cells}
-
     def inter_cluster_share(self, app: str, topology: str, protocol: str) -> float:
         """Inter-cluster page-transfer cost share of one cell (0..1)."""
         return self.report(app, topology, protocol).inter_cluster_cost_share
@@ -508,29 +395,6 @@ class TopologyGridData:
             "topologies": topologies,
             "cells": cells,
         }
-
-    def render(self) -> str:
-        """Text table: per app and topology, time per protocol + max share."""
-        lines = [
-            f"Topology grid ({self.workload_name} scale, "
-            f"<= {self.num_nodes} node(s) per cell)",
-            "",
-        ]
-        header = ["app", "topology", "n"] + [f"{p} [s]" for p in self.protocols]
-        header.append("inter share")
-        widths = [20, 14, 4] + [14] * len(self.protocols) + [13]
-        lines.append("".join(h.rjust(w) for h, w in zip(header, widths, strict=True)))
-        for app in self.apps:
-            for name in self.topologies:
-                row = [app, name, str(self.nodes_by_topology[name])]
-                shares = []
-                for protocol in self.protocols:
-                    report = self.report(app, name, protocol)
-                    row.append(f"{report.execution_seconds:.6f}")
-                    shares.append(report.inter_cluster_cost_share)
-                row.append(f"{max(shares):.3f}")
-                lines.append("".join(cell.rjust(w) for cell, w in zip(row, widths, strict=True)))
-        return "\n".join(lines)
 
 
 def generate_topology_grid(
@@ -652,32 +516,6 @@ class TopologyScaleData:
             "series": series,
         }
 
-    def render(self) -> str:
-        """Text table: per protocol and node count, faults + inter share."""
-        lines = [
-            f"Topology scale ({self.app} on {self.topology}, "
-            f"{self.workload_name} scale)",
-            "",
-        ]
-        header = ("protocol", "n", "islands", "time [s]", "faults", "inter share")
-        widths = (10, 6, 8, 14, 9, 13)
-        lines.append("".join(h.rjust(w) for h, w in zip(header, widths, strict=True)))
-        for protocol in self.protocols:
-            for count in self.node_counts:
-                report = self.report(count, protocol)
-                row = (
-                    protocol,
-                    str(count),
-                    str(self.islands_by_count[count]),
-                    f"{report.execution_seconds:.6f}",
-                    str(report.to_dict()["page_faults"]),
-                    f"{report.inter_cluster_cost_share:.3f}",
-                )
-                lines.append(
-                    "".join(cell.rjust(w) for cell, w in zip(row, widths, strict=True))
-                )
-        return "\n".join(lines)
-
 
 def generate_topology_scale(
     app: str = "syn-false-sharing",
@@ -746,27 +584,61 @@ def generate_all_figures(
     config: RuntimeConfig | None = None,
     session: Session | None = None,
     protocols: Iterable[str] = PAPER_PROTOCOLS,
+    numbers: Iterable[int] | None = None,
+    verify: bool = False,
 ) -> dict[int, FigureData]:
-    """Regenerate Figures 1-5; returns them keyed by figure number.
+    """Regenerate Figures 1-5, or the *numbers* among them, keyed by number.
 
-    All five figures' cells are batched into a *single* ``Session.run``, so a
+    All the figures' cells are batched into a *single* ``Session.run``, so a
     parallel executor spreads the whole grid — not one figure at a time —
     across its workers.  ``protocols`` defaults to the paper's two series;
     pass :data:`PROTOCOL_FAMILY` to widen every figure with the composed
     extension protocols as additional columns.
     """
     protocols = tuple(protocols)
-    plans = {}
-    for number in sorted(FIGURE_APPS):
-        data, plan = _figure_plan(
-            number, workload, clusters, node_counts, protocols, config, False
-        )
-        plans[number] = (data, plan)
-    all_specs = [
-        spec for data, plan in plans.values() for _, _, specs in plan for spec in specs
-    ]
-    result = (session or default_session()).run(all_specs)
-    return {
-        number: _assemble_figure(data, plan, result, list(protocols))
-        for number, (data, plan) in plans.items()
-    }
+    workload_name = workload if isinstance(workload, str) else getattr(workload, "name", "bench")
+    figures: dict[int, FigureData] = {}
+    plan = []
+    for number in sorted(set(FIGURE_APPS if numbers is None else numbers)):
+        if number not in FIGURE_APPS:
+            raise KeyError(
+                f"unknown figure {number}; the paper has figures {sorted(FIGURE_APPS)}"
+            )
+        app = FIGURE_APPS[number]
+        figures[number] = FigureData(number=number, app=app, workload_name=str(workload_name))
+        for cluster_name in clusters:
+            spec = cluster_by_name(cluster_name)
+            if node_counts and cluster_name in node_counts:
+                counts: Sequence[int] = node_counts[cluster_name]
+            else:
+                counts = [
+                    n
+                    for n in DEFAULT_NODE_COUNTS.get(cluster_name, spec.node_counts())
+                    if n <= spec.num_nodes
+                ]
+            comparison, specs = comparison_specs(
+                app,
+                spec,
+                node_counts=counts,
+                workload=workload,
+                protocols=protocols,
+                config=config,
+                verify=verify,
+            )
+            plan.append((figures[number], cluster_name, comparison, specs))
+    result = (session or default_session()).run(
+        [spec for *_, specs in plan for spec in specs]
+    )
+    for data, cluster_name, comparison, specs in plan:
+        fill_comparison(comparison, specs, result)
+        data.cells.extend(result.cell(spec) for spec in specs)
+        data.comparisons[cluster_name] = comparison
+        for protocol in protocols:
+            data.series.append(
+                FigureSeries(
+                    cluster=cluster_name,
+                    protocol=protocol,
+                    points=comparison.series(protocol),
+                )
+            )
+    return figures

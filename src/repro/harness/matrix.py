@@ -19,13 +19,21 @@ Axes left unset fall back to sensible defaults (all protocols of the paper,
 the cluster's own node counts, the bench workload).  ``filter`` predicates
 prune the product, and node counts exceeding a cluster's size are dropped
 automatically so a single grid can span clusters of different sizes.
+
+:meth:`ExperimentMatrix.build` is the one check of a grid, shared by the
+``grid`` verb and the sweep service: an unknown name or a node count that no
+cluster can host raises :class:`ValueError` naming the field at fault.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from numbers import Integral
 
-from repro.cluster.presets import ClusterSpec
+from repro.apps.base import available_apps
+from repro.apps.workloads import PRESET_NAMES
+from repro.cluster.presets import ClusterSpec, list_clusters
+from repro.core.protocol import available_protocols
 from repro.harness.spec import ExperimentSpec, resolve_cluster
 from repro.hyperion.runtime import RuntimeConfig
 
@@ -40,8 +48,8 @@ class ExperimentMatrix:
         self._apps: list[str] = []
         self._clusters: list[str | ClusterSpec] = []
         self._protocols: list[str] = list(DEFAULT_PROTOCOLS)
-        self._nodes: list[int] | None = None
-        self._nodes_per_cluster: dict[str, list[int]] = {}
+        self._nodes: list | None = None
+        self._nodes_per_cluster: dict[str, list] = {}
         self._workload = None
         self._configs: list[RuntimeConfig | None] = [None]
         self._filters: list[Callable[[ExperimentSpec], bool]] = []
@@ -67,7 +75,7 @@ class ExperimentMatrix:
 
     def nodes(self, *counts: int) -> "ExperimentMatrix":
         """Node-count axis shared by all clusters."""
-        self._nodes = [int(n) for n in counts]
+        self._nodes = list(counts)
         return self
 
     def nodes_per_cluster(
@@ -75,7 +83,7 @@ class ExperimentMatrix:
     ) -> "ExperimentMatrix":
         """Per-cluster node counts (clusters absent from *mapping* use
         :meth:`nodes`, or their own :meth:`ClusterSpec.node_counts`)."""
-        self._nodes_per_cluster = {k: [int(n) for n in v] for k, v in mapping.items()}
+        self._nodes_per_cluster = {k: list(v) for k, v in mapping.items()}
         return self
 
     def workload(self, workload) -> "ExperimentMatrix":
@@ -106,27 +114,51 @@ class ExperimentMatrix:
     # ------------------------------------------------------------------
     # expansion
     # ------------------------------------------------------------------
-    def _counts_for(self, cluster: str | ClusterSpec) -> list[int]:
-        spec = resolve_cluster(cluster)
-        counts = self._nodes_per_cluster.get(spec.name, self._nodes)
-        if counts is None:
-            counts = spec.node_counts()
-        return [n for n in counts if n <= spec.num_nodes]
-
-    def build(self) -> list[ExperimentSpec]:
-        """Expand the grid into a spec list (apps x clusters x protocols x
-        nodes x configs, in that nesting order)."""
+    def _check(self) -> list[list[int]]:
+        """Validate every axis; return the node counts each cluster hosts."""
         if not self._apps:
             raise ValueError("ExperimentMatrix needs at least one app; call .apps(...)")
         if not self._clusters:
             raise ValueError(
                 "ExperimentMatrix needs at least one cluster; call .clusters(...)"
             )
+        _check_names("apps", "app", self._apps, available_apps())
+        names = [c for c in self._clusters if not isinstance(c, ClusterSpec)]
+        _check_names("clusters", "cluster", names, list_clusters())
+        _check_names("protocols", "protocol", self._protocols, available_protocols())
+        if isinstance(self._workload, str):
+            _check_names("workload", "workload preset", [self._workload], PRESET_NAMES)
+        bad = [
+            n for counts in (self._nodes or [], *self._nodes_per_cluster.values())
+            for n in counts
+            if isinstance(n, bool) or not isinstance(n, Integral) or n < 1
+        ]
+        if bad:
+            raise ValueError(f"nodes must be positive integers, got {bad}")
+        axes = []
+        for cluster in self._clusters:
+            spec = resolve_cluster(cluster)
+            counts = self._nodes_per_cluster.get(spec.name, self._nodes)
+            axes.append((spec, spec.node_counts() if counts is None else counts))
+        for n in dict.fromkeys(n for _, counts in axes for n in counts):
+            hosts = [spec for spec, counts in axes if n in counts]
+            largest = max(hosts, key=lambda spec: spec.num_nodes)
+            if n > largest.num_nodes:
+                raise ValueError(
+                    f"nodes {n}: cluster {largest.name!r} has {largest.num_nodes} nodes"
+                )
+        # a count only some clusters can host is dropped on the others
+        return [[int(n) for n in counts if n <= spec.num_nodes] for spec, counts in axes]
+
+    def build(self) -> list[ExperimentSpec]:
+        """Validate and expand the grid into a spec list (apps x clusters x
+        protocols x nodes x configs, in that nesting order)."""
+        hosted = self._check()
         specs: list[ExperimentSpec] = []
         for app in self._apps:
-            for cluster in self._clusters:
+            for cluster, counts in zip(self._clusters, hosted, strict=True):
                 for protocol in self._protocols:
-                    for num_nodes in self._counts_for(cluster):
+                    for num_nodes in counts:
                         for config in self._configs:
                             spec = ExperimentSpec(
                                 app=app,
@@ -146,3 +178,15 @@ class ExperimentMatrix:
 
     def __len__(self) -> int:
         return len(self.build())
+
+
+def _check_names(field: str, noun: str, names: Iterable, known: Iterable[str]) -> None:
+    """Reject the *names* the registry *known* lacks (case-insensitively)."""
+    known = list(known)
+    unknown = [
+        str(name) for name in names if not (isinstance(name, str) and name.lower() in known)
+    ]
+    if unknown:
+        raise ValueError(
+            f"{field}: unknown {noun}(s) {', '.join(unknown)}; available: {', '.join(known)}"
+        )

@@ -1,32 +1,12 @@
-"""Text rendering of figures and the Section 4.3 improvement summary."""
+"""Rendering of the measured results: one markdown renderer per result type.
+
+EXPERIMENTS.md is assembled from these renderers, and the CLI prints the
+same sections, so the document and the terminal never disagree.
+"""
 
 from __future__ import annotations
 
-
-from repro.harness.experiment import ProtocolComparison
 from repro.harness.figures import FigureData
-
-
-def figure_table(figure: FigureData) -> str:
-    """Render one figure as a text table (rows = node counts)."""
-    lines = [figure.title, ""]
-    header = ["nodes"] + [series.label for series in figure.series]
-    widths = [max(6, len(h) + 2) for h in header]
-    lines.append("".join(h.rjust(w) for h, w in zip(header, widths, strict=True)))
-    node_axis = sorted({n for series in figure.series for n, _ in series.points})
-    for n in node_axis:
-        row = [str(n)]
-        for series in figure.series:
-            value = dict(series.points).get(n)
-            row.append(f"{value:.3f}" if value is not None else "-")
-        lines.append("".join(cell.rjust(w) for cell, w in zip(row, widths, strict=True)))
-    if figure.has_paper_pair():
-        for cluster, comparison in figure.comparisons.items():
-            improvements = ", ".join(
-                f"{n}:{pct:.0f}%" for n, pct in comparison.improvements().items()
-            )
-            lines.append(f"java_pf improvement on {cluster}: {improvements}")
-    return "\n".join(lines)
 
 
 def ascii_plot(figure: FigureData, width: int = 60, height: int = 16) -> str:
@@ -54,29 +34,6 @@ def ascii_plot(figure: FigureData, width: int = 60, height: int = 16) -> str:
     return "\n".join(lines)
 
 
-def improvement_table(
-    comparisons: dict[str, dict[str, ProtocolComparison]],
-) -> str:
-    """Section 4.3 style summary: per-app, per-cluster java_pf improvement.
-
-    ``comparisons`` maps cluster name -> app name -> comparison.
-    """
-    lines = ["java_pf improvement over java_ic (percent)", ""]
-    for cluster, by_app in comparisons.items():
-        lines.append(f"[{cluster}]")
-        header = ["app"] + [str(n) for n in next(iter(by_app.values())).node_counts] + ["mean"]
-        widths = [10] + [7] * (len(header) - 1)
-        lines.append("".join(h.rjust(w) for h, w in zip(header, widths, strict=True)))
-        for app, comparison in by_app.items():
-            improvements = comparison.improvements()
-            row = [app]
-            row += [f"{improvements[n]:.1f}" for n in comparison.node_counts]
-            row.append(f"{comparison.mean_improvement():.1f}")
-            lines.append("".join(cell.rjust(w) for cell, w in zip(row, widths, strict=True)))
-        lines.append("")
-    return "\n".join(lines)
-
-
 def improvement_summary(figures: dict[int, FigureData]) -> dict[str, dict[str, float]]:
     """Mean java_pf improvement per cluster and app, from generated figures."""
     summary: dict[str, dict[str, float]] = {}
@@ -86,21 +43,55 @@ def improvement_summary(figures: dict[int, FigureData]) -> dict[str, dict[str, f
     return summary
 
 
+def render_improvement_markdown(figures: dict[int, FigureData]) -> str:
+    """The Section 4.3 summary: mean java_pf improvement per cluster and app.
+
+    Empty unless every figure plots both paper protocols.
+    """
+    if not all(figure.has_paper_pair() for figure in figures.values()):
+        return ""
+    lines = [
+        "## Improvement summary (Section 4.3)",
+        "",
+        "| cluster | " + " | ".join(f.app for f in figures.values()) + " |",
+        "|---" * (1 + len(figures)) + "|",
+    ]
+    for cluster, by_app in improvement_summary(figures).items():
+        row = " | ".join(f"{by_app[f.app]:.1f}%" for f in figures.values())
+        lines.append(f"| {cluster} | {row} |")
+    return "\n".join(lines)
+
+
 def render_scenario_grid_markdown(grid) -> str:
-    """Markdown section for the synthetic-scenario comparison grid."""
+    """Markdown section for the synthetic-scenario comparison grid.
+
+    When some cell crossed an inter-cluster link (only multi-island
+    topologies do), each protocol row gains its worst inter-cluster share
+    of page-transfer cost over the node counts.
+    """
+    shares = any(
+        report.inter_cluster_page_fetches > 0
+        for comparison in grid.comparisons.values()
+        for report in comparison.reports.values()
+    )
+    columns = [str(n) for n in grid.node_counts] + ["inter-cluster share"] * shares
     lines: list[str] = []
     for name in sorted(grid.comparisons):
         comparison = grid.comparisons[name]
         lines.append(f"### {name}")
         lines.append("")
-        lines.append(
-            "| protocol | " + " | ".join(str(n) for n in grid.node_counts) + " |"
-        )
-        lines.append("|---" * (1 + len(grid.node_counts)) + "|")
+        lines.append("| protocol | " + " | ".join(columns) + " |")
+        lines.append("|---" * (1 + len(columns)) + "|")
         for protocol in grid.protocols:
             by_node = dict(comparison.series(protocol))
-            values = " | ".join(f"{by_node[n]:.6f}" for n in grid.node_counts)
-            lines.append(f"| {protocol} | {values} |")
+            values = [f"{by_node[n]:.6f}" for n in grid.node_counts]
+            if shares:
+                worst = max(
+                    comparison.report(protocol, n).inter_cluster_cost_share
+                    for n in grid.node_counts
+                )
+                values.append(f"{worst:.3f}")
+            lines.append(f"| {protocol} | {' | '.join(values)} |")
         if "java_ic" in grid.protocols and "java_pf" in grid.protocols:
             gaps = ", ".join(
                 f"{n} nodes: {grid.page_fault_gap(name, n)}" for n in grid.node_counts
@@ -227,18 +218,9 @@ def render_experiments_document(
         "",
         render_experiments_markdown(figures),
     ]
-    if all(figure.has_paper_pair() for figure in figures.values()):
-        lines += [
-            "",
-            "## Improvement summary (Section 4.3)",
-            "",
-            "| cluster | " + " | ".join(f.app for f in figures.values()) + " |",
-            "|---" * (1 + len(figures)) + "|",
-        ]
-        summary = improvement_summary(figures)
-        for cluster, by_app in summary.items():
-            row = " | ".join(f"{by_app[f.app]:.1f}%" for f in figures.values())
-            lines.append(f"| {cluster} | {row} |")
+    improvements = render_improvement_markdown(figures)
+    if improvements:
+        lines += ["", improvements]
     lines += [
         "",
         "## Synthetic scenario grid",
@@ -256,7 +238,7 @@ def render_experiments_document(
         "## Topology grid",
         "",
         "Cluster *shape* as a sweep dimension (`repro.cluster.topologies`,",
-        "run with `hyperion-sim scenario sweep --topology <preset>`): the",
+        "run with `hyperion-sim experiments --topology <preset>`): the",
         "same applications on the single-switch baselines and on the",
         "hierarchical presets (multi-cluster islands over a backbone, a",
         "two-tier switched tree, SCI cabled as a torus or ring), at up to",

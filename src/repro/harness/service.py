@@ -72,7 +72,11 @@ class ServiceError(ValueError):
 
 
 def parse_sweep_request(payload: Any) -> ExperimentMatrix:
-    """Build the :class:`ExperimentMatrix` a sweep-request JSON describes."""
+    """Build the :class:`ExperimentMatrix` a sweep-request JSON describes.
+
+    This checks the JSON shape only; :meth:`ExperimentMatrix.build` checks
+    the names and node counts at submission.
+    """
     if not isinstance(payload, dict):
         raise ServiceError("sweep request must be a JSON object")
     known = {
@@ -90,19 +94,27 @@ def parse_sweep_request(payload: Any) -> ExperimentMatrix:
             f"unknown sweep-request field(s): {', '.join(unknown)}; "
             f"known: {', '.join(sorted(known))}"
         )
-    apps = payload.get("apps")
-    clusters = payload.get("clusters")
-    if not apps or not isinstance(apps, list):
-        raise ServiceError('sweep request needs a non-empty "apps" list')
-    if not clusters or not isinstance(clusters, list):
-        raise ServiceError('sweep request needs a non-empty "clusters" list')
-    matrix = ExperimentMatrix().apps(*apps).clusters(*clusters)
+    for key in ("apps", "clusters"):
+        if not payload.get(key) or not isinstance(payload[key], list):
+            raise ServiceError(f'sweep request needs a non-empty "{key}" list')
+    for key in ("protocols", "nodes"):
+        if not isinstance(payload.get(key) or [], list):
+            raise ServiceError(f'"{key}" must be a list')
+    if not isinstance(payload.get("workload", "bench"), (str, type(None))):
+        raise ServiceError('"workload" must be a workload preset name')
+    if not isinstance(payload.get("telemetry", True), bool):
+        raise ServiceError('"telemetry" must be true or false')
+    shard_size = payload.get("shard_size")
+    if shard_size is not None and (
+        isinstance(shard_size, bool) or not isinstance(shard_size, int) or shard_size < 1
+    ):
+        raise ServiceError('"shard_size" must be a positive integer')
+    matrix = ExperimentMatrix().apps(*payload["apps"]).clusters(*payload["clusters"])
     if payload.get("protocols"):
         matrix = matrix.protocols(*payload["protocols"])
     if payload.get("nodes"):
         matrix = matrix.nodes(*payload["nodes"])
-    matrix = matrix.workload(payload.get("workload", "bench"))
-    return matrix
+    return matrix.workload(payload.get("workload", "bench"))
 
 
 class SweepRecord:
@@ -188,16 +200,10 @@ class SweepService:
         matrix = parse_sweep_request(payload)
         shard_size = payload.get("shard_size", self.default_shard_size)
         try:
-            if shard_size is not None:
-                check_positive("shard_size", shard_size)
-            specs = matrix.build()  # unknown apps/clusters surface here
-        except ServiceError:
-            raise
-        except (TypeError, ValueError, KeyError) as exc:
+            specs = matrix.build()
+        except ValueError as exc:
             raise ServiceError(f"invalid sweep request: {exc}") from exc
-        if not specs:
-            raise ServiceError("sweep request expands to zero cells")
-        telemetry = bool(payload.get("telemetry", self.telemetry))
+        telemetry = payload.get("telemetry", self.telemetry)
         with self._lock:
             if self._stopping.is_set():
                 raise ServiceError("service is shutting down", status=503)

@@ -81,8 +81,8 @@ def test_cli_describe_and_figure(capsys):
     captured = capsys.readouterr().out
     assert "myrinet" in captured and "java_pf" in captured
 
-    assert cli_main(["figure", "1", "--scale", "testing", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    assert cli_main(["all", "1", "--scale", "testing", "--json"]) == 0
+    (payload,) = json.loads(capsys.readouterr().out).values()
     assert payload["figure"] == 1
     assert payload["app"] == "pi"
 
@@ -97,16 +97,16 @@ def test_cli_run_subcommand(capsys):
 
 
 def test_cli_jobs_flag_changes_nothing(capsys):
-    assert cli_main(["figure", "1", "--scale", "testing", "--json"]) == 0
+    assert cli_main(["all", "1", "--scale", "testing", "--json"]) == 0
     serial = json.loads(capsys.readouterr().out)
-    assert cli_main(["figure", "1", "--scale", "testing", "--json", "--jobs", "2"]) == 0
+    assert cli_main(["all", "1", "--scale", "testing", "--json", "--jobs", "2"]) == 0
     parallel = json.loads(capsys.readouterr().out)
     assert serial == parallel
 
 
 def test_cli_cache_dir_reuses_results(tmp_path, capsys):
     cache = str(tmp_path / "cache")
-    args = ["figure", "2", "--scale", "testing", "--json", "--cache-dir", cache]
+    args = ["all", "2", "--scale", "testing", "--json", "--cache-dir", cache]
     assert cli_main(args) == 0
     cold = capsys.readouterr().out
     cached_files = list((tmp_path / "cache").glob("*.json"))
@@ -156,18 +156,18 @@ def test_cli_describe_protocols_json(capsys):
 
 def test_cli_figure_protocols_flag(capsys):
     code = cli_main(
-        ["figure", "1", "--scale", "testing", "--json",
+        ["all", "1", "--scale", "testing", "--json",
          "--protocols", "java_ic,java_pf,java_hybrid"]
     )
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    (payload,) = json.loads(capsys.readouterr().out).values()
     plotted = {series["protocol"] for series in payload["series"]}
     assert plotted == {"java_ic", "java_pf", "java_hybrid"}
 
 
 def test_cli_protocols_flag_rejects_unknown(capsys):
     code = cli_main(
-        ["figure", "1", "--scale", "testing", "--protocols", "java_ic,java_nope"]
+        ["all", "1", "--scale", "testing", "--protocols", "java_ic,java_nope"]
     )
     assert code == 2
     assert "unknown protocol" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from repro.harness import cli
 from repro.harness.cli import main as cli_main
 
 VERBS = {
-    "all", "calibrate", "describe", "experiments", "figure", "grid", "lint",
+    "all", "calibrate", "describe", "experiments", "grid", "lint",
     "profile", "report", "run", "scenario", "serve", "sweep",
 }
 
@@ -36,6 +36,7 @@ def test_the_verbs_are_pinned():
         ["scenario", "list"],
         ["protocols"],
         ["topologies", "--json"],
+        ["figure", "1"],
     ],
 )
 def test_folded_verbs_are_gone(argv, capsys):
@@ -180,7 +181,7 @@ def test_grid_rejects_a_non_positive_node_count_before_running(nodes, monkeypatc
     argv = ["grid", "--apps", "pi", "--scale", "testing", f"--nodes={nodes}"]
     assert cli_main(argv) == 2
     assert executed == []
-    assert "--nodes must be positive integers" in capsys.readouterr().err
+    assert "nodes must be positive integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -210,7 +211,7 @@ def test_grid_rejects_a_node_count_no_cluster_can_host(monkeypatch, capsys):
     assert cli_main(argv) == 2
     assert executed == []
     size = cluster_by_name("myrinet").num_nodes
-    assert f"--nodes 1000: cluster 'myrinet' has {size} nodes" in capsys.readouterr().err
+    assert f"nodes 1000: cluster 'myrinet' has {size} nodes" in capsys.readouterr().err
 
 
 def test_grid_rejects_an_unknown_cluster_before_running(monkeypatch, capsys):
@@ -237,3 +238,33 @@ def test_grid_skips_a_node_count_on_the_clusters_too_small_for_it(capsys):
     assert cli_main(argv) == 0
     grid = json.loads(capsys.readouterr().out)
     assert list(grid) == [f"pi/myrinet/java_ic/n{nodes}"]
+
+
+@pytest.mark.parametrize("apps", ["nope", "pi,nope", "syn-nope"])
+def test_grid_rejects_an_unknown_app_before_running(apps, monkeypatch, capsys):
+    from repro.harness import executor
+
+    executed = []
+    monkeypatch.setattr(executor, "run_spec", executed.append)
+    argv = ["grid", "--apps", apps, "--nodes", "1", "--scale", "testing"]
+    assert cli_main(argv) == 2
+    assert executed == []
+    err = capsys.readouterr().err
+    assert "hyperion-sim: error: apps: unknown app(s)" in err
+    assert "Traceback" not in err
+
+
+def test_all_prints_the_experiments_document_sections(capsys):
+    from repro.harness.figures import generate_all_figures
+    from repro.harness.report import (
+        render_experiments_markdown,
+        render_improvement_markdown,
+    )
+
+    assert cli_main(["all", "1", "2", "--scale", "testing"]) == 0
+    figures = generate_all_figures(workload="testing", numbers=(1, 2))
+    assert sorted(figures) == [1, 2]
+    document = render_experiments_markdown(figures)
+    assert capsys.readouterr().out == (
+        document + "\n" + render_improvement_markdown(figures) + "\n"
+    )

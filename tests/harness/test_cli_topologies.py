@@ -49,20 +49,20 @@ def test_scenario_sweep_share_column_only_on_multi_island_runs(capsys):
     base = ["scenario", "sweep", "syn-false-sharing", "--nodes", "4", "--scale", "testing"]
     assert cli_main(base) == 0
     flat = capsys.readouterr().out
-    assert "inter share" not in flat
+    assert "| protocol | 4 |" in flat and "inter-cluster share" not in flat
     assert cli_main(base + ["--topology", "myrinet2x8"]) == 0
     split = capsys.readouterr().out
-    assert "inter share" in split
+    assert "| protocol | 4 | inter-cluster share |" in split
 
 
 def test_figure_on_a_topology_preset(capsys):
     args = [
-        "figure", "2", "--scale", "testing",
+        "all", "2", "--scale", "testing",
         "--topology", "sci_torus", "--protocols", "java_ic,java_pf",
         "--json",
     ]
     assert cli_main(args) == 0
-    payload = json.loads(capsys.readouterr().out)
+    (payload,) = json.loads(capsys.readouterr().out).values()
     clusters = {series["cluster"] for series in payload["series"]}
     assert clusters == {"sci_torus"}
     # the preset name labels the series (no paper platform alias)

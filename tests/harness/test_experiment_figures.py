@@ -8,7 +8,11 @@ from repro.harness.figures import (
     figure_for_app,
     generate_figure,
 )
-from repro.harness.report import ascii_plot, figure_table, improvement_table
+from repro.harness.report import (
+    ascii_plot,
+    render_experiments_markdown,
+    render_improvement_markdown,
+)
 from repro.harness.session import Session
 from repro.harness.spec import ExperimentSpec
 
@@ -84,10 +88,9 @@ def test_report_rendering(testing):
         clusters=("myrinet",),
         node_counts={"myrinet": [1, 2]},
     )
-    table = figure_table(figure)
-    assert "Figure 2" in table and "java_pf" in table
+    table = render_experiments_markdown({2: figure})
+    assert "### Figure 2 (jacobi)" in table and "| myrinet | java_pf |" in table
     plot = ascii_plot(figure)
     assert "nodes" in plot
-    comparisons = {"myrinet": {"jacobi": figure.comparisons["myrinet"]}}
-    summary = improvement_table(comparisons)
-    assert "jacobi" in summary and "mean" in summary
+    summary = render_improvement_markdown({2: figure})
+    assert "| cluster | jacobi |" in summary and "| myrinet | " in summary

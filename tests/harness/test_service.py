@@ -222,6 +222,32 @@ def test_http_errors(server):
     assert status == 400 and "shard_size" in body["error"]
 
 
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"nodes": [2.5]}, "nodes"),
+        ({"nodes": [0]}, "nodes"),
+        ({"nodes": [-2, 1]}, "nodes"),
+        ({"nodes": ["2"]}, "nodes"),
+        ({"nodes": [True]}, "nodes"),
+        ({"apps": ["nope"]}, "apps"),
+        ({"protocols": ["java_nope"]}, "protocols"),
+        ({"workload": "huge"}, "workload"),
+        ({"telemetry": "no"}, "telemetry"),
+        ({"shard_size": 2.5}, "shard_size"),
+        ({"shard_size": True}, "shard_size"),
+    ],
+    ids=[
+        "nodes-float", "nodes-zero", "nodes-negative", "nodes-str", "nodes-bool",
+        "app", "protocol", "workload", "telemetry", "shard-size-float", "shard-size-bool",
+    ],
+)
+def test_http_submit_rejects_an_invalid_grid(server, override, field):
+    status, body = _call(server, "POST", "/sweeps", REQUEST | override)
+    assert status == 400 and field in body["error"]
+    assert _call(server, "GET", "/sweeps") == (200, {"sweeps": []})
+
+
 def test_http_shutdown_drains_cleanly(tmp_path):
     server = serve(port=0, shard_size=2, cache_dir=str(tmp_path / "cache"))
     thread = threading.Thread(target=server.serve_until_shutdown, daemon=True)

@@ -187,13 +187,17 @@ def test_matrix_defaults_filters_and_clamping():
     matrix = (
         ExperimentMatrix()
         .apps("pi")
-        .clusters("sci")
-        .nodes(1, 2, 4, 8, 16)  # sci has 6 nodes: 8 and 16 are dropped
+        .clusters("myrinet", "sci")
+        .nodes(1, 2, 4, 8, 12)  # sci has 6 nodes: 8 and 12 run on myrinet only
         .workload("testing")
         .filter(lambda spec: spec.num_nodes != 2)
     )
     specs = matrix.build()
-    assert [s.num_nodes for s in specs if s.protocol == "java_pf"] == [1, 4]
+    by_cluster = {}
+    for spec in specs:
+        if spec.protocol == "java_pf":
+            by_cluster.setdefault(spec.cluster_name, []).append(spec.num_nodes)
+    assert by_cluster == {"myrinet": [1, 4, 8, 12], "sci": [1, 4]}
     # protocols default to the paper's pair
     assert {s.protocol for s in specs} == {"java_ic", "java_pf"}
 
@@ -218,6 +222,29 @@ def test_matrix_requires_apps_and_clusters():
         ExperimentMatrix().clusters("myrinet").build()
     with pytest.raises(ValueError):
         ExperimentMatrix().apps("pi").build()
+
+
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("apps", ("pi", "nope"), "apps: unknown app(s) nope"),
+        ("clusters", ("myrinet", "bogus"), "clusters: unknown cluster(s) bogus"),
+        ("protocols", ("java_ic", "java_nope"), "protocols: unknown protocol(s) java_nope"),
+        ("workload", "huge", "workload: unknown workload preset(s) huge"),
+        ("nodes", (2.5,), "nodes must be positive integers, got [2.5]"),
+        ("nodes", (0,), "nodes must be positive integers, got [0]"),
+        ("nodes", ("2",), "nodes must be positive integers, got ['2']"),
+        ("nodes", (True,), "nodes must be positive integers, got [True]"),
+        ("nodes", (2, 13), "nodes 13: cluster 'myrinet' has 12 nodes"),
+    ],
+)
+def test_matrix_build_is_the_one_grid_check(axis, values, message):
+    matrix = ExperimentMatrix().apps("pi").clusters("myrinet", "sci").workload("testing")
+    axis_setter = getattr(matrix, axis)
+    matrix = axis_setter(values) if axis == "workload" else axis_setter(*values)
+    with pytest.raises(ValueError) as excinfo:
+        matrix.build()
+    assert message in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
