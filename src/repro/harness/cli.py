@@ -48,7 +48,7 @@ from repro.harness.figures import (
     generate_all_figures,
     generate_scenario_grid,
 )
-from repro.harness.matrix import ExperimentMatrix
+from repro.harness.matrix import ExperimentMatrix, check_names
 from repro.harness.report import (
     ascii_plot,
     render_experiments_document,
@@ -180,28 +180,26 @@ def _add_topology_flag(
     )
 
 
-def _add_sanitize_flags(parser: argparse.ArgumentParser, out: bool = True) -> None:
+def _add_sanitize_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sanitize",
         action="store_true",
         help="run under the JMM consistency sanitizer and print its findings",
     )
-    if out:
-        parser.add_argument(
-            "--sanitize-out",
-            default=None,
-            metavar="PATH",
-            help="also write the sanitizer report to PATH as JSON (implies --sanitize)",
-        )
+    parser.add_argument(
+        "--sanitize-out",
+        default=None,
+        metavar="PATH",
+        help="also write the sanitizer report to PATH as JSON (implies --sanitize)",
+    )
 
 
-def _add_telemetry_flags(parser: argparse.ArgumentParser, chrome: bool = True) -> None:
-    """``--telemetry`` and ``--telemetry-out`` and, unless *chrome* is off,
-    ``--chrome-out``."""
+def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry",
         action="store_true",
-        help="collect the out-of-band telemetry ledger (metrics + virtual-time spans)",
+        help="collect the out-of-band telemetry ledger (metrics + virtual-time "
+        "spans) and print the per-phase breakdown",
     )
     parser.add_argument(
         "--telemetry-out",
@@ -209,13 +207,12 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser, chrome: bool = True) -
         metavar="PATH",
         help="also write the telemetry ledger to PATH as JSON (implies --telemetry)",
     )
-    if chrome:
-        parser.add_argument(
-            "--chrome-out",
-            default=None,
-            metavar="PATH",
-            help="also write a Chrome trace-event JSON for Perfetto (implies --telemetry)",
-        )
+    parser.add_argument(
+        "--chrome-out",
+        default=None,
+        metavar="PATH",
+        help="also write a Chrome trace-event JSON for Perfetto (implies --telemetry)",
+    )
 
 
 def _add_log_json_flag(parser: argparse.ArgumentParser) -> None:
@@ -304,7 +301,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated swept values (default: the sweep's own grid)",
     )
-    _add_sanitize_flags(sweep, out=False)
+    sweep.add_argument(
+        "--sanitize",
+        action="store_true",
+        help="run every cell under the JMM consistency sanitizer",
+    )
     _add_session_flags(sweep)
 
     grid = sub.add_parser(
@@ -350,7 +351,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reload finished shards from --checkpoint-dir instead of rerunning",
     )
     _add_output_flags(grid, output="also write the grid JSON to PATH")
-    _add_telemetry_flags(grid, chrome=False)
+    grid.add_argument(
+        "--telemetry",
+        action="store_true",
+        help="run every cell with the out-of-band telemetry ledger on",
+    )
+    grid.add_argument(
+        "--telemetry-out",
+        default=None,
+        metavar="PATH",
+        help="write the job-level telemetry (aggregated metrics + cell "
+        "ledgers) to PATH as JSON (implies --telemetry)",
+    )
     _add_log_json_flag(grid)
     _add_session_flags(grid)
 
@@ -501,13 +513,10 @@ def _session(args) -> Session:
 def _protocol_columns(args) -> tuple:
     """Parse and validate a ``--protocols`` comma list."""
     names = tuple(_comma_list(args.protocols, "--protocols"))
-    known = available_protocols()
-    unknown = [p for p in names if p not in known]
-    if unknown:
-        raise CliError(
-            f"unknown protocol(s) {', '.join(unknown)}; "
-            f"available: {', '.join(known)}"
-        )
+    try:
+        check_names("--protocols", "protocol", names, available_protocols())
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return names
 
 

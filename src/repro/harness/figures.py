@@ -139,7 +139,6 @@ def generate_figure(
     node_counts: dict[str, Sequence[int]] | None = None,
     protocols: Iterable[str] = PAPER_PROTOCOLS,
     config: RuntimeConfig | None = None,
-    verify: bool = False,
     session: Session | None = None,
 ) -> FigureData:
     """Regenerate one of the paper's figures (see :func:`generate_all_figures`).
@@ -157,7 +156,6 @@ def generate_figure(
         session,
         protocols,
         numbers=(number,),
-        verify=verify,
     )[number]
 
 
@@ -585,7 +583,6 @@ def generate_all_figures(
     session: Session | None = None,
     protocols: Iterable[str] = PAPER_PROTOCOLS,
     numbers: Iterable[int] | None = None,
-    verify: bool = False,
 ) -> dict[int, FigureData]:
     """Regenerate Figures 1-5, or the *numbers* among them, keyed by number.
 
@@ -623,7 +620,6 @@ def generate_all_figures(
                 workload=workload,
                 protocols=protocols,
                 config=config,
-                verify=verify,
             )
             plan.append((figures[number], cluster_name, comparison, specs))
     result = (session or default_session()).run(

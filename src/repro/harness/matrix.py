@@ -122,12 +122,12 @@ class ExperimentMatrix:
             raise ValueError(
                 "ExperimentMatrix needs at least one cluster; call .clusters(...)"
             )
-        _check_names("apps", "app", self._apps, available_apps())
+        check_names("apps", "app", self._apps, available_apps())
         names = [c for c in self._clusters if not isinstance(c, ClusterSpec)]
-        _check_names("clusters", "cluster", names, list_clusters())
-        _check_names("protocols", "protocol", self._protocols, available_protocols())
+        check_names("clusters", "cluster", names, list_clusters())
+        check_names("protocols", "protocol", self._protocols, available_protocols())
         if isinstance(self._workload, str):
-            _check_names("workload", "workload preset", [self._workload], PRESET_NAMES)
+            check_names("workload", "workload preset", [self._workload], PRESET_NAMES)
         bad = [
             n for counts in (self._nodes or [], *self._nodes_per_cluster.values())
             for n in counts
@@ -180,12 +180,14 @@ class ExperimentMatrix:
         return len(self.build())
 
 
-def _check_names(field: str, noun: str, names: Iterable, known: Iterable[str]) -> None:
-    """Reject the *names* the registry *known* lacks (case-insensitively)."""
+def check_names(field: str, noun: str, names: Iterable, known: Iterable[str]) -> None:
+    """Reject the *names* the registry *known* lacks.
+
+    The comparison is exact: a spec carries the name it was given into its
+    label and cache key, so only the registry's own spelling is accepted.
+    """
     known = list(known)
-    unknown = [
-        str(name) for name in names if not (isinstance(name, str) and name.lower() in known)
-    ]
+    unknown = [str(name) for name in names if name not in known]
     if unknown:
         raise ValueError(
             f"{field}: unknown {noun}(s) {', '.join(unknown)}; available: {', '.join(known)}"

@@ -254,6 +254,29 @@ def test_grid_rejects_an_unknown_app_before_running(apps, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["grid", "--apps", "pi", "--nodes", "1", "--protocols", "JAVA_IC"], "protocols"),
+        (["grid", "--apps", "PI", "--nodes", "1"], "apps"),
+        (["grid", "--apps", "pi", "--nodes", "1", "--clusters", "MYRINET"], "clusters"),
+        (["all", "1", "--protocols", "JAVA_IC"], "--protocols"),
+        (["scenario", "sweep", "--protocols", "JAVA_IC"], "--protocols"),
+        (["experiments", "--protocols", "JAVA_IC"], "--protocols"),
+    ],
+)
+def test_every_verb_matches_names_exactly(argv, field, monkeypatch, capsys):
+    from repro.harness import executor
+
+    executed = []
+    monkeypatch.setattr(executor, "run_spec", executed.append)
+    assert cli_main([*argv, "--scale", "testing"]) == 2
+    assert executed == []
+    err = capsys.readouterr().err
+    assert f"hyperion-sim: error: {field}: unknown " in err
+    assert "Traceback" not in err
+
+
 def test_all_prints_the_experiments_document_sections(capsys):
     from repro.harness.figures import generate_all_figures
     from repro.harness.report import (

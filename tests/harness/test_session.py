@@ -230,6 +230,11 @@ def test_matrix_requires_apps_and_clusters():
         ("apps", ("pi", "nope"), "apps: unknown app(s) nope"),
         ("clusters", ("myrinet", "bogus"), "clusters: unknown cluster(s) bogus"),
         ("protocols", ("java_ic", "java_nope"), "protocols: unknown protocol(s) java_nope"),
+        # names are exact: a spec keeps its spelling in its label and cache key
+        ("apps", ("PI",), "apps: unknown app(s) PI"),
+        ("clusters", ("Myrinet",), "clusters: unknown cluster(s) Myrinet"),
+        ("protocols", ("JAVA_IC",), "protocols: unknown protocol(s) JAVA_IC"),
+        ("workload", "Testing", "workload: unknown workload preset(s) Testing"),
         ("workload", "huge", "workload: unknown workload preset(s) huge"),
         ("nodes", (2.5,), "nodes must be positive integers, got [2.5]"),
         ("nodes", (0,), "nodes must be positive integers, got [0]"),
