@@ -24,7 +24,7 @@ def ascii_plot(figure: FigureData, width: int = 60, height: int = 16) -> str:
             x = round(n / n_max * width)
             y = height - round(t / t_max * height)
             grid[y][x] = marker
-    lines = [figure.title, f"(y: 0..{t_max:.2f} s, x: 0..{n_max} nodes)"]
+    lines = [figure.title, f"(y: 0..{t_max:.3g} s, x: 0..{n_max} nodes)"]
     lines += ["|" + "".join(row) for row in grid]
     lines.append("+" + "-" * (width + 1))
     legend = "  ".join(

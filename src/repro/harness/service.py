@@ -118,7 +118,13 @@ def parse_sweep_request(payload: Any) -> ExperimentMatrix:
 
 
 class SweepRecord:
-    """One submitted sweep: its specs, its job, and its lifecycle state."""
+    """One submitted sweep: its specs, its lifecycle state and, while it
+    runs, its job.
+
+    When the sweep ends (done, failed or interrupted) the service freezes
+    what the record still serves, the job's progress and metric snapshots,
+    and drops the job with the per-cell telemetry ledgers it holds.
+    """
 
     def __init__(
         self,
@@ -133,14 +139,21 @@ class SweepRecord:
         self.telemetry = bool(telemetry)
         self.state = "queued"
         self.error: str | None = None
+        #: the running job; None before it starts and after it ends
         self.job: SweepJob | None = None
+        #: ``job.progress.to_dict()`` and ``job.metrics_snapshot()`` frozen
+        #: when the job ends (None if it never started); served as they are,
+        #: so callers must not mutate them
+        self.progress: dict[str, Any] | None = None
+        self.metrics: dict[str, Any] | None = None
         self.result: SessionResult | None = None
         self.lock = threading.Lock()
 
     def status(self) -> dict[str, Any]:
         """JSON status snapshot (what the ``GET /sweeps`` list returns)."""
         with self.lock:
-            progress = self.job.progress.to_dict() if self.job is not None else None
+            job = self.job
+            progress = job.progress.to_dict() if job is not None else self.progress
             return {
                 "id": self.id,
                 "state": self.state,
@@ -149,12 +162,18 @@ class SweepRecord:
                 "progress": progress,
             }
 
+    def metrics_snapshot(self) -> dict[str, Any] | None:
+        """The job-level metric snapshot: live while the sweep runs, frozen
+        once it ends, None if it never started."""
+        with self.lock:
+            job, metrics = self.job, self.metrics
+        # the job's metrics_lock is never taken under self.lock
+        return job.metrics_snapshot() if job is not None else metrics
+
     def detail(self) -> dict[str, Any]:
         """Status plus the job-level metric snapshot (``GET /sweeps/<id>``)."""
         payload = self.status()
-        with self.lock:
-            job = self.job
-        payload["metrics"] = job.metrics_snapshot() if job is not None else None
+        payload["metrics"] = self.metrics_snapshot()
         return payload
 
 
@@ -265,8 +284,9 @@ class SweepService:
         """One deterministic payload of everything the service can count.
 
         A fresh registry absorbs the service counters, the live queue/worker
-        gauges, and every job's aggregate (each under its own lock).  Gauges
-        merge by ``max`` across jobs — the documented registry semantics.
+        gauges, and every sweep's job aggregate (live while it runs, frozen
+        once it ends).  Gauges merge by ``max`` across jobs — the documented
+        registry semantics.
         """
         snapshot = MetricsRegistry()
         with self._lock:
@@ -275,13 +295,9 @@ class SweepService:
             queue_depth = len(self._queue)
             worker_count = len(self._workers)
         states = dict.fromkeys(SWEEP_STATES, 0)
-        jobs = []
         for record in records:
             with record.lock:
                 states[record.state] += 1
-                job = record.job
-            if job is not None:
-                jobs.append(job)
         snapshot.gauge(
             "service_queue_depth", "Sweeps waiting for a worker."
         ).set(queue_depth)
@@ -291,8 +307,10 @@ class SweepService:
         workers = snapshot.gauge("service_workers", "Worker threads by state.")
         workers.set(worker_count, state="total")
         workers.set(states["running"], state="busy")
-        for job in jobs:
-            snapshot.merge(job.metrics_snapshot())
+        for record in records:
+            metrics = record.metrics_snapshot()
+            if metrics is not None:
+                snapshot.merge(metrics)
         return snapshot.to_dict()
 
     # ------------------------------------------------------------------
@@ -331,21 +349,26 @@ class SweepService:
                 return
             record.state = "running"
             record.job = job
+        result = None
         try:
             result = job.run()
         except SweepInterrupted as exc:
-            with record.lock:
-                record.state = "interrupted"
-                record.error = str(exc)
-            return
+            state, error = "interrupted", str(exc)
         except Exception as exc:  # noqa: BLE001 - a sweep failure must not kill the worker
-            with record.lock:
-                record.state = "failed"
-                record.error = f"{type(exc).__name__}: {exc}"
-            return
+            state, error = "failed", f"{type(exc).__name__}: {exc}"
+        else:
+            state, error = "done", None
+        # freeze what the record still serves, then let the job and its
+        # ledgers go (metrics_lock is taken here, not under record.lock)
+        progress = job.progress.to_dict()
+        metrics = job.metrics_snapshot()
         with record.lock:
+            record.state = state
+            record.error = error
             record.result = result
-            record.state = "done"
+            record.progress = progress
+            record.metrics = metrics
+            record.job = None
 
     # ------------------------------------------------------------------
     # shutdown

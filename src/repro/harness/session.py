@@ -139,11 +139,6 @@ class SessionResult:
         """Every cell as a :class:`CellResult`, in submission order."""
         return [self.cell(spec) for spec in self.reports]
 
-    def cell_dicts(self) -> dict[str, dict]:
-        """Label-keyed :meth:`CellResult.to_dict` view (label-sorted)."""
-        cells = sorted(self.cells(), key=lambda cell: cell.label())
-        return {cell.label(): cell.to_dict() for cell in cells}
-
     def to_dict(self) -> dict[str, dict]:
         """JSON-friendly view keyed by cell label (label-sorted)."""
         cells = sorted(self.reports.items(), key=lambda kv: kv[0].label())

@@ -94,3 +94,20 @@ def test_report_rendering(testing):
     assert "nodes" in plot
     summary = render_improvement_markdown({2: figure})
     assert "| cluster | jacobi |" in summary and "| myrinet | " in summary
+
+
+def test_plot_label_shows_a_testing_scale_maximum(testing):
+    # testing-scale points are a few milliseconds, which two decimals read as 0
+    figure = generate_figure(
+        1,
+        workload=testing,
+        clusters=("myrinet",),
+        node_counts={"myrinet": [1, 2]},
+    )
+    t_max = max(t for series in figure.series for _, t in series.points)
+    assert t_max < 0.005
+    label = ascii_plot(figure).splitlines()[1]
+    assert label.startswith("(y: 0..") and label.endswith(" nodes)")
+    shown = float(label.removeprefix("(y: 0..").split(" s,")[0])
+    assert shown > 0
+    assert shown == pytest.approx(t_max, rel=5e-3)

@@ -1,5 +1,6 @@
 """The sweep service: request parsing, lifecycle, and the HTTP round-trip."""
 
+import gc
 import http.client
 import json
 import os
@@ -9,12 +10,14 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.harness import service as service_module
+from repro.harness.jobs import SweepJob
 from repro.harness.matrix import ExperimentMatrix
 from repro.harness.service import (
     ServiceError,
@@ -24,6 +27,8 @@ from repro.harness.service import (
 )
 from repro.harness.session import Session
 from repro.harness.store import report_from_payload, report_to_payload
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.promtext import render_metrics
 
 REQUEST = {
     "apps": ["pi"],
@@ -126,6 +131,11 @@ def test_shutdown_interrupts_queued_sweeps():
     # everything is terminal after a drain: done or interrupted, never running
     assert all(state in ("done", "interrupted") for state in states.values())
     assert set(outcome["abandoned"]) <= set(states)
+    # a sweep interrupted while queued never had a job to report progress
+    listed = {status["id"]: status for status in service.statuses()}
+    for sweep_id in outcome["abandoned"]:
+        assert listed[sweep_id]["progress"] is None
+        assert service.get(sweep_id).detail()["metrics"] is None
     with pytest.raises(ServiceError) as excinfo:
         service.submit(REQUEST)
     assert excinfo.value.status == 503
@@ -350,6 +360,138 @@ def test_http_metrics_endpoint_serves_prometheus_text(server):
         if line.startswith("#"):
             continue
         assert sample.match(line), line
+
+
+# ---------------------------------------------------------------------------
+# a finished sweep keeps frozen snapshots, not its job
+# ---------------------------------------------------------------------------
+@pytest.fixture()
+def tracked_jobs(monkeypatch):
+    """Make the service build jobs that record themselves.
+
+    Returns ``(refs, hooks, finals)``: a weak reference to every job built,
+    in build order; hooks the next jobs pop in build order, each called
+    once after that job's first shard is absorbed (None for no hook); and
+    per job, at the end of its ``run``, its progress and metric snapshots
+    and how many ledgers it held.
+    """
+    refs, hooks, finals = [], [], []
+
+    class TrackedJob(SweepJob):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.hook = hooks.pop(0) if hooks else None
+            refs.append(weakref.ref(self))
+
+        def _absorb(self, *args):
+            super()._absorb(*args)
+            hook, self.hook = self.hook, None
+            if hook is not None:
+                hook()
+
+        def run(self):
+            try:
+                return super().run()
+            finally:
+                finals.append(
+                    (
+                        self.progress.to_dict(),
+                        self.metrics_snapshot(),
+                        len(self.telemetry()["ledgers"]),
+                    )
+                )
+
+    monkeypatch.setattr(service_module, "SweepJob", TrackedJob)
+    return refs, hooks, finals
+
+
+def test_every_job_is_collectable_once_its_sweep_ends(tracked_jobs):
+    refs, hooks, finals = tracked_jobs
+    paused, resume = threading.Event(), threading.Event()
+
+    def fail():
+        raise RuntimeError("injected shard failure")
+
+    def pause():
+        paused.set()
+        assert resume.wait(timeout=60)
+
+    hooks.extend([None, fail, pause])
+    service = SweepService(shard_size=2)
+    done, failed, interrupted, queued = (service.submit(REQUEST) for _ in range(4))
+    assert paused.wait(timeout=60)
+    # shut down while the third sweep is between its two shards
+    stopper = threading.Thread(target=service.shutdown)
+    stopper.start()
+    assert service._stopping.wait(timeout=30)
+    resume.set()
+    stopper.join(timeout=60)
+    assert not stopper.is_alive()
+
+    statuses = [r.status() for r in (done, failed, interrupted, queued)]
+    assert [s["state"] for s in statuses] == ["done", "failed", "interrupted", "interrupted"]
+    assert statuses[1]["error"] == "RuntimeError: injected shard failure"
+    assert [s["progress"]["completed_cells"] for s in statuses[:3]] == [4, 2, 2]
+    # every job built held telemetry ledgers when it ended, and none outlives it
+    assert len(refs) == 3 and all(ledgers > 0 for _, _, ledgers in finals)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert all(record.job is None for record in (done, failed, interrupted, queued))
+    for record, (progress, metrics, _) in zip((done, failed, interrupted), finals):
+        assert record.detail()["progress"] == progress
+        assert record.detail()["metrics"] == metrics
+    # the sweep still queued at shutdown never had a job
+    assert queued.detail()["progress"] is None and queued.detail()["metrics"] is None
+
+
+def test_finished_sweeps_serve_the_snapshots_their_jobs_ended_with(
+    tmp_path, tracked_jobs
+):
+    _, _, finals = tracked_jobs
+    server = serve(port=0, shard_size=2, cache_dir=str(tmp_path / "cache"))
+    thread = threading.Thread(target=server.serve_until_shutdown, daemon=True)
+    thread.start()
+    # cold, cold, then a repeat the store answers
+    requests = [REQUEST, REQUEST | {"nodes": [4]}, REQUEST]
+    try:
+        ids = []
+        for request in requests:
+            status, submitted = _call(server, "POST", "/sweeps", request)
+            assert status == 202
+            ids.append(submitted["id"])
+            assert _wait_done(server.service, submitted["id"])["state"] == "done"
+        assert len(finals) == len(requests)
+        expected_statuses = []
+        for sweep_id, request, (progress, metrics, _) in zip(ids, requests, finals):
+            expected_status = {
+                "id": sweep_id,
+                "state": "done",
+                "cells": len(parse_sweep_request(request).build()),
+                "error": None,
+                "progress": progress,
+            }
+            expected_statuses.append(expected_status)
+            body = _get_bytes(server, f"/sweeps/{sweep_id}")
+            expected_body = expected_status | {"metrics": metrics}
+            assert body == json.dumps(expected_body, sort_keys=True).encode()
+        assert _get_bytes(server, "/sweeps") == json.dumps(
+            {"sweeps": expected_statuses}, sort_keys=True
+        ).encode()
+        # /metrics: the service's own families plus the jobs' final snapshots
+        text = _get_bytes(server, "/metrics").decode()
+        families = server.service.metrics_snapshot()["families"]
+        expected = MetricsRegistry()
+        expected.merge(
+            {"families": {n: f for n, f in families.items() if n.startswith("service_")}}
+        )
+        for _, metrics, _ in finals:
+            expected.merge(metrics)
+        assert text == render_metrics(expected)
+        cells = expected.to_dict()["families"]["sweep_cells_completed_total"]
+        assert cells["series"][0]["value"] == 10
+    finally:
+        server.request_shutdown()
+        thread.join(timeout=60)
 
 
 # ---------------------------------------------------------------------------
