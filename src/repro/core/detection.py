@@ -28,13 +28,17 @@ Four strategies ship here:
     densely accessed pages stop paying the per-access check and instead take
     one fault per miss, sparsely accessed pages keep the cheap check.
 
-Each strategy has exactly one ``detect_access``, the exact per-access path.
-The memory subsystem's fused plan (:meth:`DetectionStrategy.access_fast_plan`)
-is the only fast path: it charges resident accesses itself, in the same
-values and order, and hands every miss to ``detect_access``.  The
-determinism suite pins the plan against this path through
-:func:`~repro.core.protocol.reference_detection`, under which protocols
-report no plan.
+A strategy's check rule is data: :attr:`DetectionStrategy.checks_per_access`
+and :attr:`~DetectionStrategy.checks_per_page` (in-line ``(1, 0)``, hoisted
+``(0, 1)``, page faults ``(0, 0)``), plus :attr:`uses_page_faults` for the
+miss path.  The three strategies without state share one ``detect_access``,
+the exact per-access path; the hybrid's own adds its per-page promotion
+(:meth:`HybridDetection.checks_due`).  The memory subsystem's fused plan
+(:meth:`DetectionStrategy.access_fast_plan`) reads the same counts: it
+charges resident accesses itself, in the same values and order, and hands
+every miss to ``detect_access``.  The determinism suite pins the plan
+against this path through :func:`~repro.core.protocol.reference_detection`,
+under which protocols report no plan.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ class DetectionStrategy:
     uses_page_faults = False
     #: human fragment used by ``ConsistencyProtocol.describe()``
     mechanism = "unspecified detection"
+    #: explicit in-line checks each access pays, and each page an access
+    #: touches pays (a check hoisted out of a bulk access)
+    checks_per_access = 0
+    checks_per_page = 0
 
     def __init__(self, protocol: "ConsistencyProtocol"):
         self.protocol = protocol
@@ -82,6 +90,10 @@ class DetectionStrategy:
         self._page_fault_s = protocol._page_fault_s
         self._mprotect_s = protocol._mprotect_s
         self._fetch = protocol._fetch
+        # -- the check rule, read per access by the exact path --
+        self._access_checks = self.checks_per_access
+        self._page_checks = self.checks_per_page
+        self._faults = self.uses_page_faults
 
     # ------------------------------------------------------------------
     # the strategy interface
@@ -96,29 +108,42 @@ class DetectionStrategy:
     ) -> int:
         """Make *pages* accessible from *node_id*, charging detection costs.
 
+        Charges the strategy's checks, then the miss path of every absent
+        page: a fault, the fetch and an ``mprotect`` when the strategy
+        relies on page faults, else the software miss path and the fetch.
         Returns the number of pages fetched from their home node.
         """
-        raise NotImplementedError
+        missing = self._account(node_id, pages, count)
+        checks = self._access_checks * count
+        if self._page_checks:
+            checks += self._page_checks * len(pages)
+        if checks:
+            self.stats.inline_checks += checks
+            ctx.charge_cpu((self._check_cycles * checks) / self._freq)
+        if missing:
+            if self._faults:
+                self._fault_in(ctx, node_id, missing, missing)
+            else:
+                ctx.charge_cpu(self._miss_overhead_s * len(missing))
+                self._fetch(ctx, node_id, missing)
+        return len(missing)
 
     def access_fast_plan(self) -> str | None:
         """Fast-plan key for fused memory-side access charging, or None.
 
-        The memory subsystem charges resident accesses inline: open-coded
-        in its scalar ``get``/``put`` hot paths, through one range block
-        (``_fused_range_charges``) and in script segments
-        (``replay_segment``).
-        Under the ``"hybrid"`` plan it charges the check only while a
-        touched page is unpromoted and then calls
-        :meth:`HybridDetection._observe`, exactly as ``detect_access``
-        does.  All of that is only sound when this instance's
-        ``detect_access`` is the stock implementation of a strategy the
-        memory layer knows: a subclass override returns None here, so every
-        access takes the exact path.
+        The memory subsystem charges resident accesses inline, through one
+        charge block (``_charge_accesses``, behind scalar and range
+        accesses), the block updaters and script segments
+        (``replay_segment``), reading the same :attr:`checks_per_access`
+        and :attr:`checks_per_page`; under an adaptive strategy it asks
+        :meth:`HybridDetection.checks_due`, exactly as ``detect_access``
+        does.  That is only sound while this instance runs a stock
+        ``detect_access``: a subclass that overrides it returns None here,
+        so every access takes the exact path.  The plan is the strategy's
+        :attr:`name`.
         """
-        for klass in type(self).__mro__:
-            if "detect_access" in klass.__dict__:
-                return _FAST_PLAN_BY_IMPL.get(klass)
-        return None
+        stock = (DetectionStrategy.detect_access, HybridDetection.detect_access)
+        return self.name if type(self).detect_access in stock else None
 
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         """Acquire-side invalidation action of this detection mechanism."""
@@ -193,30 +218,10 @@ class InlineCheckDetection(DetectionStrategy):
     name = "inline_check"
     uses_page_faults = False
     mechanism = "in-line checks"
+    checks_per_access = 1
 
     #: cycles to clear one presence-table entry during cache invalidation
     INVALIDATE_ENTRY_CYCLES = 4.0
-
-    def detect_access(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        pages: Sequence[int],
-        count: int,
-        write: bool,
-    ) -> int:
-        missing = self._account(node_id, pages, count)
-
-        # One explicit locality check per access, whether local or remote.
-        self.stats.inline_checks += count
-        ctx.charge_cpu((self._check_cycles * count) / self._freq)
-
-        if missing:
-            # Software miss path (cache lookup + request construction), then
-            # the page request round trip.  No fault, no mprotect.
-            ctx.charge_cpu(self._miss_overhead_s * len(missing))
-            self._fetch(ctx, node_id, missing)
-        return len(missing)
 
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         """Invalidate the node's cache: clear the presence entries.
@@ -252,22 +257,6 @@ class PageFaultDetection(DetectionStrategy):
     uses_page_faults = True
     mechanism = "page faults"
 
-    def detect_access(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        pages: Sequence[int],
-        count: int,
-        write: bool,
-    ) -> int:
-        missing = self._account(node_id, pages, count)
-        # No per-access cost: detection only happens when the hardware
-        # traps, once per protected page touched (subsequent accesses find
-        # it READ/WRITE).
-        if missing:
-            self._fault_in(ctx, node_id, missing, missing)
-        return len(missing)
-
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         """Re-protect every replicated remote page (one ``mprotect`` each).
 
@@ -295,27 +284,10 @@ class HoistedCheckDetection(InlineCheckDetection):
     name = "hoisted"
     uses_page_faults = False
     mechanism = "hoisted in-line checks (one per bulk access)"
-
-    def detect_access(
-        self,
-        ctx: AccessContext,
-        node_id: int,
-        pages: Sequence[int],
-        count: int,
-        write: bool,
-    ) -> int:
-        missing = self._account(node_id, pages, count)
-
-        # One hoisted check per bulk access (per page touched, to stay safe
-        # across page boundaries), instead of one per element.
-        checks = max(1, len(pages))
-        self.stats.inline_checks += checks
-        ctx.charge_cpu((self._check_cycles * checks) / self._freq)
-
-        if missing:
-            ctx.charge_cpu(self._miss_overhead_s * len(missing))
-            self._fetch(ctx, node_id, missing)
-        return len(missing)
+    # one check per page touched (to stay safe across page boundaries),
+    # instead of one per element
+    checks_per_access = 0
+    checks_per_page = 1
 
 
 class HybridDetection(DetectionStrategy):
@@ -340,6 +312,8 @@ class HybridDetection(DetectionStrategy):
     name = "hybrid"
     uses_page_faults = True
     mechanism = "per-page hybrid (in-line checks until dense, then faults)"
+    #: while a touched page is unpromoted (:meth:`checks_due`)
+    checks_per_access = 1
 
     #: accesses a node must observe on a page before the page is promoted
     #: from check-based to fault-based handling on that node
@@ -358,7 +332,16 @@ class HybridDetection(DetectionStrategy):
         self._promoted: list[set[int]] = [set() for _ in range(num_nodes)]
 
     # ------------------------------------------------------------------
-    def _observe(self, node_id: int, pages, count: int) -> None:
+    def checks_due(self, node_id: int, pages, count: int) -> int:
+        """The checks *count* accesses to *pages* from *node_id* pay.
+
+        One per access while any page of *pages* is unpromoted on the node,
+        else none.  ``detect_access`` and the memory subsystem's fused plan
+        both ask here.
+        """
+        return 0 if self._promoted[node_id].issuperset(pages) else count
+
+    def observe(self, node_id: int, pages, count: int) -> None:
         """Update density counters and promote pages that crossed the bar.
 
         Runs *after* the access was charged: the mode of an access is decided
@@ -383,14 +366,13 @@ class HybridDetection(DetectionStrategy):
         write: bool,
     ) -> int:
         missing = self._account(node_id, pages, count)
-        promoted = self._promoted[node_id]
-
-        # The check is paid while any touched page still runs under it.
-        if any(page not in promoted for page in pages):
-            self.stats.inline_checks += count
-            ctx.charge_cpu((self._check_cycles * count) / self._freq)
+        checks = self.checks_due(node_id, pages, count)
+        if checks:
+            self.stats.inline_checks += checks
+            ctx.charge_cpu((self._check_cycles * checks) / self._freq)
 
         if missing:
+            promoted = self._promoted[node_id]
             faulting = [page for page in missing if page in promoted]
             checked_misses = len(missing) - len(faulting)
             if checked_misses:
@@ -401,8 +383,48 @@ class HybridDetection(DetectionStrategy):
                 self._fault_in(ctx, node_id, missing, faulting)
             else:
                 self._fetch(ctx, node_id, missing)
-        self._observe(node_id, pages, count)
+        self.observe(node_id, pages, count)
         return len(missing)
+
+    def replay_charges(
+        self, pending: float, node_id: int, page: int, n: int, extra: int, amounts: tuple
+    ) -> tuple[float, int]:
+        """Charge *n* resident accesses to *page*, one script step's worth.
+
+        *amounts* are the base, check, extra base and extra check seconds
+        of :meth:`~repro.core.memory.MemorySubsystem.replay_segment`.  Each
+        access, then its *extra* accounting, pays the check while the page
+        is unpromoted and adds to its density, promoting it at the
+        threshold, as :meth:`observe` does after each access.  Returns the
+        pending time and the checks paid.
+        """
+        density = self._density[node_id]
+        promoted = self._promoted[node_id]
+        threshold = self.DENSITY_THRESHOLD
+        seen = density.get(page, 0)
+        dense = page in promoted
+        base, check = amounts[0], amounts[1]
+        checks = 0
+        for _ in range(n):
+            pending += base
+            if not dense:
+                pending += check
+                checks += 1
+            seen += 1
+            if seen >= threshold:
+                dense = True
+            if extra:
+                pending += amounts[2]
+                if not dense:
+                    pending += amounts[3]
+                    checks += extra
+                seen += extra
+                if seen >= threshold:
+                    dense = True
+        density[page] = seen
+        if dense:
+            promoted.add(page)
+        return pending, checks
 
     def on_monitor_enter(self, ctx: AccessContext, node_id: int) -> None:
         """Invalidate per mode: drop unpromoted pages, re-protect promoted.
@@ -428,21 +450,6 @@ class HybridDetection(DetectionStrategy):
     def promoted_pages(self, node_id: int) -> set[int]:
         """Pages currently fault-managed on *node_id* (diagnostics/tests)."""
         return set(self._promoted[node_id])
-
-
-#: ``detect_access`` implementations whose resident-page charging the
-#: memory subsystem may fuse into its own primitives, keyed by the class
-#: *defining* the implementation: a subclass that inherits one of these is
-#: covered (it runs the very same code), a subclass that overrides
-#: ``detect_access`` is not (``access_fast_plan`` walks the MRO to the
-#: defining class).  The hybrid plan carries per-page state, so the memory
-#: layer updates it (``_observe``) after each fused charge.
-_FAST_PLAN_BY_IMPL: dict[type, str] = {
-    InlineCheckDetection: "inline_check",
-    PageFaultDetection: "page_fault",
-    HoistedCheckDetection: "hoisted",
-    HybridDetection: "hybrid",
-}
 
 
 #: name -> strategy class, what ``register_composed`` resolves strings with

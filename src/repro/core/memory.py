@@ -28,6 +28,7 @@ import numpy as np
 from repro.cluster.costs import CostModel
 from repro.core.cache import CachedObject, ObjectCache
 from repro.core.context import AccessContext
+from repro.core.detection import HybridDetection
 from repro.core.interfaces import SharedEntity
 from repro.core.protocol import ConsistencyProtocol
 from repro.core.stats import RunStats
@@ -98,8 +99,9 @@ class MemorySubsystem:
         # ``detect_access`` (a stock detection implementation — see
         # ``access_fast_plan``), the primitives below charge resident
         # accesses inline and ``replay_segment`` prices a script segment at
-        # once.  The hybrid plan checks only unpromoted pages and observes
-        # every fused access (``_observe``); a policy that observes writes
+        # once.  The checks come from the strategy's counts; a strategy
+        # whose checks depend on per-page state (the hybrid's) is asked per
+        # access instead (``_adaptive``).  A policy that observes writes
         # gets its hook (``_note_write``) called after every fused write,
         # and then multi-page spans, segment writes and the block updater
         # take the exact (or per-row) path, since a re-home can split an
@@ -108,17 +110,20 @@ class MemorySubsystem:
         # the exact ``_detect`` path, byte for byte.
         plan = self._fast_plan = protocol.access_fast_plan()
         self._note_write = protocol.write_observer() if plan is not None else None
-        if plan == "hybrid":
-            self._hybrid = strategy = protocol.detection_strategy()
-            self._promoted = strategy._promoted
-            self._observe = strategy._observe
+        self._access_checks = self._page_checks = 0
+        self._adaptive = None
+        if plan is not None:
+            strategy = protocol.detection_strategy()
+            self._access_checks = strategy.checks_per_access
+            self._page_checks = strategy.checks_per_page
+            if isinstance(strategy, HybridDetection):
+                self._adaptive = strategy
         self._home_by_page = page_manager._home_by_page
         self._tables = page_manager.tables
         self._dsm_stats = page_manager.stats
-        # identical expressions to the per-call ones ((cycles * 1) is exact)
         self._check_cycles = protocol._check_cycles
+        # the per-call expression for one access ((cycles * 1) is exact)
         self._base_seconds = self._base_cycles / self._freq
-        self._check_seconds = protocol._check_cycles / self._freq
 
     def disable_access_fast_path(self) -> None:
         """Route every access through the exact polymorphic path.
@@ -206,11 +211,10 @@ class MemorySubsystem:
         """``get``: read one field/element of *obj* from *node*."""
         slot_size = obj.slot_size
         address = obj.address + index * slot_size
-        first = address // self._page_size
-        last = (address + slot_size - 1) // self._page_size
-        if first != last or not self._fused_range_charges(ctx, node, first, first, 1, False):
-            ctx.charge_cpu(self._base_cycles / self._freq)
-            self._detect(ctx, node, (first,) if first == last else (first, last), 1, False)
+        page_size = self._page_size
+        self._charge_accesses(
+            ctx, node, address // page_size, (address + slot_size - 1) // page_size, 1, False
+        )
         if obj.home_node == node:
             return obj.main_read(index)
         return self._cache_entry(node, obj).read(index)
@@ -225,18 +229,17 @@ class MemorySubsystem:
         """
         slot_size = obj.slot_size
         address = obj.address + index * slot_size
-        first = address // self._page_size
-        last = (address + slot_size - 1) // self._page_size
-        if first != last or not self._fused_range_charges(ctx, node, first, first, 1, True):
-            ctx.charge_cpu(self._base_cycles / self._freq)
-            self._detect(ctx, node, (first,) if first == last else (first, last), 1, True)
+        page_size = self._page_size
+        self._charge_accesses(
+            ctx, node, address // page_size, (address + slot_size - 1) // page_size, 1, True
+        )
         if obj.home_node == node:
             obj.main_write(index, value)
             return
         self._cache_entry(node, obj).write(index, value)
 
     # -- bulk accesses ---------------------------------------------------------
-    def _fused_range_charges(
+    def _charge_accesses(
         self,
         ctx: AccessContext,
         node: int,
@@ -244,81 +247,64 @@ class MemorySubsystem:
         last: int,
         count: int,
         write: bool,
-    ) -> bool:
-        """Charge *count* accesses to the resident pages [first, last] inline.
+    ) -> None:
+        """Charge *count* accesses from *node* to the pages [first, last].
 
-        The one copy of the range charge block: ``get``, ``put``,
-        ``get_range``, ``put_range`` and ``account_accesses`` call it (the
-        block path of :meth:`make_range_updater` evaluates the same
-        expressions once per block, and ``replay_segment`` for a segment).  A *write* then reaches the policy's write hook,
-        before the caller moves any data.  Returns False — with nothing
-        charged — whenever the exact ``_detect`` path must run instead: no
-        plan, unregistered page, any page of [first, last] not readable
-        from *node*, or a multi-page span while homes can move.
+        The one charge block of ``get``, ``put``, ``get_range``,
+        ``put_range`` and ``account_accesses`` (the block paths of
+        :meth:`make_range_updater` evaluate the same expressions once per
+        block, and ``replay_segment`` for a segment).  Under the fast plan
+        a resident span is charged here, in the values and order of the
+        exact path: the base, then the strategy's checks; a *write* then
+        reaches the policy's write hook, before the caller moves any data.
+        Everything else takes the exact ``_detect`` path: no plan, an
+        unregistered page, any page of [first, last] not readable from
+        *node*, or a multi-page span while homes can move (a re-home can
+        give one object's pages different homes, so the first page's home
+        no longer classifies the span).
         """
-        plan = self._fast_plan
-        if plan is None:
-            return False
-        note = self._note_write
-        if note is not None and first != last:
-            # a re-home can give one object's pages different homes, so
-            # the first page's home no longer classifies the span
-            return False
-        rhome = self._home_by_page.get(first)
-        if rhome is None:
-            return False
+        rhome = None if self._fast_plan is None else self._home_by_page.get(first)
         remote = rhome != node
-        if remote:
-            present = self._tables[node]._present
-            if first == last:
-                if first not in present:
-                    return False
-            elif not present.issuperset(range(first, last + 1)):
-                return False
-        # the charges below accumulate pending CPU time directly (the exact
-        # float additions ``ctx.charge_cpu`` would perform, in the same
-        # order) and only fall back to the method for contexts that keep
-        # their pending time elsewhere
-        charge = (self._base_cycles * count) / self._freq
+        note = self._note_write
+        if (
+            rhome is None
+            or (first != last and note is not None)
+            or remote and not (
+                first in self._tables[node]._present if first == last
+                else self._tables[node]._present.issuperset(range(first, last + 1))
+            )
+        ):
+            ctx.charge_cpu((self._base_cycles * count) / self._freq)
+            pages = (first,) if first == last else range(first, last + 1)
+            self._detect(ctx, node, pages, count, write)
+            return
+        if self._adaptive is None:
+            checks = self._access_checks * count
+            if self._page_checks:
+                checks += self._page_checks * (last - first + 1)
+        else:
+            span = range(first, last + 1)
+            checks = self._adaptive.checks_due(node, span, count)
+            self._adaptive.observe(node, span, count)
+        # the exact float additions ``ctx.charge_cpu`` would perform, in the
+        # same order (a check-free +0.0 leaves the sum unchanged); only
+        # contexts that keep their pending time elsewhere take the method
+        base = (self._base_cycles * count) / self._freq
+        check = (self._check_cycles * checks) / self._freq
         try:
-            ctx._pending_cpu += charge
+            ctx._pending_cpu = ctx._pending_cpu + base + check
         except AttributeError:
-            ctx.charge_cpu(charge)
+            ctx.charge_cpu(base)
+            if checks:
+                ctx.charge_cpu(check)
         stats = self._dsm_stats
         stats.accesses += count
         if remote:
             stats.remote_accesses += count
-        if plan == "inline_check":
-            stats.inline_checks += count
-            charge = (self._check_cycles * count) / self._freq
-            try:
-                ctx._pending_cpu += charge
-            except AttributeError:
-                ctx.charge_cpu(charge)
-        elif plan == "hoisted":
-            n_pages = last - first + 1
-            checks = n_pages if n_pages > 1 else 1
+        if checks:
             stats.inline_checks += checks
-            charge = (self._check_cycles * checks) / self._freq
-            try:
-                ctx._pending_cpu += charge
-            except AttributeError:
-                ctx.charge_cpu(charge)
-        elif plan == "hybrid":
-            # the check is paid while any page of the span is unpromoted
-            promoted = self._promoted[node]
-            span = range(first, last + 1)
-            if not (first in promoted if first == last else promoted.issuperset(span)):
-                stats.inline_checks += count
-                charge = (self._check_cycles * count) / self._freq
-                try:
-                    ctx._pending_cpu += charge
-                except AttributeError:
-                    ctx.charge_cpu(charge)
-            self._observe(node, span, count)
         if write and note is not None:
             note(ctx, node, (first,))
-        return True
 
     def get_range(
         self, ctx: AccessContext, node: int, obj: SharedEntity, lo: int, hi: int
@@ -330,12 +316,10 @@ class MemorySubsystem:
         slot_size = obj.slot_size
         address = obj.address + lo * slot_size
         page_size = self._page_size
-        first = address // page_size
-        last = (address + count * slot_size - 1) // page_size
-        if not self._fused_range_charges(ctx, node, first, last, count, False):
-            pages = (first,) if first == last else range(first, last + 1)
-            ctx.charge_cpu((self._base_cycles * count) / self._freq)
-            self._detect(ctx, node, pages, count, False)
+        self._charge_accesses(
+            ctx, node, address // page_size, (address + count * slot_size - 1) // page_size,
+            count, False,
+        )
         if obj.home_node == node:
             return obj.main_read_range(lo, hi)
         return self._cache_entry(node, obj).read_range(lo, hi)
@@ -365,12 +349,10 @@ class MemorySubsystem:
         slot_size = obj.slot_size
         address = obj.address + lo * slot_size
         page_size = self._page_size
-        first = address // page_size
-        last = (address + count * slot_size - 1) // page_size
-        if not self._fused_range_charges(ctx, node, first, last, count, True):
-            pages = (first,) if first == last else range(first, last + 1)
-            ctx.charge_cpu((self._base_cycles * count) / self._freq)
-            self._detect(ctx, node, pages, count, True)
+        self._charge_accesses(
+            ctx, node, address // page_size, (address + count * slot_size - 1) // page_size,
+            count, True,
+        )
         if obj.home_node == node:
             obj.main_write_range(lo, hi, values)
             return
@@ -409,20 +391,16 @@ class MemorySubsystem:
             size = (hi - lo) * slot_size
             if size < 1:
                 size = 1
-        first = address // page_size
-        last = (address + size - 1) // page_size
-        if self._fused_range_charges(ctx, node, first, last, count, write):
-            return
-        pages = (first,) if first == last else range(first, last + 1)
-        ctx.charge_cpu((self._base_cycles * count) / self._freq)
-        self._detect(ctx, node, pages, count, write)
+        self._charge_accesses(
+            ctx, node, address // page_size, (address + size - 1) // page_size, count, write
+        )
 
     def _block_access(
         self, node: int, obj: SharedEntity, lo: int, hi: int | None, count: int
     ) -> tuple[int, int] | None:
         """(accesses, inline checks) of one block-path range access.
 
-        What :meth:`_fused_range_charges` counts for *count* accesses to
+        What :meth:`_charge_accesses` counts for *count* accesses to
         slots [lo, hi) of *obj* (all of it when *hi* is None, as
         ``account_accesses`` spans it) under a fixed-home plan, or None
         unless *obj* and the span's first page are homed on *node* — only
@@ -438,12 +416,8 @@ class MemorySubsystem:
         first = address // page_size
         if obj.home_node != node or self._home_by_page.get(first) != node:
             return None
-        plan = self._fast_plan
-        if plan == "inline_check":
-            return count, count
-        if plan == "hoisted":
-            return count, (address + size - 1) // page_size - first + 1
-        return count, 0
+        pages = (address + size - 1) // page_size - first + 1
+        return count, self._access_checks * count + self._page_checks * pages
 
     def _charge_template(self, accesses, checks, row_seconds: float) -> np.ndarray:
         """The charges of a block of rows, laid out for :func:`_fold`.
@@ -451,7 +425,7 @@ class MemorySubsystem:
         *accesses* and *checks* are (rows, calls) arrays: each range call
         of a row in order, as :meth:`_block_access` counts it.  Returns
         [pending slot, then per row each call's base then check seconds,
-        then *row_seconds*] — the amounts ``_fused_range_charges``'
+        then *row_seconds*] — the amounts ``_charge_accesses``'
         expressions give, so every float is bit-equal to its own.
         """
         accesses = np.asarray(accesses, dtype=np.float64)
@@ -502,9 +476,9 @@ class MemorySubsystem:
         both), and must not modify its arguments.
 
         Both block paths fold every charge into ``ctx._pending_cpu`` in the
-        per-row order (:func:`_fold`).  They need a fixed-home plan
-        (``inline_check``, ``hoisted`` or ``page_fault``, no write
-        observer), rows that are consecutive rows of one heap matrix
+        per-row order (:func:`_fold`).  They need a plan whose checks are
+        the strategy's counts alone (not the hybrid's) and fixed homes (no
+        write observer), rows that are consecutive rows of one heap matrix
         (``matrix``/``matrix_row``; *into* of another) and a context with
         ``_pending_cpu``.  In place, every row must be homed on *node* and,
         per call, *extra_obj* resident; the whole block then moves with
@@ -554,12 +528,12 @@ class MemorySubsystem:
         )
         checks = np.array(row_checks)
         block = matrix[top : top + n_rows, lo:hi]
-        plan = self._fast_plan
         page_size = self._page_size
         home_by_page = self._home_by_page
         present = self._tables[node]._present
         stats = self._dsm_stats
         freq, check = self._freq, self._check_cycles
+        access_checks, page_checks = self._access_checks, self._page_checks
 
         def update(transform, extra_obj=None, skip=None):
             if self._fast_plan is None:
@@ -583,10 +557,7 @@ class MemorySubsystem:
                 ):
                     return per_row(transform, extra_obj, skip)
                 extra_accesses = extra
-                if plan == "inline_check":
-                    echecks = extra
-                elif plan == "hoisted":
-                    echecks = elast - efirst + 1
+                echecks = access_checks * extra + page_checks * (elast - efirst + 1)
                 grid[:, 5] = (check * echecks) / freq
             else:
                 grid[:, 4:6] = 0.0
@@ -616,7 +587,8 @@ class MemorySubsystem:
         """
         matrix = getattr(rows[0], "matrix", None) if rows else None
         if (
-            self._fast_plan not in ("inline_check", "hoisted", "page_fault")
+            self._fast_plan is None
+            or self._adaptive is not None
             or self._note_write is not None
             or matrix is None
             or not hasattr(ctx, "_pending_cpu")
@@ -755,15 +727,15 @@ class MemorySubsystem:
         move, every write run the spec's calls at their position
         (:meth:`_exact_access`); the accesses after them read their page's
         home afresh.  The others are charged here in the per-op order.
-        Outside the hybrid plan each adds the same base, check, extra base
-        and extra check, so consecutive ones are only counted until a
-        compute, an exact call or the end folds them (:func:`_repeat`);
-        under it, :meth:`_hybrid_charges` charges a page's accesses of one
-        step.  Counters are added once; a run is written with one write of
-        its last value per slot.
+        Unless the strategy is adaptive each adds the same base, check,
+        extra base and extra check, so consecutive ones are only counted
+        until a compute, an exact call or the end folds them
+        (:func:`_repeat`); an adaptive one charges a page's accesses of one
+        step itself (:meth:`HybridDetection.replay_charges`).  Counters are
+        added once; a run is written with one write of its last value per
+        slot.
         """
-        plan = self._fast_plan
-        if plan is None:
+        if self._fast_plan is None:
             raise RuntimeError("replay_segment needs a fast plan")
         if len(steps) == 1 and steps[0][0] == COMPUTE:
             # the think time between two critical sections needs no access state
@@ -772,20 +744,21 @@ class MemorySubsystem:
         page_size = self._page_size
         home_of = self._home_by_page.get
         present = self._tables[node]._present
-        # a +0.0 check under page_fault leaves the sum bit-unchanged
-        check = 0.0 if plan == "page_fault" else self._check_seconds
-        amounts = (self._base_seconds, check)
-        if extra:  # then the charges of account_accesses(count=extra) on one page
+        # the checks of one access, then of account_accesses(count=extra) on
+        # its page; a check-free +0.0 leaves the sum bit-unchanged
+        checks = self._access_checks + self._page_checks
+        extra_checks = self._access_checks * extra + self._page_checks if extra else 0
+        amounts = (self._base_seconds, (self._check_cycles * checks) / self._freq)
+        if extra:
             amounts += (
                 (self._base_cycles * extra) / self._freq,
-                check if plan != "inline_check" and plan != "hybrid"  # hoisted: one per call
-                else (self._check_cycles * extra) / self._freq,
+                (self._check_cycles * extra_checks) / self._freq,
             )
-        hybrid = plan == "hybrid"
+        adaptive = self._adaptive
         observed = self._note_write is not None
         pending = ctx._pending_cpu
-        run = 0  # resident accesses not yet charged (all plans but hybrid)
-        hits = remote_hits = hybrid_checks = 0
+        run = 0  # resident accesses not yet charged (unless adaptive)
+        hits = remote_hits = adaptive_checks = 0
         objects: dict[int, tuple] = {}
         for step in steps:
             tag = step[0]
@@ -838,9 +811,9 @@ class MemorySubsystem:
                 hits += 1
                 if rhome != node:
                     remote_hits += 1
-                if hybrid:
-                    pending, checks = self._hybrid_charges(pending, node, page, 1, extra, amounts)
-                    hybrid_checks += checks
+                if adaptive:
+                    pending, paid = adaptive.replay_charges(pending, node, page, 1, extra, amounts)
+                    adaptive_checks += paid
                 else:
                     run += 1
                 if write:
@@ -875,11 +848,11 @@ class MemorySubsystem:
                 hits += n
                 if rhome != node:
                     remote_hits += n
-                if not hybrid:
+                if not adaptive:
                     run += n
                 elif n:
-                    pending, checks = self._hybrid_charges(pending, node, page, n, extra, amounts)
-                    hybrid_checks += checks
+                    pending, paid = adaptive.replay_charges(pending, node, page, n, extra, amounts)
+                    adaptive_checks += paid
             if write:
                 last = dict(zip(slots, step[3]))
                 write_many(list(last), list(last.values()))
@@ -887,47 +860,7 @@ class MemorySubsystem:
         stats = self._dsm_stats
         stats.accesses += hits * (1 + extra)
         stats.remote_accesses += remote_hits * (1 + extra)
-        plan_checks = {"inline_check": 1 + extra, "hoisted": 2 if extra else 1}.get(plan, 0)
-        stats.inline_checks += hybrid_checks if hybrid else hits * plan_checks
-
-    def _hybrid_charges(
-        self, pending: float, node: int, page: int, n: int, extra: int, amounts: tuple
-    ) -> tuple[float, int]:
-        """Charge *n* resident accesses to *page* under the hybrid plan.
-
-        Each access, then its *extra* accounting, pays the check while the
-        page is unpromoted and adds to its density, promoting it at the
-        threshold, as ``_observe`` does after each access.  Returns the
-        pending time and the checks paid.
-        """
-        hybrid = self._hybrid
-        density = hybrid._density[node]
-        promoted = self._promoted[node]
-        threshold = hybrid.DENSITY_THRESHOLD
-        seen = density.get(page, 0)
-        dense = page in promoted
-        base, check = amounts[0], amounts[1]
-        checks = 0
-        for _ in range(n):
-            pending += base
-            if not dense:
-                pending += check
-                checks += 1
-            seen += 1
-            if seen >= threshold:
-                dense = True
-            if extra:
-                pending += amounts[2]
-                if not dense:
-                    pending += amounts[3]
-                    checks += extra
-                seen += extra
-                if seen >= threshold:
-                    dense = True
-        density[page] = seen
-        if dense:
-            promoted.add(page)
-        return pending, checks
+        stats.inline_checks += adaptive_checks if adaptive else hits * (checks + extra_checks)
 
     def _exact_access(
         self, ctx: AccessContext, node: int, obj: SharedEntity, slot: int, write: bool,

@@ -126,9 +126,9 @@ class ConsistencyProtocol(DsmProtocolHooks):
         """Fast-plan key for fused memory-side access charging, or None.
 
         Non-None only when the protocol can prove that the memory
-        subsystem's inline charging of resident accesses (its scalar
-        ``get``/``put`` fast paths, ``_fused_range_charges`` and the
-        prepared range updater), followed by :meth:`write_observer` on
+        subsystem's inline charging of resident accesses (its charge
+        block ``_charge_accesses``, the prepared range updater and script
+        segments), followed by :meth:`write_observer` on
         writes, is byte-identical to routing every access through
         :meth:`detect_access` (see ``DetectionStrategy.access_fast_plan``).
         Plain protocols, and every protocol built inside

@@ -35,7 +35,6 @@ from repro.apps.workloads import PRESET_NAMES
 from repro.cluster.presets import ClusterSpec, list_clusters
 from repro.core.protocol import available_protocols
 from repro.harness.spec import ExperimentSpec, resolve_cluster
-from repro.hyperion.runtime import RuntimeConfig
 
 #: the two protocols every figure of the paper compares
 DEFAULT_PROTOCOLS = ("java_ic", "java_pf")
@@ -51,7 +50,6 @@ class ExperimentMatrix:
         self._nodes: list | None = None
         self._nodes_per_cluster: dict[str, list] = {}
         self._workload = None
-        self._configs: list[RuntimeConfig | None] = [None]
         self._filters: list[Callable[[ExperimentSpec], bool]] = []
         self._verify = False
 
@@ -89,16 +87,6 @@ class ExperimentMatrix:
     def workload(self, workload) -> "ExperimentMatrix":
         """Workload for every cell (preset name, preset, or workload object)."""
         self._workload = workload
-        return self
-
-    def config(self, config: RuntimeConfig | None) -> "ExperimentMatrix":
-        """Single runtime-config override for every cell."""
-        self._configs = [config]
-        return self
-
-    def configs(self, *configs: RuntimeConfig | None) -> "ExperimentMatrix":
-        """Config axis — one cell per config per grid point (used by sweeps)."""
-        self._configs = list(configs)
         return self
 
     def filter(self, predicate: Callable[[ExperimentSpec], bool]) -> "ExperimentMatrix":
@@ -152,25 +140,23 @@ class ExperimentMatrix:
 
     def build(self) -> list[ExperimentSpec]:
         """Validate and expand the grid into a spec list (apps x clusters x
-        protocols x nodes x configs, in that nesting order)."""
+        protocols x nodes, in that nesting order)."""
         hosted = self._check()
         specs: list[ExperimentSpec] = []
         for app in self._apps:
             for cluster, counts in zip(self._clusters, hosted, strict=True):
                 for protocol in self._protocols:
                     for num_nodes in counts:
-                        for config in self._configs:
-                            spec = ExperimentSpec(
-                                app=app,
-                                cluster=cluster,
-                                protocol=protocol,
-                                num_nodes=num_nodes,
-                                workload=self._workload,
-                                config=config,
-                                verify=self._verify,
-                            )
-                            if all(f(spec) for f in self._filters):
-                                specs.append(spec)
+                        spec = ExperimentSpec(
+                            app=app,
+                            cluster=cluster,
+                            protocol=protocol,
+                            num_nodes=num_nodes,
+                            workload=self._workload,
+                            verify=self._verify,
+                        )
+                        if all(f(spec) for f in self._filters):
+                            specs.append(spec)
         return specs
 
     def __iter__(self) -> Iterator[ExperimentSpec]:

@@ -25,6 +25,7 @@ from repro.core.protocol import (
     register_protocol,
     unregister_protocol,
 )
+from repro.harness.spec import ExperimentSpec, run_spec
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,65 @@ def test_reference_detection_restores_when_body_raises(rig_factory):
     assert plan == "inline_check"
     assert rig.protocol.access_fast_plan() == plan
     assert rig.memory._fast_plan == plan
+
+
+# ---------------------------------------------------------------------------
+# the fast plan is sound only for the stock detect_access
+# ---------------------------------------------------------------------------
+def _small_cell(app: str, protocol: str) -> ExperimentSpec:
+    return ExperimentSpec(
+        app=app, cluster="myrinet", protocol=protocol, num_nodes=4, workload="testing"
+    )
+
+
+def test_overriding_detect_access_forfeits_the_fast_plan(rig_factory):
+    """Every access of a cell reaches an overriding ``detect_access``."""
+    seen = []
+
+    class CountingDetection(InlineCheckDetection):
+        name = "counting_tmp"
+
+        def detect_access(self, ctx, node_id, pages, count, write):
+            seen.append(count)
+            return super().detect_access(ctx, node_id, pages, count, write)
+
+    register_composed("java_counting_tmp", CountingDetection)
+    try:
+        rig = rig_factory(protocol="java_counting_tmp")
+        assert rig.protocol.detection.access_fast_plan() is None
+        assert rig.protocol.access_fast_plan() is None
+        assert rig.memory._fast_plan is None
+        seen.clear()
+        report = run_spec(_small_cell("jacobi", "java_counting_tmp")).to_dict()
+    finally:
+        assert unregister_protocol("java_counting_tmp")
+    assert report["accesses"] > 0
+    assert sum(seen) == report["accesses"]
+
+
+@pytest.mark.parametrize("app", ["asp", "jacobi", "syn-streaming"])
+def test_a_strategy_that_only_sets_its_counts_keeps_the_fast_plan(rig_factory, app):
+    """New counts reach the exact path and every fused path alike."""
+
+    class CheckedFaultDetection(PageFaultDetection):
+        """Faults on misses and also pays one check per page touched."""
+
+        name = "checked_fault_tmp"
+        uses_page_faults = True
+        checks_per_page = 1
+
+    register_composed("java_checked_fault_tmp", CheckedFaultDetection)
+    try:
+        rig = rig_factory(protocol="java_checked_fault_tmp")
+        assert rig.memory._fast_plan == "checked_fault_tmp"
+        spec = _small_cell(app, "java_checked_fault_tmp")
+        fast = run_spec(spec).to_dict()
+        with reference_detection():
+            reference = run_spec(spec).to_dict()
+    finally:
+        assert unregister_protocol("java_checked_fault_tmp")
+    assert fast["inline_checks"] > 0 and fast["page_faults"] > 0
+    assert fast == reference
 
 
 # ---------------------------------------------------------------------------
