@@ -10,17 +10,17 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import FIGURE_NODE_COUNTS, record_figure
-from repro.harness.figures import generate_figure
+from repro.harness.figures import generate_all_figures
 from repro.harness.report import render_experiments_markdown
 
 
 def _generate(number, bench_preset, session=None):
-    return generate_figure(
-        number,
+    return generate_all_figures(
+        numbers=[number],
         workload=bench_preset,
         node_counts={k: list(v) for k, v in FIGURE_NODE_COUNTS.items()},
         session=session,
-    )
+    )[number]
 
 
 @pytest.mark.benchmark(group="figures")

@@ -6,7 +6,10 @@ full architecture):
 * :class:`~repro.harness.spec.ExperimentSpec` — a frozen, hashable
   description of one experiment cell with a canonical :meth:`cache_key`;
 * :class:`~repro.harness.matrix.ExperimentMatrix` — a fluent builder that
-  expands cartesian grids of specs;
+  expands cartesian grids of specs; every named grid (the figures, the
+  scenario and topology grids, comparisons, ablations, the ``grid`` and
+  ``serve`` requests and the one-cell verbs) expands through it, so its
+  one check of names and node counts is the only one;
 * :class:`~repro.harness.executor.Executor` implementations —
   :class:`~repro.harness.executor.SerialExecutor` and the process-pool
   :class:`~repro.harness.executor.ParallelExecutor`;
@@ -14,15 +17,15 @@ full architecture):
   of per-cell results, safe for concurrent writers across processes;
 * :class:`~repro.harness.session.Session` — the facade every experiment
   routes through, combining an executor with an optional store.  Its
-  methods (``cell``, ``comparison``, ``sweep``, ``ablation``, ``figure``,
-  ``calibrate``, ``job``, ...) are the one public entry-point surface; the
-  common per-cell record they share is
+  methods (``run``, ``cell``, ``comparison``, ``ablation``, ``calibrate``,
+  ``job``) and the ``session=`` argument of the figure generators are the
+  one public entry-point surface; the common per-cell record they share is
   :class:`~repro.harness.session.CellResult`.
 
 On top of that sit the paper-specific layers:
 
-* :mod:`~repro.harness.experiment` — protocol comparisons and the
-  spec-batching helpers the figure pipeline uses;
+* :mod:`~repro.harness.experiment` — protocol comparisons and the helper
+  that groups a matrix run's reports into them;
 * :mod:`~repro.harness.sweep` — the declarative :data:`ABLATIONS` registry
   backing ``Session.ablation`` (A1-A4);
 * :mod:`~repro.harness.jobs` — sharded, checkpointed, resumable
@@ -30,7 +33,8 @@ On top of that sit the paper-specific layers:
 * :mod:`~repro.harness.service` — the ``hyperion-sim serve`` JSON API
   (imported on first use of its names, so the HTTP stack loads only for
   the service);
-* :mod:`~repro.harness.figures` — Figures 1-5 of the paper;
+* :mod:`~repro.harness.figures` — Figures 1-5 of the paper and the
+  scenario and topology grids;
 * :mod:`~repro.harness.report` — the markdown sections of EXPERIMENTS.md
   (which the CLI prints too), ASCII plots and the Section 4.3 summary;
 * :mod:`~repro.harness.calibration` — checks the cost model against the
@@ -43,11 +47,7 @@ from repro.harness.matrix import ExperimentMatrix
 from repro.harness.executor import Executor, ParallelExecutor, SerialExecutor
 from repro.harness.store import ResultStore, StoreSchemaError
 from repro.harness.session import CellResult, Session, SessionResult, default_session
-from repro.harness.experiment import (
-    ProtocolComparison,
-    comparison_specs,
-    fill_comparison,
-)
+from repro.harness.experiment import ProtocolComparison
 from repro.harness.jobs import (
     CheckpointMismatch,
     SweepInterrupted,
@@ -59,7 +59,6 @@ from repro.harness.figures import (
     FigureData,
     FigureSeries,
     generate_all_figures,
-    generate_figure,
 )
 from repro.harness.report import (
     ascii_plot,
@@ -87,8 +86,6 @@ __all__ = [
     "run_spec",
     # comparisons
     "ProtocolComparison",
-    "comparison_specs",
-    "fill_comparison",
     # sharded resumable sweeps
     "SweepJob",
     "SweepProgress",
@@ -102,7 +99,6 @@ __all__ = [
     "FIGURE_APPS",
     "FigureSeries",
     "FigureData",
-    "generate_figure",
     "generate_all_figures",
     "ascii_plot",
     "improvement_summary",

@@ -29,6 +29,7 @@ a repeated invocation re-runs nothing) and the output (``--json``, ``-o``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -678,28 +679,21 @@ def _cell_workload(args):
         raise CliError(str(exc)) from exc
 
 
-def _check_nodes(nodes: int, cluster: str) -> None:
-    """Reject a ``--nodes`` count the *cluster* preset cannot host."""
-    size = cluster_by_name(cluster).num_nodes
-    if nodes > size:
-        raise CliError(f"--nodes {nodes}: cluster {cluster!r} has {size} nodes")
-
-
 def _cell_specs(args, apps: list[str], **options) -> list[ExperimentSpec]:
     """One spec per app, at the cell the cell and scenario flags describe."""
-    _check_nodes(args.nodes, args.cluster)
-    workload = _cell_workload(args)
-    return [
-        ExperimentSpec(
-            app=app,
-            cluster=args.cluster,
-            protocol=args.protocol,
-            num_nodes=args.nodes,
-            workload=workload,
-            **options,
-        )
-        for app in apps
-    ]
+    matrix = (
+        ExperimentMatrix()
+        .apps(*apps)
+        .clusters(args.cluster)
+        .protocols(args.protocol)
+        .nodes(args.nodes)
+        .workload(_cell_workload(args))
+    )
+    try:
+        specs = matrix.build()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    return [dataclasses.replace(spec, **options) for spec in specs]
 
 
 def cmd_run(args) -> int:
@@ -757,13 +751,6 @@ def cmd_scenario(args) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    dropped = [n for n in node_counts if n not in grid.node_counts]
-    if dropped:
-        print(
-            f"hyperion-sim: note: node count(s) {dropped} exceed cluster "
-            f"{grid.cluster!r}'s size and were skipped",
-            file=sys.stderr,
-        )
     payload = grid.to_dict()
     if args.output:
         _write_json("-o", args.output, payload)
@@ -776,20 +763,22 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_nodes(args.nodes, args.cluster)
     values = None
     if args.values is not None:
         values = tuple(_comma_list(args.values, "--values", ABLATIONS[args.kind].value_type))
-    result = _session(args).ablation(
-        args.kind,
-        args.app,
-        cluster=args.cluster,
-        num_nodes=args.nodes,
-        values=values,
-        # resolve through the app's preset hook so syn-* scenarios sweep too
-        workload=resolve_workload(args.app, args.scale),
-        sanitize=args.sanitize,
-    )
+    try:
+        result = _session(args).ablation(
+            args.kind,
+            args.app,
+            cluster=args.cluster,
+            num_nodes=args.nodes,
+            values=values,
+            # resolve through the app's preset hook so syn-* scenarios sweep too
+            workload=resolve_workload(args.app, args.scale),
+            sanitize=args.sanitize,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     print(result.render())
     if args.sanitize:
         print()

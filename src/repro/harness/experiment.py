@@ -10,19 +10,17 @@ Cells are described by :class:`~repro.harness.spec.ExperimentSpec` and
 executed through a :class:`~repro.harness.session.Session` —
 :meth:`~repro.harness.session.Session.cell` and
 :meth:`~repro.harness.session.Session.comparison` are the public entry
-points.  :func:`comparison_specs` and :func:`fill_comparison` are the
-building blocks the figure pipeline batches many comparisons with.
+points.  :func:`protocol_comparisons` groups the reports of one run of an
+:class:`~repro.harness.matrix.ExperimentMatrix` into comparisons, which is
+how the figure pipeline batches many of them into one run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
 
-from repro.cluster.presets import ClusterSpec
 from repro.harness.session import SessionResult
-from repro.harness.spec import ExperimentSpec, resolve_cluster
-from repro.hyperion.runtime import ExecutionReport, RuntimeConfig
+from repro.hyperion.runtime import ExecutionReport
 
 @dataclass
 class ProtocolComparison:
@@ -66,54 +64,23 @@ class ProtocolComparison:
         return sum(values) / len(values) if values else 0.0
 
 
-def comparison_specs(
-    app_name: str,
-    cluster: str | ClusterSpec,
-    node_counts: Sequence[int] | None = None,
-    workload=None,
-    protocols: Iterable[str] = ("java_ic", "java_pf"),
-    config: RuntimeConfig | None = None,
-    verify: bool = False,
-) -> tuple[ProtocolComparison, list[ExperimentSpec]]:
-    """Empty :class:`ProtocolComparison` plus the specs that will fill it.
-
-    Splitting spec construction from execution lets callers batch the specs
-    of *many* comparisons into one ``Session.run`` (the all-figures path does
-    exactly that to parallelise across figures, not just within one).
-    """
-    spec = resolve_cluster(cluster)
-    counts = list(node_counts) if node_counts is not None else spec.node_counts()
-    protocol_list = list(protocols)
-    workload_name = workload if isinstance(workload, str) else getattr(workload, "name", "custom")
-    comparison = ProtocolComparison(
-        app=app_name,
-        cluster=spec.name,
-        workload_name=str(workload_name),
-        node_counts=counts,
-        protocols=protocol_list,
-    )
-    specs = [
-        ExperimentSpec(
-            app=app_name,
-            cluster=spec,
-            protocol=protocol,
-            num_nodes=n,
-            workload=workload,
-            config=config,
-            verify=verify,
-        )
-        for protocol in protocol_list
-        for n in counts
-    ]
-    return comparison, specs
-
-
-def fill_comparison(
-    comparison: ProtocolComparison,
-    specs: Sequence[ExperimentSpec],
-    result: SessionResult,
-) -> ProtocolComparison:
-    """Populate *comparison* with the reports *result* holds for *specs*."""
-    for spec in specs:
-        comparison.reports[(spec.protocol, spec.num_nodes)] = result[spec]
-    return comparison
+def protocol_comparisons(result: SessionResult) -> list[ProtocolComparison]:
+    """One :class:`ProtocolComparison` per (app, cluster) of *result*, in run order."""
+    comparisons: dict[tuple[str, str], ProtocolComparison] = {}
+    for spec, report in result.items():
+        key = (spec.app, spec.cluster_name)
+        if key not in comparisons:
+            comparisons[key] = ProtocolComparison(
+                app=spec.app,
+                cluster=spec.cluster_name,
+                workload_name=spec.workload_name,
+                node_counts=[],
+                protocols=[],
+            )
+        comparison = comparisons[key]
+        if spec.protocol not in comparison.protocols:
+            comparison.protocols.append(spec.protocol)
+        if spec.num_nodes not in comparison.node_counts:
+            comparison.node_counts.append(spec.num_nodes)
+        comparison.reports[(spec.protocol, spec.num_nodes)] = report
+    return list(comparisons.values())

@@ -11,14 +11,9 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 from repro.cluster.presets import cluster_by_name
-from repro.harness.experiment import (
-    ProtocolComparison,
-    comparison_specs,
-    fill_comparison,
-)
+from repro.harness.experiment import ProtocolComparison, protocol_comparisons
+from repro.harness.matrix import ExperimentMatrix
 from repro.harness.session import CellResult, Session, default_session
-from repro.harness.spec import ExperimentSpec
-from repro.hyperion.runtime import RuntimeConfig
 
 #: figure number -> benchmark, as in the paper
 FIGURE_APPS: dict[int, str] = {1: "pi", 2: "jacobi", 3: "barnes", 4: "tsp", 5: "asp"}
@@ -132,33 +127,6 @@ def figure_for_app(app: str) -> int:
     raise KeyError(f"application {app!r} does not correspond to a paper figure")
 
 
-def generate_figure(
-    number: int,
-    workload=None,
-    clusters: Iterable[str] = ("myrinet", "sci"),
-    node_counts: dict[str, Sequence[int]] | None = None,
-    protocols: Iterable[str] = PAPER_PROTOCOLS,
-    config: RuntimeConfig | None = None,
-    session: Session | None = None,
-) -> FigureData:
-    """Regenerate one of the paper's figures (see :func:`generate_all_figures`).
-
-    ``workload`` accepts the same forms as :meth:`repro.harness.session.Session.cell`
-    (a preset name, a :class:`WorkloadPreset`, a workload object or None for
-    the bench preset).  ``session`` selects the executor and result cache;
-    the default is serial and storeless.
-    """
-    return generate_all_figures(
-        workload,
-        clusters,
-        node_counts,
-        config,
-        session,
-        protocols,
-        numbers=(number,),
-    )[number]
-
-
 @dataclass
 class ScenarioGridData:
     """The synthetic-scenario comparison grid: scenarios x protocols x nodes.
@@ -264,7 +232,6 @@ def generate_scenario_grid(
     protocols: Iterable[str] = PROTOCOL_FAMILY,
     workload="bench",
     seed: int | None = None,
-    config: RuntimeConfig | None = None,
     session: Session | None = None,
 ) -> ScenarioGridData:
     """Run the synthetic-scenario comparison grid (all ``syn-*`` by default).
@@ -280,47 +247,42 @@ def generate_scenario_grid(
     scenario_list = list(scenarios) if scenarios is not None else available_scenarios()
     protocol_list = list(protocols)
     cluster_spec = cluster_by_name(cluster)
-    counts = [n for n in node_counts if n <= cluster_spec.num_nodes]
-    if not counts:
-        raise ValueError(
-            f"no usable node counts: {list(node_counts)} all exceed "
-            f"cluster {cluster_spec.name!r}'s {cluster_spec.num_nodes} node(s)"
+
+    def matrix(apps, cell_workload) -> ExperimentMatrix:
+        return (
+            ExperimentMatrix()
+            .apps(*apps)
+            .clusters(cluster_spec)
+            .protocols(*protocol_list)
+            .nodes(*node_counts)
+            .workload(cell_workload)
         )
+
+    if seed is None:
+        matrices = [matrix(scenario_list, workload)]
+    elif isinstance(workload, str):
+        matrices = [
+            matrix([name], scenario_workload(name, workload, seed=seed))
+            for name in scenario_list
+        ]
+    else:
+        raise ValueError(
+            "seed overrides need a scale-name workload "
+            "(per-scenario workloads carry their own seed)"
+        )
+    specs = [spec for m in matrices for spec in m.build()]
+    result = (session or default_session()).run(specs)
     workload_name = (
         workload if isinstance(workload, str) else getattr(workload, "name", "custom")
     )
-    grid = ScenarioGridData(
+    return ScenarioGridData(
         cluster=cluster_spec.name,
         workload_name=str(workload_name),
-        node_counts=counts,
+        node_counts=list(node_counts),
         protocols=protocol_list,
+        comparisons={c.app: c for c in protocol_comparisons(result)},
+        cells=result.cells(),
     )
-    plan = []
-    for name in scenario_list:
-        cell_workload = workload
-        if seed is not None:
-            if not isinstance(workload, str):
-                raise ValueError(
-                    "seed overrides need a scale-name workload "
-                    "(per-scenario workloads carry their own seed)"
-                )
-            cell_workload = scenario_workload(name, workload, seed=seed)
-        comparison, specs = comparison_specs(
-            name,
-            cluster_spec,
-            node_counts=counts,
-            workload=cell_workload,
-            protocols=protocol_list,
-            config=config,
-        )
-        plan.append((name, comparison, specs))
-    all_specs = [spec for _, _, specs in plan for spec in specs]
-    result = (session or default_session()).run(all_specs)
-    for name, comparison, specs in plan:
-        fill_comparison(comparison, specs, result)
-        grid.cells.extend(result.cell(spec) for spec in specs)
-        grid.comparisons[name] = comparison
-    return grid
 
 
 @dataclass
@@ -401,7 +363,6 @@ def generate_topology_grid(
     protocols: Iterable[str] = TOPOLOGY_PROTOCOLS,
     num_nodes: int = 8,
     workload="bench",
-    config: RuntimeConfig | None = None,
     session: Session | None = None,
 ) -> TopologyGridData:
     """Run the apps x topology-presets x protocols grid.
@@ -419,6 +380,17 @@ def generate_topology_grid(
         list(topologies) if topologies is not None else available_topology_presets()
     )
     protocol_list = list(protocols)
+    clusters = [topology_preset_by_name(name).cluster() for name in topology_list]
+    nodes = {cluster.name: [min(num_nodes, cluster.num_nodes)] for cluster in clusters}
+    matrix = (
+        ExperimentMatrix()
+        .apps(*app_list)
+        .clusters(*clusters)
+        .protocols(*protocol_list)
+        .nodes_per_cluster(nodes)
+        .workload(workload)
+    )
+    result = (session or default_session()).run(matrix.build())
     workload_name = (
         workload if isinstance(workload, str) else getattr(workload, "name", "custom")
     )
@@ -428,26 +400,14 @@ def generate_topology_grid(
         apps=app_list,
         topologies=topology_list,
         protocols=protocol_list,
+        nodes_by_topology={
+            name: nodes[cluster.name][0] for name, cluster in zip(topology_list, clusters)
+        },
+        cells=result.cells(),
     )
-    specs: dict[tuple[str, str, str], ExperimentSpec] = {}
-    for name in topology_list:
-        preset = topology_preset_by_name(name)
-        cluster = preset.cluster()
-        grid.nodes_by_topology[name] = min(num_nodes, cluster.num_nodes)
-        for app in app_list:
-            for protocol in protocol_list:
-                specs[(app, name, protocol)] = ExperimentSpec(
-                    app=app,
-                    cluster=cluster,
-                    protocol=protocol,
-                    num_nodes=grid.nodes_by_topology[name],
-                    workload=workload,
-                    config=config,
-                )
-    result = (session or default_session()).run(list(specs.values()))
-    for key, spec in specs.items():
-        grid.reports[key] = result[spec]
-        grid.cells.append(result.cell(spec))
+    topology_of = {cluster.name: name for name, cluster in zip(topology_list, clusters)}
+    for spec, report in result.items():
+        grid.reports[(spec.app, topology_of[spec.cluster_name], spec.protocol)] = report
     return grid
 
 
@@ -521,7 +481,6 @@ def generate_topology_scale(
     protocols: Iterable[str] = TOPOLOGY_SCALE_PROTOCOLS,
     node_counts: Sequence[int] = TOPOLOGY_SCALE_COUNTS,
     workload="testing",
-    config: RuntimeConfig | None = None,
     session: Session | None = None,
 ) -> TopologyScaleData:
     """Sweep one app over node counts on a grid-of-islands preset.
@@ -529,21 +488,23 @@ def generate_topology_scale(
     Defaults to the false-sharing scenario on ``myrinet_grid`` (8-node
     Myrinet islands over Fast Ethernet) at the ``testing`` scale, so the
     full 1024-node point stays CI-sized.  All cells batch into one
-    ``Session.run``.  Node counts above the preset's capacity raise — a
-    scale sweep must not silently cap its x-axis.
+    ``Session.run``.  A node count above the preset's size raises, as in
+    every grid, so a scale sweep never silently caps its x-axis.
     """
     from repro.cluster.topologies import topology_preset_by_name
 
-    preset = topology_preset_by_name(topology)
-    cluster = preset.cluster()
-    counts = [int(c) for c in node_counts]
-    for count in counts:
-        if count > cluster.num_nodes:
-            raise ValueError(
-                f"node count {count} exceeds preset {topology!r}'s "
-                f"{cluster.num_nodes} node(s)"
-            )
+    cluster = topology_preset_by_name(topology).cluster()
     protocol_list = list(protocols)
+    matrix = (
+        ExperimentMatrix()
+        .apps(app)
+        .clusters(cluster)
+        .protocols(*protocol_list)
+        .nodes(*node_counts)
+        .workload(workload)
+    )
+    result = (session or default_session()).run(matrix.build())
+    counts = list(node_counts)
     workload_name = (
         workload if isinstance(workload, str) else getattr(workload, "name", "custom")
     )
@@ -553,25 +514,14 @@ def generate_topology_scale(
         workload_name=str(workload_name),
         node_counts=counts,
         protocols=protocol_list,
+        islands_by_count={
+            count: cluster.topology_factory(count, cluster.network).num_islands
+            for count in counts
+        },
+        cells=result.cells(),
     )
-    specs: dict[tuple[int, str], ExperimentSpec] = {}
-    for count in counts:
-        data.islands_by_count[count] = cluster.topology_factory(
-            count, cluster.network
-        ).num_islands
-        for protocol in protocol_list:
-            specs[(count, protocol)] = ExperimentSpec(
-                app=app,
-                cluster=cluster,
-                protocol=protocol,
-                num_nodes=count,
-                workload=workload,
-                config=config,
-            )
-    result = (session or default_session()).run(list(specs.values()))
-    for key, spec in specs.items():
-        data.reports[key] = result[spec]
-        data.cells.append(result.cell(spec))
+    for spec, report in result.items():
+        data.reports[(spec.num_nodes, spec.protocol)] = report
     return data
 
 
@@ -579,7 +529,6 @@ def generate_all_figures(
     workload=None,
     clusters: Iterable[str] = ("myrinet", "sci"),
     node_counts: dict[str, Sequence[int]] | None = None,
-    config: RuntimeConfig | None = None,
     session: Session | None = None,
     protocols: Iterable[str] = PAPER_PROTOCOLS,
     numbers: Iterable[int] | None = None,
@@ -590,49 +539,43 @@ def generate_all_figures(
     parallel executor spreads the whole grid — not one figure at a time —
     across its workers.  ``protocols`` defaults to the paper's two series;
     pass :data:`PROTOCOL_FAMILY` to widen every figure with the composed
-    extension protocols as additional columns.
+    extension protocols as additional columns.  ``node_counts`` maps a
+    cluster name to its x-axis (default: the paper's, or the cluster's own
+    :meth:`~repro.cluster.presets.ClusterSpec.node_counts`).
     """
     protocols = tuple(protocols)
     workload_name = workload if isinstance(workload, str) else getattr(workload, "name", "bench")
-    figures: dict[int, FigureData] = {}
-    plan = []
-    for number in sorted(set(FIGURE_APPS if numbers is None else numbers)):
+    numbers = sorted(set(FIGURE_APPS if numbers is None else numbers))
+    for number in numbers:
         if number not in FIGURE_APPS:
             raise KeyError(
                 f"unknown figure {number}; the paper has figures {sorted(FIGURE_APPS)}"
             )
-        app = FIGURE_APPS[number]
-        figures[number] = FigureData(number=number, app=app, workload_name=str(workload_name))
-        for cluster_name in clusters:
-            spec = cluster_by_name(cluster_name)
-            if node_counts and cluster_name in node_counts:
-                counts: Sequence[int] = node_counts[cluster_name]
-            else:
-                counts = [
-                    n
-                    for n in DEFAULT_NODE_COUNTS.get(cluster_name, spec.node_counts())
-                    if n <= spec.num_nodes
-                ]
-            comparison, specs = comparison_specs(
-                app,
-                spec,
-                node_counts=counts,
-                workload=workload,
-                protocols=protocols,
-                config=config,
-            )
-            plan.append((figures[number], cluster_name, comparison, specs))
-    result = (session or default_session()).run(
-        [spec for *_, specs in plan for spec in specs]
+    matrix = (
+        ExperimentMatrix()
+        .apps(*(FIGURE_APPS[number] for number in numbers))
+        .clusters(*map(cluster_by_name, clusters))
+        .protocols(*protocols)
+        .nodes_per_cluster({**DEFAULT_NODE_COUNTS, **(node_counts or {})})
+        .workload(workload)
     )
-    for data, cluster_name, comparison, specs in plan:
-        fill_comparison(comparison, specs, result)
-        data.cells.extend(result.cell(spec) for spec in specs)
-        data.comparisons[cluster_name] = comparison
+    result = (session or default_session()).run(matrix.build())
+    figures = {
+        number: FigureData(
+            number=number, app=FIGURE_APPS[number], workload_name=str(workload_name)
+        )
+        for number in numbers
+    }
+    by_app = {data.app: data for data in figures.values()}
+    for spec in result:
+        by_app[spec.app].cells.append(result.cell(spec))
+    for comparison in protocol_comparisons(result):
+        data = by_app[comparison.app]
+        data.comparisons[comparison.cluster] = comparison
         for protocol in protocols:
             data.series.append(
                 FigureSeries(
-                    cluster=cluster_name,
+                    cluster=comparison.cluster,
                     protocol=protocol,
                     points=comparison.series(protocol),
                 )

@@ -20,9 +20,13 @@ the cluster's own node counts, the bench workload).  ``filter`` predicates
 prune the product, and node counts exceeding a cluster's size are dropped
 automatically so a single grid can span clusters of different sizes.
 
-:meth:`ExperimentMatrix.build` is the one check of a grid, shared by the
-``grid`` verb and the sweep service: an unknown name or a node count that no
-cluster can host raises :class:`ValueError` naming the field at fault.
+:meth:`ExperimentMatrix.build` is the one check of a grid.  Every named grid
+expands through it — the figures, the scenario and topology grids, protocol
+comparisons and ablations, the ``grid`` verb, the sweep service and the
+one-cell ``run``, ``profile`` and ``sweep`` verbs — so all of them follow one
+rule: an unknown name, or a node count that no cluster can host, raises
+:class:`ValueError` naming the field at fault, and a count only some clusters
+can host is dropped on the others.
 """
 
 from __future__ import annotations

@@ -226,7 +226,7 @@ def render_experiments_document(
         "## Synthetic scenario grid",
         "",
         "Seeded sharing-pattern generators (`repro.scenarios`, run with",
-        "`hyperion-sim scenario`) probing access patterns the paper apps never",
+        "`hyperion-sim scenario sweep`) probing access patterns the paper apps never",
         f"produce, on {scenario_grid.cluster} at the `{scenario_grid.workload_name}`",
         "scale.  Execution seconds per protocol and node count; the *page-fault*",
         "*gap* lines show how many more page faults `java_pf` takes than",

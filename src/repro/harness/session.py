@@ -18,18 +18,17 @@ session's executor and store reach every code path:
 ===========================  ==============================================
 ``session.cell(...)``        one experiment cell -> ``ExecutionReport``
 ``session.comparison(...)``  protocols x node counts -> ``ProtocolComparison``
-``session.sweep(...)``       generic parameter sweep -> ``SweepResult``
 ``session.ablation(...)``    one of the named A1-A4 sweeps -> ``SweepResult``
-``session.figure(...)``      one paper figure -> ``FigureData``
-``session.figures(...)``     Figures 1-5 -> ``dict[int, FigureData]``
-``session.scenario_grid()``  the syn-* grid -> ``ScenarioGridData``
-``session.topology_grid()``  apps x topologies -> ``TopologyGridData``
 ``session.calibrate()``      cost-model calibration -> ``CalibrationReport``
 ``session.job(...)``         sharded, resumable sweep -> ``SweepJob``
 ===========================  ==============================================
 
 Callers construct a :class:`Session` (or :meth:`Session.from_options`) and
-call its methods.
+call its methods.  The figures and the named grids of
+:mod:`repro.harness.figures` take a ``session=`` argument instead.  Every
+grid, these methods' included, expands through one
+:class:`~repro.harness.matrix.ExperimentMatrix`, so its names and node
+counts get the matrix's one check.
 
 Every cell a session runs is also available as a :class:`CellResult` — the
 common record (spec, report, cached-flag, sanitizer) that sweep shards,
@@ -40,11 +39,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.harness.executor import Executor, SerialExecutor
-from repro.harness.spec import ExperimentSpec
+from repro.harness.matrix import DEFAULT_PROTOCOLS, ExperimentMatrix
+from repro.harness.spec import ExperimentSpec, resolve_cluster
 from repro.harness.store import ResultStore
 from repro.hyperion.runtime import ExecutionReport, RuntimeConfig
 
@@ -52,11 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizer import SanitizerReport
     from repro.harness.calibration import CalibrationReport
     from repro.harness.experiment import ProtocolComparison
-    from repro.harness.figures import (
-        FigureData,
-        ScenarioGridData,
-        TopologyGridData,
-    )
     from repro.harness.jobs import SweepJob
     from repro.harness.sweep import SweepResult
 
@@ -314,63 +309,23 @@ class Session:
         cluster,
         node_counts: Sequence[int] | None = None,
         workload=None,
-        protocols: Iterable[str] = ("java_ic", "java_pf"),
-        config: RuntimeConfig | None = None,
-        verify: bool = False,
+        protocols: Iterable[str] = DEFAULT_PROTOCOLS,
     ) -> "ProtocolComparison":
-        """Run *app* on *cluster* for every (protocol, node-count) pair."""
-        from repro.harness.experiment import comparison_specs, fill_comparison
+        """Run *app* on *cluster* for every (protocol, node-count) pair
+        (default node counts: the cluster's own x-axis)."""
+        from repro.harness.experiment import protocol_comparisons
 
-        comparison, specs = comparison_specs(
-            app,
-            cluster,
-            node_counts=node_counts,
-            workload=workload,
-            protocols=protocols,
-            config=config,
-            verify=verify,
+        matrix = (
+            ExperimentMatrix()
+            .apps(app)
+            .clusters(resolve_cluster(cluster))
+            .protocols(*protocols)
+            .workload(workload)
         )
-        return fill_comparison(comparison, specs, self.run(specs))
-
-    def sweep(
-        self,
-        parameter: str,
-        values: Sequence[object],
-        make_spec: Callable[[object, str], ExperimentSpec],
-        protocols: Iterable[str] = ("java_ic", "java_pf"),
-        sanitize: bool = False,
-    ) -> "SweepResult":
-        """Generic sweep: one cell per (value, protocol), in one batch.
-
-        *make_spec* maps a swept value and a protocol name onto the
-        :class:`ExperimentSpec` to run; the whole grid goes through a single
-        :meth:`run` so parallel executors see every cell at once.  With
-        ``sanitize=True`` every cell runs under the consistency sanitizer
-        and the per-cell reports land in ``SweepResult.sanitizers``.
-        """
-        from repro.harness.sweep import SweepResult
-
-        value_list = list(values)
-        protocol_list = list(protocols)
-        grid = [
-            (value, protocol, make_spec(value, protocol))
-            for value in value_list
-            for protocol in protocol_list
-        ]
-        if sanitize:
-            grid = [
-                (value, protocol, dataclasses.replace(spec, sanitize=True))
-                for value, protocol, spec in grid
-            ]
-        result = self.run(spec for _, _, spec in grid)
-        sweep = SweepResult(parameter=parameter, values=value_list)
-        for value, protocol, spec in grid:
-            report = result[spec]
-            sweep.times[(protocol, value)] = report.execution_seconds
-            sweep.cells.append(result.cell(spec))
-            if sanitize and report.sanitizer is not None:
-                sweep.sanitizers[(protocol, value)] = report.sanitizer
-        return sweep
+        if node_counts is not None:
+            matrix.nodes(*node_counts)
+        (comparison,) = protocol_comparisons(self.run(matrix.build()))
+        return comparison
 
     def ablation(
         self,
@@ -380,46 +335,41 @@ class Session:
         num_nodes: int = 4,
         values: Sequence[object] | None = None,
         workload=None,
-        protocols: Iterable[str] = ("java_ic", "java_pf"),
+        protocols: Iterable[str] = DEFAULT_PROTOCOLS,
         sanitize: bool = False,
     ) -> "SweepResult":
         """Run one of the named ablation sweeps (A1-A4, see ``ABLATIONS``).
 
         ``kind`` is an :data:`repro.harness.sweep.ABLATIONS` key —
         ``"page_size"``, ``"check_cost"``, ``"threads"`` or ``"balancer"``;
-        ``values`` overrides the ablation's default swept grid.
+        ``values`` overrides the ablation's default swept grid.  One cell
+        per (value, protocol) runs in one batch.  With ``sanitize=True``
+        every cell runs under the consistency sanitizer and the per-cell
+        reports land in ``SweepResult.sanitizers``.
         """
-        from repro.harness.sweep import ablation_by_name
+        from repro.harness.sweep import SweepResult, ablation_by_name
 
         ablation = ablation_by_name(kind)
-        make_spec = ablation.make_spec(app, cluster, num_nodes, workload)
         swept = list(values) if values is not None else list(ablation.default_values)
-        return self.sweep(ablation.parameter, swept, make_spec, protocols, sanitize)
-
-    def figure(self, number: int, **kwargs) -> "FigureData":
-        """Regenerate one paper figure (see
-        :func:`repro.harness.figures.generate_figure` for the knobs)."""
-        from repro.harness.figures import generate_figure
-
-        return generate_figure(number, session=self, **kwargs)
-
-    def figures(self, **kwargs) -> "dict[int, FigureData]":
-        """Regenerate Figures 1-5 in one batch, keyed by figure number."""
-        from repro.harness.figures import generate_all_figures
-
-        return generate_all_figures(session=self, **kwargs)
-
-    def scenario_grid(self, **kwargs) -> "ScenarioGridData":
-        """Run the synthetic-scenario comparison grid (all ``syn-*``)."""
-        from repro.harness.figures import generate_scenario_grid
-
-        return generate_scenario_grid(session=self, **kwargs)
-
-    def topology_grid(self, **kwargs) -> "TopologyGridData":
-        """Run the apps x topology-presets x protocols grid."""
-        from repro.harness.figures import generate_topology_grid
-
-        return generate_topology_grid(session=self, **kwargs)
+        matrix = (
+            ExperimentMatrix()
+            .apps(app)
+            .clusters(resolve_cluster(cluster))
+            .protocols(*protocols)
+            .nodes(num_nodes)
+            .workload(workload)
+        )
+        base = [dataclasses.replace(spec, sanitize=sanitize) for spec in matrix.build()]
+        grid = [(value, ablation.make_spec(spec, value)) for value in swept for spec in base]
+        result = self.run(spec for _, spec in grid)
+        sweep = SweepResult(parameter=ablation.parameter, values=swept)
+        for value, spec in grid:
+            report = result[spec]
+            sweep.times[(spec.protocol, value)] = report.execution_seconds
+            sweep.cells.append(result.cell(spec))
+            if report.sanitizer is not None:
+                sweep.sanitizers[(spec.protocol, value)] = report.sanitizer
+        return sweep
 
     def calibrate(self, **kwargs) -> "CalibrationReport":
         """Check the cost model against the paper's published numbers."""

@@ -2,21 +2,21 @@
 
 Each ablation is a small experiment grid — {swept values} x {protocols} —
 described declaratively by an :class:`Ablation` entry in :data:`ABLATIONS`
-and executed through :meth:`repro.harness.session.Session.sweep` /
-:meth:`~repro.harness.session.Session.ablation`, so sweeps share the
-executor parallelism, the result cache and the :class:`CellResult` shape
-with the rest of the harness.  Adding a new ablation is one ``Ablation``
-entry describing how the swept value maps onto a config or cluster override.
+and executed through :meth:`repro.harness.session.Session.ablation`, so
+sweeps share the matrix's node check, the executor parallelism, the result
+cache and the :class:`CellResult` shape with the rest of the harness.
+Adding a new ablation is one ``Ablation`` entry naming the swept field and
+whether it is a runtime-config field or a cluster software cost.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.harness.session import CellResult
-from repro.harness.spec import ExperimentSpec, resolve_cluster
+from repro.harness.spec import ExperimentSpec
 from repro.hyperion.runtime import RuntimeConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,85 +77,30 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # the ablation registry
 # ---------------------------------------------------------------------------
-#: builds the (value, protocol) -> spec closure of one ablation
-SpecBuilder = Callable[[str, object, int, object], Callable[[object, str], ExperimentSpec]]
-
-
 @dataclass(frozen=True)
 class Ablation:
     """Declarative description of one named parameter sweep."""
 
     kind: str
-    #: the swept parameter's display name (``SweepResult.parameter``)
+    #: the swept field, also its display name (``SweepResult.parameter``):
+    #: a :class:`RuntimeConfig` field, or a software cost of the cluster
     parameter: str
     #: the grid swept when the caller passes no explicit values
     default_values: tuple
     #: scalar type of a swept value (the CLI parses ``--values`` with it)
     value_type: type
     description: str
-    #: (app, cluster, num_nodes, workload) -> make_spec(value, protocol)
-    builder: SpecBuilder
+    #: True when :attr:`parameter` is a cluster software cost
+    #: (``ClusterSpec.with_software``) rather than a runtime-config field
+    software: bool = False
 
-    def make_spec(
-        self, app: str, cluster, num_nodes: int, workload
-    ) -> Callable[[object, str], ExperimentSpec]:
-        """The ``make_spec(value, protocol)`` closure for one sweep run."""
-        return self.builder(app, resolve_cluster(cluster), num_nodes, workload)
-
-
-def _page_size_builder(app, cluster, num_nodes, workload):
-    def make_spec(page_size, protocol) -> ExperimentSpec:
-        return ExperimentSpec(
-            app=app,
-            cluster=cluster,
-            protocol=protocol,
-            num_nodes=num_nodes,
-            workload=workload,
-            config=RuntimeConfig(protocol=protocol, page_size=page_size),
-        )
-
-    return make_spec
-
-
-def _check_cost_builder(app, cluster, num_nodes, workload):
-    def make_spec(cycles, protocol) -> ExperimentSpec:
-        return ExperimentSpec(
-            app=app,
-            cluster=cluster.with_software(inline_check_cycles=cycles),
-            protocol=protocol,
-            num_nodes=num_nodes,
-            workload=workload,
-        )
-
-    return make_spec
-
-
-def _threads_builder(app, cluster, num_nodes, workload):
-    def make_spec(tpn, protocol) -> ExperimentSpec:
-        return ExperimentSpec(
-            app=app,
-            cluster=cluster,
-            protocol=protocol,
-            num_nodes=num_nodes,
-            workload=workload,
-            config=RuntimeConfig(protocol=protocol, threads_per_node=tpn),
-        )
-
-    return make_spec
-
-
-def _balancer_builder(app, cluster, num_nodes, workload):
-    def make_spec(policy, protocol) -> ExperimentSpec:
-        return ExperimentSpec(
-            app=app,
-            cluster=cluster,
-            protocol=protocol,
-            num_nodes=num_nodes,
-            workload=workload,
-            config=RuntimeConfig(protocol=protocol, balancer=policy),
-        )
-
-    return make_spec
+    def make_spec(self, spec: ExperimentSpec, value) -> ExperimentSpec:
+        """The cell of *spec* with the swept field set to *value*."""
+        if self.software:
+            cluster = spec.resolved_cluster().with_software(**{self.parameter: value})
+            return dataclasses.replace(spec, cluster=cluster)
+        config = RuntimeConfig(protocol=spec.protocol, **{self.parameter: value})
+        return dataclasses.replace(spec, config=config)
 
 
 #: kind -> declarative sweep description, as exposed by ``Session.ablation``
@@ -167,7 +112,6 @@ ABLATIONS: dict[str, Ablation] = {
         default_values=(1024, 2048, 4096, 8192, 16384),
         value_type=int,
         description="A1: effect of the DSM page size (granularity / pre-fetching trade-off)",
-        builder=_page_size_builder,
     ),
     "check_cost": Ablation(
         kind="check_cost",
@@ -175,7 +119,7 @@ ABLATIONS: dict[str, Ablation] = {
         default_values=(2.0, 4.0, 8.0, 16.0, 32.0),
         value_type=float,
         description="A2: how expensive must the in-line check be for java_pf to win?",
-        builder=_check_cost_builder,
+        software=True,
     ),
     "threads": Ablation(
         kind="threads",
@@ -183,7 +127,6 @@ ABLATIONS: dict[str, Ablation] = {
         default_values=(1, 2, 4),
         value_type=int,
         description="A3: more than one application thread per node (paper future work)",
-        builder=_threads_builder,
     ),
     "balancer": Ablation(
         kind="balancer",
@@ -191,7 +134,6 @@ ABLATIONS: dict[str, Ablation] = {
         default_values=("round_robin", "block", "random"),
         value_type=str,
         description="A4: thread-placement policy of the load balancer",
-        builder=_balancer_builder,
     ),
 }
 

@@ -76,6 +76,31 @@ def test_sweep_balancer(testing_preset):
     assert ("java_pf", "round_robin") in result.times
 
 
+def test_each_ablation_sets_its_field_on_the_config_or_the_cluster_software():
+    from repro.cluster.presets import cluster_by_name
+    from repro.harness.spec import ExperimentSpec
+    from repro.harness.sweep import ABLATIONS
+    from repro.hyperion.runtime import RuntimeConfig
+
+    base = ExperimentSpec(
+        app="pi", cluster=cluster_by_name("sci"), protocol="java_pf", num_nodes=2
+    )
+    for ablation in ABLATIONS.values():
+        value = ablation.default_values[1]
+        spec = ablation.make_spec(base, value)
+        assert spec.label() == base.label()
+        if ablation.software:
+            # the cost is the cluster's, so the cell keeps no config
+            assert spec.config is None
+            assert getattr(spec.cluster.software, ablation.parameter) == value
+        else:
+            assert spec.cluster == base.cluster
+            assert spec.config == RuntimeConfig(
+                protocol="java_pf", **{ablation.parameter: value}
+            )
+    assert [kind for kind, a in ABLATIONS.items() if a.software] == ["check_cost"]
+
+
 def test_cli_describe_and_figure(capsys):
     assert cli_main(["describe"]) == 0
     captured = capsys.readouterr().out

@@ -190,6 +190,8 @@ def test_grid_rejects_a_non_positive_node_count_before_running(nodes, monkeypatc
         (["run", "pi", "--nodes", "99"], "myrinet"),
         (["profile", "pi", "--nodes", "13"], "myrinet"),
         (["sweep", "threads", "--app", "pi", "--cluster", "sci", "--nodes", "99"], "sci"),
+        (["scenario", "sweep", "syn-uniform", "--cluster", "sci", "--nodes", "1,8",
+          "--scale", "testing"], "sci"),
     ],
 )
 def test_a_node_count_beyond_the_cluster_is_a_cli_error(argv, cluster, capsys):

@@ -1,12 +1,16 @@
 """Tests for experiment cells, comparisons and figure generation."""
 
+import re
+
 import pytest
 
 from repro.apps.workloads import WorkloadPreset
 from repro.harness.figures import (
     FIGURE_APPS,
     figure_for_app,
-    generate_figure,
+    generate_all_figures,
+    generate_scenario_grid,
+    generate_topology_scale,
 )
 from repro.harness.report import (
     ascii_plot,
@@ -28,7 +32,7 @@ def test_figure_app_mapping_matches_paper():
     with pytest.raises(KeyError):
         figure_for_app("linpack")
     with pytest.raises(KeyError):
-        generate_figure(9)
+        generate_all_figures(numbers=[9])
 
 
 def test_run_cell_returns_report_and_verifies(testing):
@@ -63,12 +67,12 @@ def test_run_comparison_series_and_improvement(testing):
 
 
 def test_generate_figure_structure(testing):
-    figure = generate_figure(
-        1,
+    figure = generate_all_figures(
+        numbers=[1],
         workload=testing,
         clusters=("myrinet",),
         node_counts={"myrinet": [1, 2]},
-    )
+    )[1]
     assert figure.app == "pi"
     assert len(figure.series) == 2  # one cluster x two protocols
     series = figure.series_for("myrinet", "java_pf")
@@ -81,13 +85,46 @@ def test_generate_figure_structure(testing):
         figure.series_for("sci", "java_pf")
 
 
+def test_a_figure_drops_a_node_count_on_the_clusters_too_small_for_it(testing):
+    figure = generate_all_figures(
+        numbers=[1],
+        workload=testing,
+        node_counts={"myrinet": [1, 8], "sci": [1, 8]},
+    )[1]
+    assert [n for n, _ in figure.series_for("myrinet", "java_pf").points] == [1, 8]
+    assert [n for n, _ in figure.series_for("sci", "java_pf").points] == [1]
+    assert sorted(figure.improvements("sci")) == [1]
+
+
+@pytest.mark.parametrize(
+    "generate, kwargs, message",
+    [
+        (generate_scenario_grid, {"cluster": "sci", "node_counts": (1, 8)},
+         "nodes 8: cluster 'sci' has 6 nodes"),
+        (generate_topology_scale, {"node_counts": (16, 2048)},
+         "nodes 2048: cluster 'myrinet_grid' has 1024 nodes"),
+    ],
+    ids=["scenario-grid", "topology-scale"],
+)
+def test_a_grid_rejects_a_node_count_no_cluster_can_host(
+    generate, kwargs, message, monkeypatch
+):
+    from repro.harness import executor
+
+    executed = []
+    monkeypatch.setattr(executor, "run_spec", executed.append)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate(**kwargs)
+    assert executed == []
+
+
 def test_report_rendering(testing):
-    figure = generate_figure(
-        2,
+    figure = generate_all_figures(
+        numbers=[2],
         workload=testing,
         clusters=("myrinet",),
         node_counts={"myrinet": [1, 2]},
-    )
+    )[2]
     table = render_experiments_markdown({2: figure})
     assert "### Figure 2 (jacobi)" in table and "| myrinet | java_pf |" in table
     plot = ascii_plot(figure)
@@ -98,12 +135,12 @@ def test_report_rendering(testing):
 
 def test_plot_label_shows_a_testing_scale_maximum(testing):
     # testing-scale points are a few milliseconds, which two decimals read as 0
-    figure = generate_figure(
-        1,
+    figure = generate_all_figures(
+        numbers=[1],
         workload=testing,
         clusters=("myrinet",),
         node_counts={"myrinet": [1, 2]},
-    )
+    )[1]
     t_max = max(t for series in figure.series for _, t in series.points)
     assert t_max < 0.005
     label = ascii_plot(figure).splitlines()[1]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.workloads import WorkloadPreset
-from repro.harness.figures import generate_figure
+from repro.harness.figures import generate_all_figures
 from repro.harness.report import improvement_summary, render_experiments_markdown
 from repro.harness.session import Session
 from tests.conftest import make_runtime
@@ -13,8 +13,12 @@ from tests.conftest import make_runtime
 def small_figures():
     preset = WorkloadPreset.testing()
     return {
-        1: generate_figure(1, workload=preset, clusters=("myrinet",), node_counts={"myrinet": [1, 2]}),
-        2: generate_figure(2, workload=preset, clusters=("myrinet",), node_counts={"myrinet": [1, 2]}),
+        1: generate_all_figures(
+            numbers=[1], workload=preset, clusters=("myrinet",), node_counts={"myrinet": [1, 2]}
+        )[1],
+        2: generate_all_figures(
+            numbers=[2], workload=preset, clusters=("myrinet",), node_counts={"myrinet": [1, 2]}
+        )[2],
     }
 
 
