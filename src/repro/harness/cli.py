@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -1183,10 +1184,18 @@ def main(argv: list[str] | None = None) -> int:
         "describe": cmd_describe,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
     except CliError as exc:
         print(f"hyperion-sim: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone (`... | head`): end as a process
+        # killed by SIGPIPE would, and send what is still buffered to
+        # devnull so the interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,8 @@ distributed heap and replays one op sequence per worker thread, exactly like
 
 from __future__ import annotations
 
-import functools
+import threading
+from collections import OrderedDict
 from collections.abc import Generator
 from typing import TYPE_CHECKING
 
@@ -23,17 +24,19 @@ from repro.scenarios.script import AccessScript, materialise_layout, replay_thre
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scenarios.registry import ScenarioPattern
 
-#: generated scripts kept per process.  Above the distinct scripts of any
-#: benchmark pass (21 in the ``scenarios`` workload, 7 in ``scale``), so
-#: repeated runs always hit; the cap keeps a long-lived ``serve`` bounded.
-SCRIPT_CACHE_SIZE = 64
+#: scripted ops the process-wide script memo may hold.  A generated script
+#: costs about 88 bytes an op as Python objects and its compiled segments,
+#: kept on it once replayed, about 27 more, so this is about 9 MB of scripts,
+#: 11.5 MB with their segments.  Ops, not entries, because script sizes
+#: span three orders of magnitude (a 1024-node ``scale`` script is up to 92k
+#: ops): a count cap bounds no bytes.  Every script a ``scenarios`` or
+#: ``scale`` pass reuses is replayed by back-to-back cells, so the budget
+#: only has to hold the newest few.
+SCRIPT_MEMO_OPS = 100_000
 
 
-@functools.lru_cache(maxsize=SCRIPT_CACHE_SIZE)
-def _cached_script(
-    pattern: ScenarioPattern, workload, num_threads: int, num_nodes: int
-) -> AccessScript:
-    """Generate and validate one script, memoised in a bounded LRU.
+class ScriptMemo:
+    """Generated, validated scripts by ``(pattern, workload, num_threads, num_nodes)``.
 
     Scripts are pure functions of the key (generators are seeded by the
     workload) and :class:`AccessScript` is a frozen dataclass, so sharing one
@@ -42,8 +45,65 @@ def _cached_script(
     built-in generator's script arrives validated by ``ScriptBuilder.build``,
     so the ``validate()`` here is a no-op for it and a real check only for a
     custom pattern that returns an unvalidated script.
+
+    The least recently used scripts are evicted while the held ops exceed
+    *budget_ops*; the newest script is always kept, even when it alone is
+    larger.  ``serve``'s worker threads share the memo: a lock guards the
+    entries, and a script is generated outside it, so two threads missing
+    one key at once may both generate it (equal scripts; the first stored
+    is kept).
     """
-    return pattern.generate(workload, num_threads, num_nodes).validate()
+
+    def __init__(self, budget_ops: int) -> None:
+        self.budget_ops = budget_ops
+        #: key -> script, least recently used first
+        self._entries: OrderedDict[tuple, AccessScript] = OrderedDict()
+        self._ops = 0
+        self._lock = threading.Lock()
+
+    def get(
+        self, pattern: ScenarioPattern, workload, num_threads: int, num_nodes: int
+    ) -> AccessScript:
+        """The script of the key, generated and validated on a miss."""
+        key = (pattern, workload, num_threads, num_nodes)
+        with self._lock:
+            held = self._held(key)
+        if held is not None:
+            return held
+        script = pattern.generate(workload, num_threads, num_nodes).validate()
+        with self._lock:
+            held = self._held(key)
+            if held is not None:  # another thread stored it meanwhile
+                return held
+            self._entries[key] = script
+            self._ops += script.op_count()
+            while self._ops > self.budget_ops and len(self._entries) > 1:
+                self._ops -= self._entries.popitem(last=False)[1].op_count()
+        return script
+
+    def _held(self, key: tuple) -> AccessScript | None:
+        """The script held for *key*, now the most recently used (lock held)."""
+        script = self._entries.get(key)
+        if script is not None:
+            self._entries.move_to_end(key)
+        return script
+
+    def held_ops(self) -> int:
+        """Scripted ops the memo holds now."""
+        return self._ops
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        """Drop every script."""
+        with self._lock:
+            self._entries.clear()
+            self._ops = 0
+
+
+#: the process-wide script memo behind :meth:`SyntheticApplication.build_script`
+script_memo = ScriptMemo(SCRIPT_MEMO_OPS)
 
 
 class SyntheticApplication(Application):
@@ -75,7 +135,7 @@ class SyntheticApplication(Application):
     def build_script(self, workload, num_threads: int, num_nodes: int) -> AccessScript:
         """Generate and validate the scenario's script (pure, seeded).
 
-        The result is memoised (:func:`_cached_script`): the generators are
+        The result is memoised (:data:`script_memo`): the generators are
         deterministic in ``(workload, num_threads, num_nodes)`` and the script
         is immutable, so repeated runs of the same spec (sweeps, benchmark
         repetitions) reuse one already-validated instance.
@@ -84,7 +144,7 @@ class SyntheticApplication(Application):
             hash(workload)
         except TypeError:  # unhashable workload override — just regenerate
             return self.pattern.generate(workload, num_threads, num_nodes).validate()
-        return _cached_script(self.pattern, workload, num_threads, num_nodes)
+        return script_memo.get(self.pattern, workload, num_threads, num_nodes)
 
     # ------------------------------------------------------------------
     def _worker(

@@ -419,22 +419,18 @@ def compile_thread(ops: Sequence[Op]) -> tuple[tuple, tuple[float, ...]]:
     return tuple(items), tuple(cycles)
 
 
-#: the last replayed script and its threads' :func:`compile_thread` results
-#: (None until a thread of it replays).  One entry: the cells of a sweep that
-#: share a script run back to back, and keeping every cached script's
-#: segments would pin a second copy of its ops for as long as the script
-#: cache holds the script.  Concurrent replays of different scripts at worst
-#: compile again.
-_last_compiled: tuple[AccessScript | None, list] = (None, [])
-
-
 def _compiled(script: AccessScript, thread_index: int) -> tuple:
-    """:func:`compile_thread` of one thread of *script*, kept while it is the last."""
-    global _last_compiled
-    last, threads = _last_compiled
-    if last is not script:
+    """:func:`compile_thread` of one thread of *script*, memoised on the script.
+
+    Kept on the (frozen) instance like :meth:`AccessScript.uses_barrier`, so
+    the cells that replay one script compile each thread once, in any order,
+    and the segments are freed with their script.  Two threads replaying one
+    script at once at worst compile a thread twice.
+    """
+    threads = script.__dict__.get("_compiled")
+    if threads is None:
         threads = [None] * len(script.threads)
-        _last_compiled = (script, threads)
+        object.__setattr__(script, "_compiled", threads)
     compiled = threads[thread_index]
     if compiled is None:
         compiled = threads[thread_index] = compile_thread(script.threads[thread_index])

@@ -1,12 +1,18 @@
 """The shape of the ``hyperion-sim`` surface: its verbs, the one ``run`` path,
-``describe --json``, output-file errors and ``--nodes`` validation."""
+``describe --json``, output-file errors, ``--nodes`` validation and a
+closed stdout."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.harness import cli
 from repro.harness.cli import main as cli_main
 
@@ -293,3 +299,24 @@ def test_all_prints_the_experiments_document_sections(capsys):
     assert capsys.readouterr().out == (
         document + "\n" + render_improvement_markdown(figures) + "\n"
     )
+
+
+def test_a_closed_stdout_ends_quietly_with_the_sigpipe_status():
+    """``hyperion-sim ... | head`` when the reader has already gone."""
+    src = Path(repro.__file__).resolve().parents[1]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.harness.cli", "sweep", "check_cost",
+             "--app", "asp", "--nodes", "2", "--scale", "testing"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
