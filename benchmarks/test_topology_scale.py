@@ -74,20 +74,13 @@ ANCHOR_N16 = {
 }
 
 
-#: the sweep alone in a fresh interpreter, printing its peak RSS in bytes.
-#: Linux's VmHWM, not ru_maxrss: at exec Linux folds the spawning process's
-#: peak into the child's ru_maxrss, so that would read this process again.
+#: the sweep alone in a fresh interpreter, printing its peak RSS in bytes
+#: (``peak_rss_bytes`` reads the child's own peak, never this process's)
 _SWEEP_PEAK_RSS = """
-from pathlib import Path
 from repro.harness.figures import generate_topology_scale
 from repro.perf.clock import peak_rss_bytes
 generate_topology_scale()
-status = Path("/proc/self/status")
-if status.exists():
-    lines = status.read_text().splitlines()
-    print(next(int(line.split()[1]) * 1024 for line in lines if line.startswith("VmHWM:")))
-else:
-    print(peak_rss_bytes())
+print(peak_rss_bytes())
 """
 
 

@@ -27,9 +27,16 @@ Grids of experiments go through the session API — a spec matrix, an executor
         .clusters("myrinet", "sci")
         .workload("testing")
     )
-    session = Session(executor=ParallelExecutor(jobs=4), store=ResultStore(".cache"))
-    for spec, report in session.run(matrix).items():
-        print(spec.label(), report.execution_seconds)
+    with Session(executor=ParallelExecutor(jobs=4), store=ResultStore(".cache")) as session:
+        for spec, report in session.run(matrix).items():
+            print(spec.label(), report.execution_seconds)
+        job = session.job(matrix, checkpoint_dir=".sweep")  # sharded, resumable
+        job.run()
+
+The session owns its four worker processes: they start on the first batch,
+serve every later ``run`` and job of the session, and stop when the ``with``
+block ends.  Workers start by ``forkserver``, not ``fork``, so a script
+that uses them keeps this under ``if __name__ == "__main__":``.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured results.

@@ -197,18 +197,3 @@ class CostModel:
             f"page request RTT  : {self.page_request_seconds() * 1e6:.1f} us",
         ]
         return "\n".join(lines)
-
-
-def make_cost_model(
-    machine: MachineSpec,
-    network: NetworkSpec,
-    software: SoftwareCosts | None = None,
-    page_size: int = 4096,
-) -> CostModel:
-    """Convenience factory mirroring :class:`CostModel`'s constructor."""
-    return CostModel(
-        machine=machine,
-        network=network,
-        software=software or SoftwareCosts(),
-        page_size=page_size,
-    )

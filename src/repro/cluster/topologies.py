@@ -198,15 +198,6 @@ def register_topology_preset(
     return preset
 
 
-def unregister_topology_preset(name: str) -> bool:
-    """Remove *name* from the preset registry; returns False if absent.
-
-    The cluster-registry alias (if any) is left in place — cached results
-    keyed through it stay resolvable.
-    """
-    return _PRESETS.pop(name.lower(), None) is not None
-
-
 def topology_preset_by_name(name: str) -> TopologyPreset:
     """Look up a topology preset by name."""
     try:

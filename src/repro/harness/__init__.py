@@ -11,8 +11,8 @@ full architecture):
   ``serve`` requests and the one-cell verbs) expands through it, so its
   one check of names and node counts is the only one;
 * :class:`~repro.harness.executor.Executor` implementations —
-  :class:`~repro.harness.executor.SerialExecutor` and the process-pool
-  :class:`~repro.harness.executor.ParallelExecutor`;
+  :class:`~repro.harness.executor.SerialExecutor` and
+  :class:`~repro.harness.executor.ParallelExecutor`, the package's one pool;
 * :class:`~repro.harness.store.ResultStore` — a content-addressed JSON cache
   of per-cell results, safe for concurrent writers across processes;
 * :class:`~repro.harness.session.Session` — the facade every experiment
@@ -29,7 +29,7 @@ On top of that sit the paper-specific layers:
 * :mod:`~repro.harness.sweep` — the declarative :data:`ABLATIONS` registry
   backing ``Session.ablation`` (A1-A4);
 * :mod:`~repro.harness.jobs` — sharded, checkpointed, resumable
-  :class:`~repro.harness.jobs.SweepJob` execution;
+  :class:`~repro.harness.jobs.SweepJob` execution over a session;
 * :mod:`~repro.harness.service` — the ``hyperion-sim serve`` JSON API
   (imported on first use of its names, so the HTTP stack loads only for
   the service);

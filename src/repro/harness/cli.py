@@ -33,6 +33,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -501,10 +502,11 @@ class CliError(Exception):
 
 
 def _session(args) -> Session:
-    """Build the Session the subcommand's --jobs/--cache-dir flags describe."""
+    """Build the Session the subcommand's --jobs/--cache-dir flags describe;
+    :func:`main` closes it (and its worker pool) when the command ends."""
     try:
-        return Session.from_options(
-            jobs=getattr(args, "jobs", 1), cache_dir=args.cache_dir
+        return args.sessions.enter_context(
+            Session.from_options(jobs=getattr(args, "jobs", 1), cache_dir=args.cache_dir)
         )
     except OSError as exc:
         raise CliError(
@@ -1184,7 +1186,8 @@ def main(argv: list[str] | None = None) -> int:
         "describe": cmd_describe,
     }
     try:
-        status = handlers[args.command](args)
+        with ExitStack() as args.sessions:
+            status = handlers[args.command](args)
         sys.stdout.flush()
         return status
     except CliError as exc:

@@ -3,14 +3,16 @@
 A :class:`SweepJob` takes anything that yields
 :class:`~repro.harness.spec.ExperimentSpec` objects — typically an
 :class:`~repro.harness.matrix.ExperimentMatrix` — splits the deduplicated
-cell list into contiguous *shards*, and runs the shards across a process
-pool.  Three properties distinguish it from a plain
-:meth:`Session.run <repro.harness.session.Session.run>`:
+cell list into contiguous *shards*, and runs them through a
+:class:`~repro.harness.session.Session` — its executor and its store — in
+windows of ``session.jobs`` shards, one
+:meth:`Session.run <repro.harness.session.Session.run>` per window.  Three
+properties distinguish it from a single ``Session.run``:
 
 * **per-shard checkpointing** — every finished shard is written to the job's
   checkpoint directory as a JSON file of :class:`CellResult`-shaped payloads,
   so an interrupted sweep (``kill -9``, power loss, Ctrl-C) loses at most the
-  shards that were still in flight;
+  window of shards that was still in flight;
 * **resume** — ``SweepJob(..., resume=True)`` reloads finished shards from
   the checkpoint directory and only submits the remainder; combined with a
   shared :class:`~repro.harness.store.ResultStore` (which persists *cells*,
@@ -27,11 +29,11 @@ grid is an explicit error rather than a silent mix of results.  A shard file
 truncated by a kill fails JSON parsing and is discarded — its cells either
 come back as result-store hits or are re-simulated.
 
-Shard workers run in separate processes (``jobs=N``) with their own
-write-behind store handles, and their reports come back as payloads;
-``jobs=1`` runs shards in-process and takes the report objects as they are,
-which is also the mode the deterministic resume tests drive.  Either way a
-checkpoint holds payloads.
+The job has no pool, worker or store of its own: the session's executor
+decides where cells run, and ``Session.run`` reads and writes the store.
+After each window every report is cut to its payload shape
+(:func:`_payload_shaped`), so a grid holds the same records however its
+cells were produced.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from typing import Any
 from repro.harness.session import Session, SessionResult
 from repro.harness.spec import ExperimentSpec
 from repro.harness.store import (
-    ResultStore,
     payload_result,
     report_from_payload,
     report_to_payload,
@@ -56,7 +57,7 @@ from repro.harness.store import (
 )
 from repro.hyperion.runtime import ExecutionReport
 from repro.obs.metrics import DEFAULT_HOST_SECONDS_BUCKETS, MetricsRegistry
-from repro.perf.clock import host_clock, peak_rss_bytes
+from repro.perf.clock import host_clock
 from repro.util.validation import check_positive
 
 #: bump when the checkpoint file layout changes
@@ -148,117 +149,21 @@ class SweepProgress:
         }
 
 
-# ---------------------------------------------------------------------------
-# the shard worker (module-level so process pools can pickle it)
-# ---------------------------------------------------------------------------
-def _run_shard(
-    shard_index: int,
-    specs: list[ExperimentSpec],
-    store_root: str | None,
-) -> tuple[dict[str, Any], list[ExecutionReport]]:
-    """Run one shard's cells; return its outcome and the cells' reports.
+def _payload_shaped(report: ExecutionReport) -> None:
+    """Cut *report* down, in place, to what its payload carries.
 
-    Workers open their own store handle in write-behind mode: cells land in
-    memory as the shard runs and are flushed to disk in one locked batch at
-    the end, so a pool of workers contends on the store lock once per shard,
-    not once per cell.  Cells run one ``Session.run`` each (the session —
-    and its in-process memo — is shared across the shard, so nothing warms
-    differently than the old one-batch call) to give the job per-cell wall
-    times; the worker's peak RSS rides along for the memory-budget gauge.
-
-    The reports come back as objects for an in-process caller, cut down to
-    what a payload carries: the result only if it is JSON, and none of the
-    host-side attachments (``.telemetry``, whose ledger travels in the
-    outcome, ``.sanitizer``, ``.trace`` and ``.events_processed``).  A
-    record built from them therefore holds and serialises what one built
-    from the payloads of :func:`_run_shard_payloads` does.
+    The result stays only if it is JSON (an array becomes None, so a record
+    holds no grid), and the host-side fields go: ``.telemetry`` (its ledger
+    is absorbed first), ``.sanitizer``, ``.trace``, ``.events_processed``
+    and the host cost.  A record built from a simulated report therefore
+    holds and serialises what one read back from a checkpoint or the store
+    does.
     """
-    started = host_clock()
-    store = (
-        ResultStore(store_root, write_behind=True) if store_root is not None else None
-    )
-    session = Session(store=store)
-    reports: list[ExecutionReport] = []
-    cells: list[dict[str, Any]] = []
-    cell_seconds: list[float] = []
-    executed = 0
-    cache_hits = 0
-    ledgers = []
-    for spec in specs:
-        cell_started = host_clock()
-        result = session.run([spec])
-        cell_seconds.append(host_clock() - cell_started)
-        executed += result.executed
-        cache_hits += result.cache_hits
-        report = result[spec]
-        if report.telemetry is not None:
-            ledgers.append(report.telemetry.to_dict())
-        # keep what the payload round trip keeps: the result as JSON (an
-        # array becomes None, so a record holds no grid), no host-side fields
-        report.result = report.stats.result = payload_result(report.result)
-        report.telemetry = report.sanitizer = report.trace = None
-        report.events_processed = 0
-        reports.append(report)
-        cells.append(
-            {
-                "key": spec.cache_key(),
-                "label": spec.label(),
-                "cached": spec in result.cached_specs,
-            }
-        )
-    if store is not None:
-        store.flush()
-    outcome = {
-        "shard": shard_index,
-        "executed": executed,
-        "cache_hits": cache_hits,
-        "host_seconds": host_clock() - started,
-        "cell_seconds": cell_seconds,
-        "peak_rss_bytes": peak_rss_bytes(),
-        # out-of-band per-cell ledgers (empty unless specs asked for them)
-        # plus the worker store's own counters, for job-level aggregation
-        "telemetry": ledgers,
-        "store_metrics": store.metrics.to_dict() if store is not None else None,
-        "cells": cells,
-    }
-    return outcome, reports
-
-
-def _with_payloads(
-    cells: list[dict[str, Any]], reports: list[ExecutionReport]
-) -> list[dict[str, Any]]:
-    """*cells* with each report as its payload, the form that crosses a
-    process or checkpoint boundary."""
-    return [
-        {**cell, "report": report_to_payload(report)}
-        for cell, report in zip(cells, reports, strict=True)
-    ]
-
-
-def _pool_context():
-    """How shard worker processes start: never by a plain ``fork``.
-
-    A job may run inside ``serve``, whose handler and sweep threads keep
-    running while the pool starts; a forked child would inherit their held
-    locks.  ``forkserver`` forks from a clean single-threaded process;
-    ``spawn`` stands in where the platform lacks it.
-    """
-    import multiprocessing
-
-    method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
-    return multiprocessing.get_context(method)
-
-
-def _run_shard_payloads(
-    shard_index: int,
-    specs: list[ExperimentSpec],
-    store_root: str | None,
-) -> dict[str, Any]:
-    """Process-pool form of :func:`_run_shard`: one picklable outcome whose
-    cells carry their reports as payloads."""
-    outcome, reports = _run_shard(shard_index, specs, store_root)
-    outcome["cells"] = _with_payloads(outcome["cells"], reports)
-    return outcome
+    report.result = report.stats.result = payload_result(report.result)
+    report.telemetry = report.sanitizer = report.trace = None
+    report.events_processed = 0
+    report.host_seconds = 0.0
+    report.peak_rss_bytes = 0
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +175,9 @@ class SweepJob:
     def __init__(
         self,
         experiments: Iterable[ExperimentSpec],
+        session: Session | None = None,
         checkpoint_dir: str | Path | None = None,
-        jobs: int = 1,
         shard_size: int | None = None,
-        store: ResultStore | None = None,
         resume: bool = False,
         progress_callback: Callable[[SweepProgress], None] | None = None,
         stop_event: threading.Event | None = None,
@@ -289,13 +193,12 @@ class SweepJob:
                 for spec in self.specs
             ]
         self.telemetry_enabled = bool(telemetry)
-        check_positive("jobs", jobs)
-        self.jobs = int(jobs)
+        #: runs every window of cells (its executor and its store)
+        self.session = session if session is not None else Session()
         if shard_size is None:
             shard_size = min(DEFAULT_SHARD_SIZE, max(1, len(self.specs)))
         check_positive("shard_size", shard_size)
         self.shard_size = int(shard_size)
-        self.store = store
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         if resume and self.checkpoint_dir is None:
             raise ValueError("resume=True needs a checkpoint_dir to resume from")
@@ -313,9 +216,9 @@ class SweepJob:
         self._reports: dict[ExperimentSpec, Any] = {}
         self._cached_specs: set[ExperimentSpec] = set()
         #: job-level metric aggregate (sweep_* families plus every absorbed
-        #: cell/store family).  The worker thread mutates it through
-        #: :meth:`_absorb` while service handler threads snapshot it, so all
-        #: access goes through :attr:`metrics_lock`.
+        #: cell and store family).  The thread running the job mutates it
+        #: through :meth:`_absorb` while service handler threads snapshot
+        #: it, so all access goes through :attr:`metrics_lock`.
         self.metrics = MetricsRegistry()
         self.metrics_lock = threading.Lock()
         self._ledgers: list[dict] = []
@@ -340,10 +243,6 @@ class SweepJob:
         assert self.checkpoint_dir is not None
         return self.checkpoint_dir / f"shard-{index:04d}.json"
 
-    def _manifest_path(self) -> Path:
-        assert self.checkpoint_dir is not None
-        return self.checkpoint_dir / "job.json"
-
     def _prepare_checkpoints(self) -> set[int]:
         """Create/validate the checkpoint dir; return resumable shard indices.
 
@@ -356,18 +255,14 @@ class SweepJob:
             return set()
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         key = self.job_key()
-        manifest_path = self._manifest_path()
-        existing: dict | None = None
-        if manifest_path.exists():
-            try:
-                existing = json.loads(manifest_path.read_text())
-            except (OSError, ValueError):
-                existing = None
+        manifest_path = self.checkpoint_dir / "job.json"
+        try:
+            existing = json.loads(manifest_path.read_text())
+        except (OSError, ValueError):  # absent, or truncated by a kill
+            existing = None
         if self.resume:
-            if existing is None:
-                # nothing to resume; behave like a fresh run
-                pass
-            elif existing.get("job_key") != key:
+            # with no readable manifest there is nothing to resume: run fresh
+            if existing is not None and existing.get("job_key") != key:
                 raise CheckpointMismatch(
                     f"checkpoints in {self.checkpoint_dir} describe a different "
                     "sweep (grid or shard size changed); start without --resume "
@@ -423,94 +318,81 @@ class SweepJob:
             done.add(index)
         return done
 
-    def _checkpoint_shard(self, outcome: dict[str, Any]) -> None:
-        """Write *outcome*, whose cells carry their report payloads."""
-        if self.checkpoint_dir is None:
-            return
-        payload = {
-            "schema": CHECKPOINT_SCHEMA,
-            "job_key": self.job_key(),
-            **outcome,
-        }
-        write_json_atomic(self._shard_path(outcome["shard"]), payload)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def request_stop(self) -> None:
-        """Ask the job to stop after the shards currently in flight drain."""
+        """Ask the job to stop once the window of shards in flight drains."""
         self.stop_event.set()
 
-    def _absorb_metrics(self, outcome: dict[str, Any], cells: int) -> None:
-        """Fold one shard outcome into the job-level metric aggregate.
+    def _absorb(self, index: int, result: SessionResult, started: float) -> None:
+        """Fold finished shard *index* into metrics, reports, checkpoint and
+        progress.
 
-        ``.get`` defaults keep checkpoints written before the telemetry
-        fields existed absorbable.
+        The metrics read the reports' host-side fields before they are cut
+        to payload shape: the simulated cells feed the per-cell histogram
+        and the gauge of the peak RSS of the processes that simulated them,
+        and every telemetry ledger is collected.
         """
+        shard = self.shards[index]
+        reports = [result[spec] for spec in shard]
+        cached = [spec in result.cached_specs for spec in shard]
+        simulated = [report for report, hit in zip(reports, cached) if not hit]
+        executed, hits = len(simulated), len(shard) - len(simulated)
+        ledgers = [r.telemetry.to_dict() for r in reports if r.telemetry is not None]
         with self.metrics_lock:
             metrics = self.metrics
-            metrics.counter(
-                "sweep_shards_completed_total", "Shards finished this session."
-            ).inc()
-            metrics.counter(
-                "sweep_cells_completed_total", "Cells finished this session."
-            ).inc(cells)
-            metrics.counter(
-                "sweep_cells_executed_total", "Cells actually simulated."
-            ).inc(outcome.get("executed", 0))
-            metrics.counter(
-                "sweep_cells_cache_hits_total", "Cells served by the result store."
-            ).inc(outcome.get("cache_hits", 0))
-            host_seconds = outcome.get("host_seconds")
-            if host_seconds is not None:
-                metrics.histogram(
-                    "sweep_shard_host_seconds",
-                    "Host wall-clock seconds per shard.",
-                    buckets=DEFAULT_HOST_SECONDS_BUCKETS,
-                ).observe(host_seconds)
-            cell_seconds = outcome.get("cell_seconds")
-            if cell_seconds:
-                per_cell = metrics.histogram(
-                    "sweep_cell_host_seconds",
-                    "Host wall-clock seconds per cell.",
-                    buckets=DEFAULT_HOST_SECONDS_BUCKETS,
-                )
-                for seconds in cell_seconds:
-                    per_cell.observe(seconds)
-            peak_rss = outcome.get("peak_rss_bytes")
-            if peak_rss:
+            for name, help_text, amount in (
+                ("sweep_shards_completed_total", "Shards finished this session.", 1),
+                ("sweep_cells_completed_total", "Cells finished this session.", len(shard)),
+                ("sweep_cells_executed_total", "Cells actually simulated.", executed),
+                ("sweep_cells_cache_hits_total", "Cells served by the result store.", hits),
+            ):
+                metrics.counter(name, help_text).inc(amount)
+            metrics.histogram(
+                "sweep_shard_host_seconds",
+                "Host seconds spent simulating each shard's cells.",
+                buckets=DEFAULT_HOST_SECONDS_BUCKETS,
+            ).observe(sum(report.host_seconds for report in simulated))
+            per_cell = metrics.histogram(
+                "sweep_cell_host_seconds",
+                "Host seconds per simulated cell.",
+                buckets=DEFAULT_HOST_SECONDS_BUCKETS,
+            )
+            for report in simulated:
+                per_cell.observe(report.host_seconds)
                 metrics.gauge(
                     "sweep_peak_rss_bytes",
-                    "Peak worker resident set size, in bytes.",
-                ).set_max(peak_rss)
-            for ledger in outcome.get("telemetry") or ():
+                    "Peak resident set size of a process that simulated cells, in bytes.",
+                ).set_max(report.peak_rss_bytes)
+            for ledger in ledgers:
                 self._ledgers.append(ledger)
-                payload = ledger.get("metrics")
-                if payload:
-                    metrics.merge(payload)
-            store_metrics = outcome.get("store_metrics")
-            if store_metrics:
-                metrics.merge(store_metrics)
-
-    def _absorb(
-        self,
-        outcome: dict[str, Any],
-        reports: list[ExecutionReport],
-        started: float,
-    ) -> None:
-        """Fold one finished shard into reports, checkpoint and progress."""
-        shard = self.shards[outcome["shard"]]
-        for spec, cell, report in zip(shard, outcome["cells"], reports, strict=True):
+                if ledger.get("metrics"):
+                    metrics.merge(ledger["metrics"])
+        for spec, report, hit in zip(shard, reports, cached, strict=True):
+            _payload_shaped(report)
             self._reports[spec] = report
-            if cell["cached"]:
+            if hit:
                 self._cached_specs.add(spec)
-        self._checkpoint_shard(outcome)
-        self._absorb_metrics(outcome, len(shard))
+        if self.checkpoint_dir is not None:
+            cells = [
+                {
+                    "key": spec.cache_key(),
+                    "label": spec.label(),
+                    "cached": hit,
+                    "report": report_to_payload(report),
+                }
+                for spec, report, hit in zip(shard, reports, cached, strict=True)
+            ]
+            write_json_atomic(
+                self._shard_path(index),
+                {"schema": CHECKPOINT_SCHEMA, "job_key": self.job_key(), "cells": cells},
+            )
         progress = self.progress
         progress.completed_shards += 1
         progress.completed_cells += len(shard)
-        progress.executed_cells += outcome["executed"]
-        progress.cache_hits += outcome["cache_hits"]
+        progress.executed_cells += executed
+        progress.cache_hits += hits
         progress.elapsed_seconds = host_clock() - started
         if self.progress_callback is not None:
             self.progress_callback(progress)
@@ -518,10 +400,13 @@ class SweepJob:
     def run(self) -> SessionResult:
         """Run every pending shard; return the grid's :class:`SessionResult`.
 
-        Raises :class:`SweepInterrupted` when :meth:`request_stop` fires (the
-        shards already in flight are drained and checkpointed first), and
-        :class:`CheckpointMismatch` when resuming against a foreign
-        checkpoint directory.
+        Pending shards run in windows of ``session.jobs`` shards, each window
+        one :meth:`Session.run <repro.harness.session.Session.run>` over its
+        cells; every shard of a finished window is then checkpointed and
+        reported in order.  Raises :class:`SweepInterrupted` when
+        :meth:`request_stop` fires (the window in flight is drained and
+        checkpointed first), and :class:`CheckpointMismatch` when resuming
+        against a foreign checkpoint directory.
         """
         started = host_clock()
         done = self._prepare_checkpoints()
@@ -541,61 +426,34 @@ class SweepJob:
                     "Cells restored from checkpoints at start-up.",
                 ).inc(progress.resumed_cells)
         pending = [i for i in range(len(self.shards)) if i not in done]
-        store_root = str(self.store.root) if self.store is not None else None
-        stopped = False
-        if self.jobs == 1 or len(pending) <= 1:
-            for index in pending:
-                if self.stop_event.is_set():
-                    stopped = True
-                    break
-                outcome, reports = _run_shard(index, self.shards[index], store_root)
-                if self.checkpoint_dir is not None:
-                    outcome["cells"] = _with_payloads(outcome["cells"], reports)
-                self._absorb(outcome, reports, started)
-        elif pending:
-            from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-            workers = min(self.jobs, len(pending))
-            with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
-                queue = list(pending)
-                in_flight = set()
-                while queue or in_flight:
-                    if self.stop_event.is_set():
-                        stopped = True
-                        queue.clear()  # drain in-flight shards, submit no more
-                    while queue and len(in_flight) < workers:
-                        index = queue.pop(0)
-                        in_flight.add(
-                            pool.submit(
-                                _run_shard_payloads, index, self.shards[index], store_root
-                            )
-                        )
-                    if not in_flight:
-                        break
-                    finished, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        outcome = future.result()
-                        reports = [
-                            report_from_payload(cell["report"])
-                            for cell in outcome["cells"]
-                        ]
-                        self._absorb(outcome, reports, started)
-        if stopped:
-            raise SweepInterrupted(
-                f"sweep stopped at {progress.completed_cells}/"
-                f"{progress.total_cells} cells; finished shards are "
-                "checkpointed — rerun with resume to continue",
-                progress,
+        store, width = self.session.store, self.session.jobs
+        for first in range(0, len(pending), width):
+            if self.stop_event.is_set():
+                raise SweepInterrupted(
+                    f"sweep stopped at {progress.completed_cells}/"
+                    f"{progress.total_cells} cells; finished shards are "
+                    "checkpointed — rerun with resume to continue",
+                    progress,
+                )
+            window = pending[first : first + width]
+            result = self.session.run(
+                spec for index in window for spec in self.shards[index]
             )
-        result = SessionResult(
+            for index in window:
+                self._absorb(index, result, started)
+            if store is not None:
+                # the store's counters move into the job's aggregate: the
+                # handle starts afresh, so no window is counted twice
+                counts, store.metrics = store.metrics, MetricsRegistry()
+                with self.metrics_lock:
+                    self.metrics.merge(counts.to_dict())
+        self.result = SessionResult(
+            reports={spec: self._reports[spec] for spec in self.specs},
             cache_hits=progress.cache_hits,
             executed=progress.executed_cells,
+            cached_specs=set(self._cached_specs),
         )
-        for spec in self.specs:
-            result.reports[spec] = self._reports[spec]
-        result.cached_specs = set(self._cached_specs)
-        self.result = result
-        return result
+        return self.result
 
     # ------------------------------------------------------------------
     # telemetry surface
@@ -618,5 +476,5 @@ class SweepJob:
     def __repr__(self) -> str:
         return (
             f"SweepJob(cells={len(self.specs)}, shards={len(self.shards)}, "
-            f"jobs={self.jobs}, checkpoint_dir={str(self.checkpoint_dir)!r})"
+            f"jobs={self.session.jobs}, checkpoint_dir={str(self.checkpoint_dir)!r})"
         )

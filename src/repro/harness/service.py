@@ -23,11 +23,12 @@ A sweep request names its grid the way :class:`ExperimentMatrix` does::
      "shard_size": 4}
 
 The grid a finished sweep serves is **byte-identical** to what a serial
-``Session().run(...)`` of the same specs returns: cells cross the process
-pool, checkpoint and store boundaries as canonical payloads whose round-trip
+``Session().run(...)`` of the same specs returns: each sweep runs through its
+own :class:`~repro.harness.session.Session` (``jobs`` worker processes, the
+service's store), and cells cross the checkpoint and store boundaries as
+canonical payloads whose round-trip
 (:func:`~repro.harness.store.report_from_payload`) reproduces ``to_dict()``
-exactly, and shards run in the service's own process hand their reports
-over as objects.  Sweeps run with telemetry on by default (it is
+exactly.  Sweeps run with telemetry on by default (it is
 out-of-band, so the grids stay byte-identical); a request may opt out with
 ``"telemetry": false``.  ``GET /metrics`` renders the service gauges plus
 every job's aggregated :mod:`repro.obs` families as Prometheus text.  Shutdown is graceful by construction — the service stops handing
@@ -49,8 +50,7 @@ from typing import Any
 
 from repro.harness.jobs import SweepInterrupted, SweepJob
 from repro.harness.matrix import ExperimentMatrix
-from repro.harness.session import SessionResult
-from repro.harness.store import ResultStore
+from repro.harness.session import Session, SessionResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promtext import CONTENT_TYPE, render_metrics
 from repro.util.logging import get_logger
@@ -329,16 +329,16 @@ class SweepService:
             self._run_sweep(self._sweeps[sweep_id])
 
     def _run_sweep(self, record: SweepRecord) -> None:
-        store = ResultStore(self.cache_dir) if self.cache_dir else None
         checkpoint_dir = (
             self.checkpoint_root / record.id if self.checkpoint_root else None
         )
+        # one session (worker pool and store handle) per sweep, closed with it
+        session = Session.from_options(jobs=self.jobs, cache_dir=self.cache_dir)
         job = SweepJob(
             record.specs,
+            session=session,
             checkpoint_dir=checkpoint_dir,
-            jobs=self.jobs,
             shard_size=record.shard_size,
-            store=store,
             stop_event=self._stopping,
             telemetry=record.telemetry,
         )
@@ -358,6 +358,8 @@ class SweepService:
             state, error = "failed", f"{type(exc).__name__}: {exc}"
         else:
             state, error = "done", None
+        finally:
+            session.close()
         # freeze what the record still serves, then let the job and its
         # ledgers go (metrics_lock is taken here, not under record.lock)
         progress = job.progress.to_dict()

@@ -2,15 +2,20 @@
 
 A :class:`Session` combines an executor (how cells run: serially or across a
 process pool) with an optional :class:`~repro.harness.store.ResultStore`
-(whether results persist between runs).  ``Session.run`` takes anything that
+(whether results persist between runs).  ``Session.run`` → ``execute`` is the
+one road from a spec to a simulation: every verb, sharded sweep jobs
+included, goes through it.  ``Session.run`` takes anything that
 yields :class:`~repro.harness.spec.ExperimentSpec` objects — typically an
 :class:`~repro.harness.matrix.ExperimentMatrix` — deduplicates them, serves
 what it can from the store, fans the rest out through the executor, and
 returns a :class:`SessionResult` mapping each spec to its report::
 
-    session = Session(executor=ParallelExecutor(jobs=4), store=ResultStore(".cache"))
-    result = session.run(matrix)
+    with Session(executor=ParallelExecutor(jobs=4), store=ResultStore(".cache")) as session:
+        result = session.run(matrix)
     result[spec].execution_seconds
+
+A session owns its executor's worker pool: it opens on the first parallel
+batch and stays open until :meth:`Session.close` (or the ``with`` block) ends.
 
 Everything else the harness can do is a method on the same object, so the
 session's executor and store reach every code path:
@@ -167,6 +172,18 @@ class Session:
     def jobs(self) -> int:
         """Worker-process count of the session's executor (1 when serial)."""
         return int(getattr(self.executor, "jobs", 1))
+
+    def close(self) -> None:
+        """Release the executor's worker processes, if it keeps any."""
+        close = getattr(self.executor, "close", None)
+        if close is not None:
+            close()
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # the execution core
@@ -386,15 +403,14 @@ class Session:
         **kwargs,
     ) -> "SweepJob":
         """A sharded, checkpointed :class:`~repro.harness.jobs.SweepJob`
-        over *experiments*, inheriting this session's store and job count."""
+        over *experiments* that runs its cells through this session."""
         from repro.harness.jobs import SweepJob
 
         return SweepJob(
             experiments,
+            session=self,
             checkpoint_dir=checkpoint_dir,
-            jobs=self.jobs,
             shard_size=shard_size,
-            store=self.store,
             resume=resume,
             **kwargs,
         )

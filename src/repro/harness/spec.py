@@ -267,13 +267,16 @@ def run_spec(spec: ExperimentSpec) -> ExecutionReport:
     cells in any order or process and lets :class:`~repro.harness.store.ResultStore`
     reuse results across runs.  A config with ``trace=True`` leaves the
     engine's event trace on the report's host-side ``trace`` field.
-    """
-    if spec.telemetry:
-        # lazy: importing repro.perf at module scope would cycle back into
-        # this module through the profiler
-        from repro.perf.clock import host_clock
 
-        resolve_started = host_clock()
+    Every road to a simulation ends here, so this is the one place a cell's
+    host cost is measured: the report's host-side ``host_seconds`` and
+    ``peak_rss_bytes`` fields.
+    """
+    # lazy: importing repro.perf at module scope would cycle back into this
+    # module through the profiler
+    from repro.perf.clock import host_clock, peak_rss_bytes
+
+    started = host_clock()
     cluster = spec.resolved_cluster()
     workload = spec.resolved_workload()
     runtime = HyperionRuntime(
@@ -285,7 +288,7 @@ def run_spec(spec: ExperimentSpec) -> ExecutionReport:
     )
     collector = runtime.telemetry
     if collector is not None:
-        collector.note_stage("spec_resolve", host_clock() - resolve_started)
+        collector.note_stage("spec_resolve", host_clock() - started)
         stage = collector.begin_stage("execute")
     app = create_app(spec.app)
     report = app.run(runtime, workload)
@@ -298,4 +301,6 @@ def run_spec(spec: ExperimentSpec) -> ExecutionReport:
         )
     if collector is not None:
         report.telemetry = collector.finalize(spec, report, runtime)
+    report.host_seconds = host_clock() - started
+    report.peak_rss_bytes = peak_rss_bytes()
     return report

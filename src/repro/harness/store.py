@@ -9,24 +9,23 @@ exactly what re-running the cell would produce, so regenerating figures on a
 warm cache performs zero simulations.
 
 Since the sweep service (``repro.harness.jobs`` / ``repro.harness.service``)
-many processes share one store directory, which adds four concerns on top of
-the original atomic-rename writes:
+many processes share one store directory, which adds three concerns on top
+of the original atomic-rename writes:
 
 * **advisory file locking** — writers serialise on a ``.lock`` file
   (``fcntl.flock`` where available, a no-op elsewhere), so manifest creation,
-  quarantine moves and write-behind flushes never interleave;
+  entry writes and quarantine moves never interleave;
 * **a store manifest** — ``MANIFEST`` stamps the store format and the entry
   schema version; opening a store written by an incompatible version raises
   :class:`StoreSchemaError` instead of silently mixing entry layouts;
 * **corrupt-entry quarantine** — a truncated cache file (a writer killed
   mid-``os.replace`` cannot produce one, but a killed *copy* into the store
   or a disk-full write can) is moved into ``quarantine/`` and treated as a
-  miss, so the cell is recomputed rather than crashing the sweep;
-* **read-through/write-behind mode** — ``ResultStore(root, write_behind=True)``
-  buffers puts in memory and batches them to disk on :meth:`flush` (one lock
-  acquisition for the whole batch), while gets read through the buffer and a
-  payload cache.  Shard workers of a :class:`~repro.harness.jobs.SweepJob`
-  use it to avoid a lock round-trip per cell.
+  miss, so the cell is recomputed rather than crashing the sweep.
+
+Stores are read and written only by the process that calls
+:meth:`Session.run <repro.harness.session.Session.run>`: worker processes
+hand their reports back, never touch the directory themselves.
 
 Reports round-trip losslessly at the level the harness consumes them:
 :func:`report_from_payload` rebuilds an :class:`ExecutionReport` whose
@@ -170,26 +169,20 @@ class ResultStore:
     Safe for concurrent writers across processes: entry writes are atomic
     renames serialised by an advisory file lock, readers never observe a
     partially written entry, and an entry that *is* damaged on disk is
-    quarantined rather than raised into the sweep.
-
-    With ``write_behind=True`` the store buffers :meth:`put` payloads in
-    memory; :meth:`flush` (or leaving the store's context manager) batches
-    them to disk under a single lock acquisition.  Gets read through the
-    buffer first, then a payload cache of earlier disk reads, then disk.
+    quarantined rather than raised into the sweep.  Gets read a payload
+    cache of this handle's earlier reads and writes before the disk.
     """
 
-    def __init__(self, root: str | Path, write_behind: bool = False):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.write_behind = bool(write_behind)
-        #: cache-key -> full entry payload waiting for :meth:`flush`
-        self._pending: dict[str, dict[str, Any]] = {}
         #: cache-key -> report payload of entries already read from disk
         self._read_cache: dict[str, dict[str, Any]] = {}
         #: entries moved to quarantine by this handle (diagnostic counter)
         self.quarantined = 0
         #: out-of-band store metrics for this handle (hits/misses/puts/
-        #: quarantines/lock wait); never persisted with the entries
+        #: quarantines/lock wait); never persisted with the entries.  A
+        #: sweep job moves them into its own aggregate after each window.
         self.metrics = MetricsRegistry()
         self._ensure_manifest()
 
@@ -291,12 +284,10 @@ class ResultStore:
         return self.root / f"{key}.json"
 
     def __contains__(self, spec: ExperimentSpec) -> bool:
-        key = spec.cache_key()
-        return key in self._pending or self.path_for(key).exists()
+        return self.path_for(spec.cache_key()).exists()
 
     def __len__(self) -> int:
-        on_disk = {path.stem for path in self.root.glob("*.json")}
-        return len(on_disk | set(self._pending))
+        return sum(1 for _ in self.root.glob("*.json"))
 
     # ------------------------------------------------------------------
     def get(self, spec: ExperimentSpec) -> ExecutionReport | None:
@@ -308,10 +299,6 @@ class ResultStore:
         the sweep recomputes the cell instead of crashing.
         """
         key = spec.cache_key()
-        pending = self._pending.get(key)
-        if pending is not None:
-            self._count_get("hit")
-            return report_from_payload(pending["report"])
         cached = self._read_cache.get(key)
         if cached is not None:
             self._count_get("hit")
@@ -346,45 +333,26 @@ class ResultStore:
             "store_gets_total", "Store lookups by outcome (hit/miss)."
         ).inc(1, result=result)
 
-    def _entry_payload(self, spec: ExperimentSpec, report: ExecutionReport) -> dict:
-        key = spec.cache_key()
-        return {
-            "schema": CACHE_SCHEMA_VERSION,
-            "key": key,
-            "spec": spec.describe(),
-            "report": report_to_payload(report),
-        }
-
     def put(self, spec: ExperimentSpec, report: ExecutionReport) -> Path:
         """Persist *report* under *spec*'s cache key.
 
-        Write-behind stores buffer the entry until :meth:`flush`; otherwise
-        the entry is written immediately (atomic rename under the advisory
-        lock, so concurrent writers of the same cell leave one valid file).
+        The entry is written at once: an atomic rename under the advisory
+        lock, so concurrent writers of the same cell leave one valid file.
         """
         key = spec.cache_key()
-        payload = self._entry_payload(spec, report)
-        self.metrics.counter("store_puts_total", "Entries persisted (or buffered).").inc()
-        if self.write_behind:
-            self._pending[key] = payload
-            return self.path_for(key)
+        payload = report_to_payload(report)
+        entry = {
+            "schema": CACHE_SCHEMA_VERSION,
+            "key": key,
+            "spec": spec.describe(),
+            "report": payload,
+        }
+        self.metrics.counter("store_puts_total", "Entries persisted.").inc()
+        path = self.path_for(key)
         with self.locked():
-            self._write_entry(key, payload)
-        return self.path_for(key)
-
-    def flush(self) -> int:
-        """Write every buffered entry to disk; returns the number written."""
-        if not self._pending:
-            return 0
-        with self.locked():
-            for key in sorted(self._pending):
-                self._write_entry(key, self._pending[key])
-        written = len(self._pending)
-        self._pending.clear()
-        self.metrics.counter(
-            "store_flush_entries_total", "Buffered entries written by flushes."
-        ).inc(written)
-        return written
+            write_json_atomic(path, entry)
+        self._read_cache[key] = payload
+        return path
 
     # ------------------------------------------------------------------
     # telemetry ledgers (out-of-band siblings of the pinned entries)
@@ -422,22 +390,11 @@ class ResultStore:
             return None
         return payload if isinstance(payload, dict) else None
 
-    def _write_entry(self, key: str, payload: dict) -> None:
-        write_json_atomic(self.path_for(key), payload)
-        self._read_cache[key] = payload["report"]
-
     # ------------------------------------------------------------------
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.flush()
-
     def clear(self) -> int:
-        """Delete every cached result (buffered and on disk); returns the
-        number removed.  The manifest and quarantine are kept."""
-        removed = len(self._pending)
-        self._pending.clear()
+        """Delete every cached result; returns the number removed.  The
+        manifest and quarantine are kept."""
+        removed = 0
         self._read_cache.clear()
         with self.locked():
             for path in self.root.glob("*.json"):
@@ -446,5 +403,4 @@ class ResultStore:
         return removed
 
     def __repr__(self) -> str:
-        mode = ", write_behind=True" if self.write_behind else ""
-        return f"ResultStore({str(self.root)!r}{mode})"
+        return f"ResultStore({str(self.root)!r})"

@@ -91,20 +91,8 @@ class JavaApiSubsystem:
         ctx.compute(cycles=200.0)
         return int(ctx.now * 1000.0)
 
-    def nano_time(self, ctx) -> int:
-        """``System.nanoTime`` in *virtual* time."""
-        self._count("System.nanoTime")
-        ctx.compute(cycles=200.0)
-        return int(ctx.now * 1e9)
-
     def println(self, ctx, message: str) -> None:
         """``System.out.println``: captured in :attr:`console`."""
         self._count("System.out.println")
         ctx.compute(cycles=self.PRINTLN_CYCLES)
         self.console.append(str(message))
-
-    def identity_hash_code(self, ctx, obj) -> int:
-        """``System.identityHashCode``."""
-        self._count("System.identityHashCode")
-        ctx.compute(cycles=10.0)
-        return obj.oid

@@ -155,8 +155,3 @@ class MonitorManager:
         for waiter in waiters:
             waiter.succeed(None)
         return woken
-
-    # ------------------------------------------------------------------
-    def active_monitors(self) -> int:
-        """Number of monitors that have been materialised."""
-        return len(self._monitors)

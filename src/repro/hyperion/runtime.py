@@ -119,6 +119,13 @@ class ExecutionReport:
     #: (None otherwise).  Same contract as ``sanitizer``: host-side and never
     #: part of :meth:`to_dict`, so a stored payload keeps no trace.
     trace: TraceRecorder | None = None
+    #: host seconds :func:`~repro.harness.spec.run_spec` took to produce this
+    #: report, and the peak resident set size of the process that ran it, in
+    #: bytes (both 0 on a report that was not simulated here, e.g. one read
+    #: back from a payload).  Host-side like ``events_processed``: never in
+    #: :meth:`to_dict`, payloads or cache keys.
+    host_seconds: float = 0.0
+    peak_rss_bytes: int = 0
 
     @property
     def page_rehomes(self) -> int:
@@ -144,16 +151,6 @@ class ExecutionReport:
     def inter_cluster_page_fetches(self) -> int:
         """Page transfers that crossed an inter-cluster (backbone) link."""
         return self.stats.dsm.inter_island_page_fetches
-
-    @property
-    def intra_cluster_fetch_seconds(self) -> float:
-        """Latency charged for intra-island page transfers."""
-        return self.stats.dsm.intra_island_fetch_seconds
-
-    @property
-    def inter_cluster_fetch_seconds(self) -> float:
-        """Latency charged for island-crossing page transfers."""
-        return self.stats.dsm.inter_island_fetch_seconds
 
     @property
     def inter_cluster_bytes(self) -> int:

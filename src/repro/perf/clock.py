@@ -22,9 +22,20 @@ def host_clock() -> float:
 def peak_rss_bytes() -> int:
     """Peak resident set size of this process, in bytes.
 
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalising here
-    keeps the memory-budget telemetry portable.  Host-side only, like
-    everything in this module.
+    Linux's ``/proc/self/status`` ``VmHWM`` counts this process's own pages
+    only.  ``ru_maxrss`` is the fallback elsewhere, but on Linux it also
+    carries the peak of the process that spawned this one (the kernel folds
+    the old memory image's peak in at ``exec``), so a child of a large
+    process would report its parent's memory.  ``ru_maxrss`` is kilobytes on
+    Linux and bytes on macOS; normalising here keeps the memory-budget
+    telemetry portable.  Host-side only, like everything in this module.
     """
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return int(peak) if sys.platform == "darwin" else int(peak) * 1024

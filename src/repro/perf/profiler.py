@@ -1,12 +1,15 @@
 """Host-side profiling of experiment cells.
 
-:class:`Profiler` wraps :func:`repro.harness.spec.run_spec` with wall-clock
-timing, engine event-throughput capture and (optionally) ``cProfile``.  Each
+:class:`Profiler` runs :func:`repro.harness.spec.run_spec` — which measures
+every cell's host seconds itself — with engine event-throughput capture and
+(optionally) ``cProfile``.  Each
 profiled cell yields a :class:`CellProfile`; batches are aggregated by
 :func:`repro.perf.report.perf_report`.
 
-The profiler deliberately runs cells in-process and serially: host timing
-through a process pool would measure pool scheduling, not the simulator.
+The profiler deliberately calls ``run_spec`` in-process and serially rather
+than through a :class:`~repro.harness.session.Session`: ``cProfile`` only sees
+the process it runs in, each repeat must re-simulate (a session's store would
+answer it), and the kernel memos are cleared between repeats in this process.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-import time
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 from typing import Any
@@ -125,7 +127,6 @@ class Profiler:
         report = None
         for _ in range(self.repeats):
             clear_kernel_memos()
-            t0 = time.perf_counter()
             if self.with_cprofile and profile is None:
                 # capture the profile on the first timed run only; with
                 # repeats > 1 its (inflated) wall time never wins the min
@@ -137,9 +138,9 @@ class Profiler:
                     profile.disable()
             else:
                 report = run_spec(spec)
-            elapsed = time.perf_counter() - t0
-            if wall is None or elapsed < wall:
-                wall = elapsed
+            # run_spec measures every cell's host seconds, this one included
+            if wall is None or report.host_seconds < wall:
+                wall = report.host_seconds
         text = ""
         hot: list[tuple] = []
         if profile is not None:

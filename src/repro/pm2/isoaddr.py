@@ -150,10 +150,6 @@ class IsoAddressAllocator:
             raise ValueError(f"address {address:#x} is outside the iso-address range")
         return offset // self.arena_size
 
-    def page_of(self, address: int) -> int:
-        """Global page number containing *address*."""
-        return address // self.page_size
-
     def pages_of_range(self, address: int, size: int) -> range:
         """Global page numbers spanned by [address, address + size)."""
         check_positive("size", size)

@@ -139,12 +139,3 @@ class MarcelRuntime:
         """Wait for *thread* to finish; returns its body's return value."""
         result = yield thread.completion_event
         return result
-
-    # ------------------------------------------------------------------
-    def alive_threads(self) -> list[MarcelThread]:
-        """Threads whose bodies have not yet finished."""
-        return [t for t in self.threads if t.is_alive]
-
-    def busy_seconds_by_node(self) -> dict[int, float]:
-        """CPU busy time accumulated on each node."""
-        return {cpu.node_id: cpu.busy_seconds for cpu in self.cpus}

@@ -1,14 +1,19 @@
 """Sharded, checkpointed, resumable sweeps: SweepJob and the grid CLI."""
 
+import ast
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.harness.executor import ParallelExecutor
 from repro.harness.jobs import (
     CheckpointMismatch,
     SweepInterrupted,
@@ -167,16 +172,46 @@ def test_resume_without_checkpoint_dir_raises(grid_specs):
 # ---------------------------------------------------------------------------
 def test_parallel_job_with_shared_store(grid_specs, serial_dict, tmp_path):
     store = ResultStore(tmp_path / "store")
-    job = SweepJob(
-        grid_specs, checkpoint_dir=tmp_path / "ckpt", shard_size=2, jobs=2, store=store
-    )
-    assert job.run().to_dict() == serial_dict
-    # a later job (no checkpoints at all) is served entirely by the store
-    warm = SweepJob(grid_specs, shard_size=2, jobs=2, store=store)
-    result = warm.run()
+    with Session(executor=ParallelExecutor(jobs=2), store=store) as session:
+        job = session.job(grid_specs, checkpoint_dir=tmp_path / "ckpt", shard_size=2)
+        assert job.run().to_dict() == serial_dict
+        # a later job (no checkpoints at all) is served entirely by the store
+        warm = session.job(grid_specs, shard_size=2)
+        result = warm.run()
     assert warm.progress.executed_cells == 0
     assert warm.progress.cache_hits == len(grid_specs)
     assert result.to_dict() == serial_dict
+
+
+def test_parallel_job_runs_windows_of_jobs_shards(grid_specs, tmp_path):
+    """Each window is one ``execute`` of ``jobs`` shards' cells, and every
+    shard is checkpointed and reported once its window ends."""
+
+    class Recording(ParallelExecutor):
+        batches: list[int] = []
+
+        def execute(self, specs):
+            specs = list(specs)
+            self.batches.append(len(specs))
+            return super().execute(specs)
+
+    snapshots = []
+    with Session(executor=Recording(jobs=2)) as session:
+        job = session.job(
+            grid_specs,
+            checkpoint_dir=tmp_path / "ckpt",
+            shard_size=3,
+            progress_callback=lambda p: snapshots.append(p.completed_cells),
+        )
+        job.run()
+    assert Recording.batches == [6, 2]  # shards of 3+3, then the last 2
+    assert snapshots == [3, 6, 8]
+    assert len(list((tmp_path / "ckpt").glob("shard-*.json"))) == 3
+    # the records are payload-shaped: no host-side fields survive
+    for spec in grid_specs:
+        report = job.result[spec]
+        assert report.telemetry is None and report.events_processed == 0
+        assert report.host_seconds == 0.0 and report.peak_rss_bytes == 0
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +237,35 @@ def _grid_argv(ckpt, extra=()):
     ]
 
 
-def test_kill_and_resume_via_cli(tmp_path):
-    """SIGKILL a grid run mid-sweep; --resume finishes without rerunning."""
+def _live_group_members(pgid: int) -> list[int]:
+    """Pids of the processes of group *pgid* that are not zombies."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        state, _ppid, group = stat.rsplit(")", 1)[1].split()[:3]
+        if int(group) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_kill_and_resume_via_cli(tmp_path, jobs):
+    """SIGKILL a grid run mid-sweep; no process it started outlives it, and
+    --resume finishes without rerunning."""
     ckpt = tmp_path / "ckpt"
     env = {**os.environ, "PYTHONPATH": "src"}
+    argv = _grid_argv(ckpt, extra=["--jobs", str(jobs)])
     proc = subprocess.Popen(
-        _grid_argv(ckpt),
+        argv,
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,  # its own process group: pool workers join it
     )
     try:
         # wait for at least one shard checkpoint, then kill hard
@@ -226,9 +281,17 @@ def test_kill_and_resume_via_cli(tmp_path):
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup on test failure
             proc.kill()
+    if Path("/proc/self/stat").exists():
+        deadline = time.monotonic() + 5
+        while _live_group_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        leftovers = _live_group_members(proc.pid)
+        for pid in leftovers:  # pragma: no cover - cleanup on test failure
+            os.kill(pid, signal.SIGKILL)
+        assert leftovers == [], "processes outlived the killed grid run"
     checkpointed = len(list(ckpt.glob("shard-*.json")))
     done = subprocess.run(
-        _grid_argv(ckpt, extra=["--resume"]),
+        [*argv, "--resume"],
         env=env,
         capture_output=True,
         text=True,
@@ -262,9 +325,9 @@ def _family_total(families, name):
 def test_job_telemetry_aggregates_ledgers_and_metrics(grid_specs, tmp_path):
     job = SweepJob(
         grid_specs,
+        session=Session(store=ResultStore(tmp_path / "cache")),
         checkpoint_dir=tmp_path / "ckpt",
         shard_size=3,
-        store=ResultStore(tmp_path / "cache"),
         telemetry=True,
     )
     assert job.telemetry_enabled
@@ -278,8 +341,13 @@ def test_job_telemetry_aggregates_ledgers_and_metrics(grid_specs, tmp_path):
     assert _family_total(families, "sweep_cells_completed_total") == 8
     assert _family_total(families, "sweep_cells_executed_total") == 8
     assert "sim_events_dispatched_total" in families
-    assert "store_gets_total" in families
+    # one lookup and one write per cell: each window's store counts move
+    # into the job's aggregate once
+    assert _family_total(families, "store_gets_total") == 8
+    assert _family_total(families, "store_puts_total") == 8
     assert "sweep_shard_host_seconds" in families
+    assert families["sweep_cell_host_seconds"]["series"][0]["count"] == 8
+    assert families["sweep_peak_rss_bytes"]["series"][0]["value"] > 0
 
 
 def test_job_resume_counts_resumed_shards_without_ledgers(grid_specs, tmp_path):
@@ -308,8 +376,51 @@ def test_job_without_telemetry_keeps_sweep_counters_only(grid_specs, tmp_path):
     assert "sim_events_dispatched_total" not in families
 
 
-def test_shard_workers_never_start_by_fork():
-    """Pools start from a clean process: ``serve`` runs jobs beside live threads."""
-    from repro.harness.jobs import _pool_context
+def test_shard_workers_never_start_by_fork(grid_specs, serial_dict, monkeypatch):
+    """Pools start from a clean process: ``serve`` runs jobs beside live threads.
 
-    assert _pool_context().get_start_method() in ("forkserver", "spawn")
+    Both roads to a pool are covered: a plain ``Session.run`` at ``jobs=2``
+    and a sweep job over such a session.
+    """
+    import concurrent.futures
+
+    contexts = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recording(real):
+        def __init__(self, *args, mp_context=None, **kwargs):
+            contexts.append(mp_context or multiprocessing.get_context())
+            super().__init__(*args, mp_context=mp_context, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    with Session.from_options(jobs=2) as session:
+        assert session.run(grid_specs).to_dict() == serial_dict
+    with Session.from_options(jobs=2) as session:
+        assert session.job(grid_specs, shard_size=2).run().to_dict() == serial_dict
+    assert len(contexts) == 2  # one pool per session, however many windows
+    for context in contexts:
+        assert context.get_start_method() in ("forkserver", "spawn")
+
+
+_POOL_CALLS = {
+    "ProcessPoolExecutor",
+    "get_context",
+    "set_start_method",
+    "set_forkserver_preload",
+}
+
+
+def test_one_module_builds_the_process_pool():
+    """Exactly one module of ``src/repro`` builds a ``ProcessPoolExecutor`` or
+    picks a multiprocessing start method: the package has one pool."""
+    root = Path(repro.__file__).parent
+    builders = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _POOL_CALLS or any(kw.arg == "mp_context" for kw in node.keywords):
+                builders.add(path.relative_to(root).as_posix())
+    assert builders == {"harness/executor.py"}

@@ -9,12 +9,13 @@ import pytest
 from repro.harness.jobs import SweepJob
 from repro.harness.matrix import ExperimentMatrix
 from repro.harness.session import Session
-from repro.harness.spec import ExperimentSpec
+from repro.harness.spec import CACHE_SCHEMA_VERSION, ExperimentSpec
 from repro.harness.store import (
     MANIFEST_NAME,
     QUARANTINE_DIR,
     ResultStore,
     StoreSchemaError,
+    report_to_payload,
 )
 
 
@@ -124,31 +125,6 @@ def test_stale_entry_schema_is_a_miss(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# write-behind mode
-# ---------------------------------------------------------------------------
-def test_write_behind_buffers_until_flush(tmp_path):
-    root = tmp_path / "store"
-    store = ResultStore(root, write_behind=True)
-    spec = _spec()
-    report = Session(store=store).run_one(spec)
-    # nothing on disk yet, but the handle itself serves the pending entry
-    assert ResultStore(root).get(spec) is None
-    pending = store.get(spec)
-    assert pending is not None and pending.to_dict() == report.to_dict()
-    store.flush()
-    cached = ResultStore(root).get(spec)
-    assert cached is not None and cached.to_dict() == report.to_dict()
-
-
-def test_write_behind_context_manager_flushes(tmp_path):
-    root = tmp_path / "store"
-    spec = _spec()
-    with ResultStore(root, write_behind=True) as store:
-        Session(store=store).run_one(spec)
-    assert ResultStore(root).get(spec) is not None
-
-
-# ---------------------------------------------------------------------------
 # on-disk format: compact C-encoded JSON, old indented files still read
 # ---------------------------------------------------------------------------
 def test_entry_and_ledger_round_trip_through_the_compact_writer(tmp_path):
@@ -163,7 +139,16 @@ def test_entry_and_ledger_round_trip_through_the_compact_writer(tmp_path):
         assert "\n" not in text  # one compact line, no indentation
         assert text == json.dumps(json.loads(text))
     # JSON turns the per-node int keys into strings; otherwise equal
-    entry = json.loads(json.dumps(store._entry_payload(spec, report)))
+    entry = json.loads(
+        json.dumps(
+            {
+                "schema": CACHE_SCHEMA_VERSION,
+                "key": spec.cache_key(),
+                "spec": spec.describe(),
+                "report": report_to_payload(report),
+            }
+        )
+    )
     assert json.loads(entry_text) == entry
     assert json.loads(ledger_text) == report.telemetry.to_dict()
     cached = ResultStore(tmp_path / "store").get(spec)
@@ -199,7 +184,9 @@ def test_resumed_job_reads_old_indented_store_files(tmp_path):
         .build()
     )
     root, ckpt = tmp_path / "store", tmp_path / "ckpt"
-    first = SweepJob(specs, store=ResultStore(root), checkpoint_dir=ckpt, shard_size=2)
+    first = SweepJob(
+        specs, session=Session(store=ResultStore(root)), checkpoint_dir=ckpt, shard_size=2
+    )
     expected = first.run().to_dict()
     # the layout older versions wrote: every store file indented
     store = ResultStore(root)
@@ -209,7 +196,9 @@ def test_resumed_job_reads_old_indented_store_files(tmp_path):
     # lose one shard checkpoint, so its cells must come from the store
     (ckpt / "shard-0001.json").unlink()
     store = ResultStore(root)
-    job = SweepJob(specs, store=store, checkpoint_dir=ckpt, shard_size=2, resume=True)
+    job = SweepJob(
+        specs, session=Session(store=store), checkpoint_dir=ckpt, shard_size=2, resume=True
+    )
     assert job.run().to_dict() == expected
     assert job.progress.resumed_cells == len(specs) - 2
     assert job.progress.executed_cells == 0  # both cells were store hits
