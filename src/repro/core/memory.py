@@ -155,10 +155,6 @@ class MemorySubsystem:
             entry = cache.insert(obj)
         return entry
 
-    def is_local(self, node: int, obj: SharedEntity) -> bool:
-        """True when *obj* is homed on *node* (accesses go to main memory)."""
-        return obj.home_node == node
-
     # ------------------------------------------------------------------
     # Table 2 primitives
     # ------------------------------------------------------------------
@@ -172,7 +168,7 @@ class MemorySubsystem:
         """
         pages = self._pages_of(obj)
         self.protocol.detect_access(ctx, node, pages, count=1, write=False)
-        if self.is_local(node, obj):
+        if obj.home_node == node:
             return CachedObject(obj)
         return self._cache_entry(node, obj)
 
@@ -251,9 +247,10 @@ class MemorySubsystem:
         """Charge *count* accesses from *node* to the pages [first, last].
 
         The one charge block of ``get``, ``put``, ``get_range``,
-        ``put_range`` and ``account_accesses`` (the block paths of
+        ``put_range``, ``account_accesses`` and a segment's exact accesses
+        and *extra* accounting after a miss (the block paths of
         :meth:`make_range_updater` evaluate the same expressions once per
-        block, and ``replay_segment`` for a segment).  Under the fast plan
+        block, and ``replay_segment`` for its resident accesses).  Under the fast plan
         a resident span is charged here, in the values and order of the
         exact path: the base, then the strategy's checks; a *write* then
         reaches the policy's write hook, before the caller moves any data.
@@ -722,18 +719,26 @@ class MemorySubsystem:
         ``_pending_cpu``.
 
         Nothing yields within a segment, so only this thread acts on the
-        memory and residency only grows.  The first access to a page that
-        is not resident, a slot straddling two pages and, while homes can
-        move, every write run the spec's calls at their position
-        (:meth:`_exact_access`); the accesses after them read their page's
-        home afresh.  The others are charged here in the per-op order.
-        Unless the strategy is adaptive each adds the same base, check,
-        extra base and extra check, so consecutive ones are only counted
-        until a compute, an exact call or the end folds them
-        (:func:`_repeat`); an adaptive one charges a page's accesses of one
-        step itself (:meth:`HybridDetection.replay_charges`).  Counters are
-        added once; a run is written with one write of its last value per
-        slot.
+        memory and residency only grows.  Each access takes one of three
+        paths, at its position in the per-op order:
+
+        - a *miss* (the first access to a remote page that is not
+          resident, for a run its first slot on the page) charges the
+          base and calls the strategy's ``detect_access`` for its page
+          itself, then charges the *extra* accounting through
+          :meth:`_charge_accesses`;
+        - an unregistered page, a slot straddling two pages and, while
+          homes can move, every write take :meth:`_exact_access`; the
+          accesses after them read their page's home afresh;
+        - every other access is resident and charged here.  Unless the
+          strategy is adaptive each adds the same base, check, extra base
+          and extra check, so consecutive ones are only counted until a
+          compute, a miss, an exact call or the end folds them
+          (:func:`_repeat`); an adaptive one charges a page's accesses of
+          one step itself (:meth:`HybridDetection.replay_charges`).
+
+        Resident counters are added once; a run is written with one write
+        of its last value per slot.
         """
         if self._fast_plan is None:
             raise RuntimeError("replay_segment needs a fast plan")
@@ -744,11 +749,13 @@ class MemorySubsystem:
         page_size = self._page_size
         home_of = self._home_by_page.get
         present = self._tables[node]._present
+        detect, charge, exact = self._detect, self._charge_accesses, self._exact_access
         # the checks of one access, then of account_accesses(count=extra) on
         # its page; a check-free +0.0 leaves the sum bit-unchanged
         checks = self._access_checks + self._page_checks
         extra_checks = self._access_checks * extra + self._page_checks if extra else 0
-        amounts = (self._base_seconds, (self._check_cycles * checks) / self._freq)
+        base = self._base_seconds
+        amounts = (base, (self._check_cycles * checks) / self._freq)
         if extra:
             amounts += (
                 (self._base_cycles * extra) / self._freq,
@@ -787,35 +794,42 @@ class MemorySubsystem:
             write = tag == PUT or tag == PUT_RUN
             if write and observed:  # a write may re-home its page: put tells the policy
                 for slot, value in zip(*(((step[2],), (step[3],)) if tag == PUT else step[2:])):
-                    pending = self._exact_access(
-                        ctx, node, entity, slot, True, value, extra, _repeat(pending, run, amounts)
+                    pending = exact(
+                        ctx, node, entity, slot, True, extra,
+                        _repeat(pending, run, amounts) if run else pending,
                     )
                     run = 0
+                    write_one(slot, value)
                 continue
             if tag == GET or tag == PUT:
                 slot = step[2]
                 start = address + slot * slot_size
                 page = start // page_size
                 rhome = home_of(page)
-                if (
-                    rhome is None
-                    or (rhome != node and page not in present)
-                    or (not aligned and (start + slot_size - 1) // page_size != page)
-                ):
-                    pending = self._exact_access(
-                        ctx, node, entity, slot, write, step[3] if write else None, extra,
-                        _repeat(pending, run, amounts),
+                if rhome is None or (not aligned and (start + slot_size - 1) // page_size != page):
+                    pending = exact(
+                        ctx, node, entity, slot, write, extra,
+                        _repeat(pending, run, amounts) if run else pending,
                     )
                     run = 0
-                    continue
-                hits += 1
-                if rhome != node:
-                    remote_hits += 1
-                if adaptive:
-                    pending, paid = adaptive.replay_charges(pending, node, page, 1, extra, amounts)
-                    adaptive_checks += paid
+                elif rhome != node and page not in present:  # a miss
+                    ctx._pending_cpu = (_repeat(pending, run, amounts) if run else pending) + base
+                    run = 0
+                    detect(ctx, node, (page,), 1, write)
+                    if extra:
+                        charge(ctx, node, page, page, extra, write)
+                    pending = ctx._pending_cpu
                 else:
-                    run += 1
+                    hits += 1
+                    if rhome != node:
+                        remote_hits += 1
+                    if adaptive:
+                        pending, paid = adaptive.replay_charges(
+                            pending, node, page, 1, extra, amounts
+                        )
+                        adaptive_checks += paid
+                    else:
+                        run += 1
                 if write:
                     write_one(slot, step[3])
                 continue
@@ -832,18 +846,23 @@ class MemorySubsystem:
                 # the slots are contiguous, else this one
                 n = min(count - k, ((page + 1) * page_size - start) // slot_size) if contiguous else 1
                 rhome = home_of(page)
-                if (
-                    rhome is None
-                    or (rhome != node and page not in present)
-                    or (not aligned and (start + slot_size - 1) // page_size != page)
-                ):
-                    pending = self._exact_access(
-                        ctx, node, entity, slot, write, step[3][k] if write else None, extra,
-                        _repeat(pending, run, amounts),
+                if rhome is None or (not aligned and (start + slot_size - 1) // page_size != page):
+                    pending = exact(
+                        ctx, node, entity, slot, write, extra,
+                        _repeat(pending, run, amounts) if run else pending,
                     )
                     run = 0
                     k += 1
                     n -= 1  # the page is resident from here on
+                elif rhome != node and page not in present:  # a miss, as above
+                    ctx._pending_cpu = (_repeat(pending, run, amounts) if run else pending) + base
+                    run = 0
+                    detect(ctx, node, (page,), 1, write)
+                    if extra:
+                        charge(ctx, node, page, page, extra, write)
+                    pending = ctx._pending_cpu
+                    k += 1
+                    n -= 1
                 k += n
                 hits += n
                 if rhome != node:
@@ -864,20 +883,24 @@ class MemorySubsystem:
 
     def _exact_access(
         self, ctx: AccessContext, node: int, obj: SharedEntity, slot: int, write: bool,
-        value, extra: int, pending: float,
+        extra: int, pending: float,
     ) -> float:
-        """One scripted access through the spec's own entry points.
+        """The charges of one scripted access, without its data.
 
-        *pending* is the segment's pending CPU time so far; returns it
-        after the access.
+        What :meth:`get` or :meth:`put` of *slot*, then
+        ``account_accesses(count=extra)`` on it, charge, through the one
+        charge block (:meth:`_charge_accesses`): the exact ``_detect``
+        path for an unregistered page, a straddling slot or a miss, and
+        the policy's write hook after a write.  *pending* is the segment's
+        pending CPU time so far; returns it after the access.  The caller
+        moves the data.
         """
         ctx._pending_cpu = pending
-        if write:
-            self.put(ctx, node, obj, slot, value)
-        else:
-            self.get(ctx, node, obj, slot)
+        start = obj.address + slot * obj.slot_size
+        first, last = start // self._page_size, (start + obj.slot_size - 1) // self._page_size
+        self._charge_accesses(ctx, node, first, last, 1, write)
         if extra:
-            self.account_accesses(ctx, node, obj, extra, lo=slot, hi=slot + 1, write=write)
+            self._charge_accesses(ctx, node, first, last, extra, write)
         return ctx._pending_cpu
 
     # ------------------------------------------------------------------
@@ -888,17 +911,3 @@ class MemorySubsystem:
                 f"range [{lo}, {hi}) out of bounds for entity with "
                 f"{obj.num_slots} slots"
             )
-
-    def cache_for(self, node: int) -> ObjectCache:
-        """The object cache of *node*."""
-        return self.caches[node]
-
-    def primitive_names(self) -> dict[str, str]:
-        """The Table 2 primitive names and their descriptions (for tests/docs)."""
-        return {
-            "loadIntoCache": "Load an object into the cache",
-            "invalidateCache": "Invalidate all entries in the cache",
-            "updateMainMemory": "Update memory with modifications made to objects in the cache",
-            "get": "Retrieve a field from an object previously loaded into the cache",
-            "put": "Modify a field in an object previously loaded into the cache",
-        }

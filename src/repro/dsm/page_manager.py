@@ -304,27 +304,34 @@ class PageManager:
     def fetch_pages(self, node: int, pages: Sequence[int]) -> float:
         """Bring *pages* to *node* from their home nodes; return the latency.
 
-        Pages already present cost nothing.  Pages are grouped by home node;
-        each group costs one request/reply round trip carrying the group's
-        pages (DSM-PM2 batches contiguous pages of one request).  The caller
-        charges the returned latency to the faulting/checking thread.
+        Pages already present cost nothing.  Pages are grouped by home node
+        (a one-page request is its own group); each group costs one
+        request/reply round trip carrying the group's pages (DSM-PM2
+        batches contiguous pages of one request).  The caller charges the
+        returned latency to the faulting/checking thread.
         """
         present = self.tables[node]._present
         home_map = self._home_by_page
-        by_home: dict[int, list[int]] = {}
         try:
-            for page in pages:
-                if page not in present:
-                    home = home_map[page]
-                    if home != node:
-                        group = by_home.get(home)
-                        if group is None:
-                            by_home[home] = [page]
-                        else:
-                            group.append(page)
+            if len(pages) == 1:  # most fetches: one page, no grouping
+                page = pages[0]
+                home = node if page in present else home_map[page]
+                groups = () if home == node else ((home, pages),)
+            else:
+                by_home: dict[int, list[int]] = {}
+                for page in pages:
+                    if page not in present:
+                        home = home_map[page]
+                        if home != node:
+                            group = by_home.get(home)
+                            if group is None:
+                                by_home[home] = [page]
+                            else:
+                                group.append(page)
+                groups = by_home.items()
         except KeyError:
             raise KeyError(f"page {page} has not been registered") from None
-        if not by_home:
+        if not groups:
             return 0.0
         stats = self.stats
         telemetry = self.telemetry
@@ -335,7 +342,7 @@ class PageManager:
         prices = self._group_prices
         latency = 0.0
         fetched = 0
-        for home, group in by_home.items():
+        for home, group in groups:
             count = len(group)
             payload = count * page_size
             key = None if pair_class is None else pair_class(node, home)

@@ -226,20 +226,9 @@ class JavaThreadContext(AccessContext):
         cpu, wait = self._pending_cpu, self._pending_wait
         self._pending_cpu = 0.0
         self._pending_wait = 0.0
-        spans = self._spans
-        thread = self._marcel
-        # a thread cannot migrate while it flushes, so its node holds
-        node_id = thread.node_id
-        if cpu > 0.0:
-            self._run_stats.record_cpu(node_id, cpu)
-            yield from self._marcel_runtime.occupy_cpu(thread, cpu)
-            if spans is not None:
-                spans.flush_cpu(self.thread.name, cpu, self._engine.now)
-        if wait > 0.0:
-            self._run_stats.record_wait(node_id, wait)
-            yield from self._marcel_runtime.wait(thread, wait)
-            if spans is not None:
-                spans.flush_wait(self.thread.name, wait, self._engine.now)
+        yield from self._marcel_runtime.occupy(
+            self._marcel, cpu, wait, self._run_stats, self._spans
+        )
 
     # ------------------------------------------------------------------
     # heap allocation

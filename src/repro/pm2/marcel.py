@@ -106,34 +106,43 @@ class MarcelRuntime:
     # ------------------------------------------------------------------
     # helpers used by thread bodies (as ``yield from`` sub-generators)
     # ------------------------------------------------------------------
-    def occupy_cpu(self, thread: MarcelThread, seconds: float) -> Generator:
-        """Hold *thread*'s node CPU for *seconds* of virtual time.
+    def occupy(
+        self, thread: MarcelThread, cpu: float, wait: float, stats=None, spans=None
+    ) -> Generator:
+        """Run *thread* for *cpu* seconds on its node's CPU, then block *wait*.
 
-        With one application thread per node (the paper's configuration) this
-        degenerates to a plain delay; with several threads per node it
-        serialises their compute segments.
+        The CPU part holds the node's FIFO CPU lock: with one application
+        thread per node (the paper's configuration) it is a plain delay,
+        with several it serialises their CPU parts.  The wait part holds no
+        CPU.  A part of zero seconds schedules nothing.  *stats* (a
+        ``RunStats``) records each part on the node as it starts, and
+        *spans* (a ``SpanTracer``) closes each part's span on the thread's
+        track as it ends.
         """
-        if seconds <= 0.0:
-            if seconds < 0.0:
-                raise ValueError(f"seconds must be >= 0, got {seconds!r}")
-            return
-        cpu = self.cpus[thread.node_id]
-        lock = cpu.lock
-        yield lock.acquire(owner=thread)
-        yield Timeout(self.engine, seconds)
-        cpu.busy_seconds += seconds
-        cpu.dispatches += 1
-        thread.cpu_seconds += seconds
-        lock.release()
-
-    def wait(self, thread: MarcelThread, seconds: float) -> Generator:
-        """Block *thread* for *seconds* without holding the CPU."""
-        if seconds <= 0.0:
-            if seconds < 0.0:
-                raise ValueError(f"seconds must be >= 0, got {seconds!r}")
-            return
-        thread.wait_seconds += seconds
-        yield Timeout(self.engine, seconds)
+        if cpu < 0.0 or wait < 0.0:
+            raise ValueError(f"seconds must be >= 0, got cpu={cpu!r}, wait={wait!r}")
+        # a thread cannot migrate while it is occupied, so its node holds
+        node_id = thread.node_id
+        if cpu > 0.0:
+            if stats is not None:
+                stats.record_cpu(node_id, cpu)
+            core = self.cpus[node_id]
+            lock = core.lock
+            yield lock.acquire(owner=thread)
+            yield Timeout(self.engine, cpu)
+            core.busy_seconds += cpu
+            core.dispatches += 1
+            thread.cpu_seconds += cpu
+            lock.release()
+            if spans is not None:
+                spans.flush_cpu(thread.name, cpu, self.engine.now)
+        if wait > 0.0:
+            if stats is not None:
+                stats.record_wait(node_id, wait)
+            thread.wait_seconds += wait
+            yield Timeout(self.engine, wait)
+            if spans is not None:
+                spans.flush_wait(thread.name, wait, self.engine.now)
 
     def join(self, thread: MarcelThread) -> Generator:
         """Wait for *thread* to finish; returns its body's return value."""

@@ -147,20 +147,6 @@ class SyntheticApplication(Application):
         return script_memo.get(self.pattern, workload, num_threads, num_nodes)
 
     # ------------------------------------------------------------------
-    def _worker(
-        self, ctx, index: int, count: int, workload, script, entities, barrier
-    ) -> Generator:
-        """One worker thread: replay its op sequence."""
-        executed = yield from replay_thread(
-            ctx,
-            script,
-            index,
-            entities,
-            barrier,
-            work_multiplier=workload.work_multiplier,
-        )
-        return executed
-
     def main(self, ctx, workload) -> Generator:
         """Generate the script, build the layout, spawn and join the workers."""
         runtime = ctx.runtime
@@ -172,9 +158,14 @@ class SyntheticApplication(Application):
             if script.uses_barrier
             else None
         )
-        threads = self.spawn_workers(
-            ctx, self._worker, count, workload, script, entities, barrier
-        )
+        # each worker runs the replay generator itself: no forwarding frame
+        threads = [
+            ctx.spawn(
+                replay_thread, script, index, entities, barrier, workload.work_multiplier,
+                name=f"worker-{index}", index=index,
+            )
+            for index in range(count)
+        ]
         executed = yield from self.join_all(ctx, threads)
         return {
             "pattern": self.pattern.key,

@@ -9,14 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster.topology import CrossbarTopology, MultiClusterTopology
 from repro.core.context import AccessContext, RecordingContext
 from repro.core.detection import HybridDetection
+from repro.core.memory import MemorySubsystem
 from repro.hyperion.objects import JavaArray
-
-
-def test_table2_primitive_inventory(rig_factory):
-    rig = rig_factory()
-    names = rig.memory.primitive_names()
-    assert set(names) == {"loadIntoCache", "invalidateCache", "updateMainMemory", "get", "put"}
-    assert "cache" in names["loadIntoCache"].lower()
 
 
 def test_get_put_on_home_node_touch_main_memory(rig_factory, point_class):
@@ -27,7 +21,7 @@ def test_get_put_on_home_node_touch_main_memory(rig_factory, point_class):
     assert obj.main_read(0) == 3.5
     assert rig.memory.get(ctx, 0, obj, 0) == 3.5
     # no cache entry is created for locally homed objects
-    assert len(rig.memory.cache_for(0)) == 0
+    assert len(rig.memory.caches[0]) == 0
 
 
 def test_remote_put_is_invisible_until_update_main_memory(rig_factory, point_class):
@@ -509,6 +503,74 @@ def test_migratory_segment_rehomes_mid_segment(rig_factory):
     assert stats["page_rehomes"] == 1
     # the re-home landed mid-run: only the accesses before it were remote
     assert 0 < stats["remote_accesses"] < stats["accesses"]
+
+
+def _spied_memory(rig, monkeypatch):
+    """A memory subsystem over *rig* whose detect and spec entry points log.
+
+    The protocol's ``detect_access`` is wrapped before the subsystem is
+    built, so the log sees every call the subsystem makes to it; ``get``,
+    ``put`` and ``account_accesses`` are wrapped on the instance, which is
+    where the subsystem's own calls look them up.
+    """
+    calls = []
+    detect = rig.protocol.detect_access
+
+    def spy_detect(ctx, node, pages, count, write):
+        calls.append(("detect_access", tuple(pages), count))
+        return detect(ctx, node, pages, count, write)
+
+    monkeypatch.setattr(rig.protocol, "detect_access", spy_detect)
+    memory = MemorySubsystem(rig.page_manager, rig.cost_model, rig.protocol, rig.num_nodes)
+    for name in ("get", "put", "account_accesses"):
+        method = getattr(memory, name)
+
+        def spy(*args, _name=name, _method=method, **kwargs):
+            calls.append((_name,))
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(memory, name, spy)
+    return memory, calls
+
+
+@pytest.mark.parametrize("protocol", ["java_ic", "java_pf", "java_hybrid"])
+def test_segment_misses_call_detect_access_directly(rig_factory, monkeypatch, protocol):
+    """A segment miss reaches the strategy's ``detect_access`` and no spec call.
+
+    Every access of the segment is the first one to its own remote page,
+    so each one misses: one ``detect_access`` call per miss, for that one
+    page, and no ``get``, ``put`` or ``account_accesses`` call, with
+    *extra* accounting on every access.
+    """
+    rig = rig_factory(protocol=protocol, num_nodes=2)
+    memory, calls = _spied_memory(rig, monkeypatch)
+    array = rig.heap.new_array("double", 6 * 512, home_node=1, page_aligned=True)
+    steps = (
+        ("get", 0, 0),
+        ("put", 0, 512, 1.0),
+        ("compute", 40.0),
+        ("get_run", 0, (1024, 1536)),
+        ("put_run", 0, (2048, 2560), (2.0, 3.0)),
+    )
+    ctx = PendingContext(0)
+    memory.replay_segment(ctx, 0, [array], steps, 2, COMPUTE_SECONDS)
+    first = array.address // rig.isoaddr.page_size
+    assert calls == [("detect_access", (first + k,), 1) for k in range(6)]
+    assert rig.page_manager.stats.page_fetches == 6
+    assert rig.page_manager.stats.accesses == 6 * 3  # each access and its extra two
+    memory.update_main_memory(ctx, 0)
+    assert array.main_read_range(0, 6 * 512)[[512, 2048, 2560]].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_observed_segment_writes_make_no_spec_calls(rig_factory, monkeypatch):
+    """Under migratory homes a segment's writes take the exact charges, not ``put``."""
+    rig = rig_factory(protocol="java_ic_mig", num_nodes=2)
+    memory, calls = _spied_memory(rig, monkeypatch)
+    array = rig.heap.new_array("double", 64, home_node=1)
+    steps = (("put", 0, 0, 1.0), ("put_run", 0, (1, 2, 3), (2.0, 3.0, 4.0)), ("get", 0, 5))
+    memory.replay_segment(PendingContext(0), 0, [array], steps, 1, COMPUTE_SECONDS)
+    assert [call[0] for call in calls] == ["detect_access"]  # the first put's miss
+    assert rig.page_manager.stats.page_rehomes == 1
 
 
 #: one step of a generated single-object segment

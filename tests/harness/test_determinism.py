@@ -14,6 +14,7 @@ contract per application:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -187,3 +188,83 @@ def test_run_spec_is_reproducible():
     assert _payload(first) == _payload(second)
     assert first.events_processed == second.events_processed
     assert first.events_processed > 0
+
+
+#: ``(events_processed, sha256 of the to_dict() payload, sha256 of the
+#: ledger)`` of testing cells.  A flush, the CPU lock and the worker threads
+#: may get cheaper, but must schedule exactly these events: a missing or
+#: extra event moves where ties fall.  Two threads per node contend for one
+#: CPU lock; the telemetry cells also pin their ledger (metrics and spans).
+EVENT_PINS = {
+    ("syn-hot-lock", "myrinet", "java_ic", 4, 1, False): (
+        266, "a6af90b046dbca9036f5ff9ec3359e9523d93452f42d2cde5793cbc2462384d2", None,
+    ),
+    ("asp", "myrinet", "java_pf", 4, 1, False): (
+        784, "2fd4871844983e07623018e4932819be34cc64fb23e10d8926d36a6c042f66ab", None,
+    ),
+    ("syn-producer-consumer", "myrinet", "java_hybrid", 4, 2, False): (
+        652, "f5f85ac1cbab0678e2503a5f847ade716040f3d8973d5a8fe459795c22fed0b7", None,
+    ),
+    ("jacobi", "sci", "java_ic", 4, 2, True): (
+        139,
+        "917ba9f85eadced9560de0c503a2d4b5131a5c5d068bb4ff90d50a7fed6e8e18",
+        "d29b1fd16ffbc065ab95aaa17a29fb3b074fcba9dbd296e4a05ea8e1062eb4ad",
+    ),
+    ("syn-migratory", "myrinet2x8", "java_ic_mig", 16, 1, True): (
+        266,
+        "377b45941cb19efdadc10ccc82d0c9ea7ecc4fec2366b8197871b19c18e0c2ba",
+        "ea41706a1b1c0b8d96ff0ce9521ab81ecaffff5a5e488292cce0014c665046b9",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "cell", list(EVENT_PINS), ids=lambda cell: "/".join(map(str, cell))
+)
+def test_event_sequence_is_pinned(cell):
+    """Events processed, report bytes and ledger match their recorded pins."""
+    app, cluster, protocol, nodes, threads_per_node, telemetry = cell
+    report = run_spec(
+        ExperimentSpec(
+            app=app,
+            cluster=cluster,
+            protocol=protocol,
+            num_nodes=nodes,
+            workload="testing",
+            config=RuntimeConfig(threads_per_node=threads_per_node),
+            telemetry=telemetry,
+        )
+    )
+    events, digest, ledger = EVENT_PINS[cell]
+    assert report.events_processed == events
+    assert _sha256(_payload(report)) == digest
+    if telemetry:
+        blob = json.dumps(
+            {"metrics": report.telemetry.metrics, "spans": report.telemetry.spans},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert _sha256(blob) == ledger
+
+
+#: miss-heavy scenarios on many islands: at testing scale most of their
+#: accesses fetch a page, across 8 islands of ``myrinet_grid`` at n=64
+GRID_MISS_APPS = ("syn-uniform", "syn-producer-consumer")
+
+
+@pytest.mark.parametrize("protocol", TOPOLOGY_PROTOCOLS)
+@pytest.mark.parametrize("app", GRID_MISS_APPS)
+def test_many_island_fast_vs_reference_detection_identical(app, protocol):
+    """Fast and reference detection agree on 64 nodes of ``myrinet_grid``."""
+    spec = ExperimentSpec(
+        app=app, cluster="myrinet_grid", protocol=protocol, num_nodes=64, workload="testing"
+    )
+    fast = run_spec(spec)
+    with reference_detection():
+        reference = run_spec(spec)
+    assert _payload(fast) == _payload(reference)
+    assert fast.stats.dsm.page_fetches > fast.stats.dsm.accesses // 4

@@ -31,14 +31,14 @@ def test_spawn_runs_body_to_completion():
     assert thread.process.value == "finished"
 
 
-def test_occupy_cpu_serialises_threads_on_one_node():
+def test_occupy_serialises_cpu_parts_on_one_node():
     engine = Engine()
     marcel = MarcelRuntime(engine, num_nodes=1)
     completions = []
 
     def body(name):
         thread = threads[name]
-        yield from marcel.occupy_cpu(thread, 2.0)
+        yield from marcel.occupy(thread, 2.0, 0.0)
         completions.append((name, engine.now))
 
     threads = {}
@@ -52,14 +52,14 @@ def test_occupy_cpu_serialises_threads_on_one_node():
     assert marcel.cpu(0).busy_seconds == pytest.approx(4.0)
 
 
-def test_wait_does_not_hold_cpu():
+def test_occupy_wait_part_does_not_hold_cpu():
     engine = Engine()
     marcel = MarcelRuntime(engine, num_nodes=1)
     completions = []
 
     def body(name):
         thread = threads[name]
-        yield from marcel.wait(thread, 3.0)
+        yield from marcel.occupy(thread, 0.0, 3.0)
         completions.append((name, engine.now))
 
     threads = {name: marcel.create_thread(0, name=name) for name in ("x", "y")}
@@ -69,6 +69,26 @@ def test_wait_does_not_hold_cpu():
     # both waits overlap: both complete at t=3
     assert [t for _, t in completions] == [3.0, 3.0]
     assert marcel.cpu(0).busy_seconds == 0.0
+
+
+def test_occupy_releases_the_cpu_before_its_wait_part():
+    """The second thread's CPU part runs while the first one waits."""
+    engine = Engine()
+    marcel = MarcelRuntime(engine, num_nodes=1)
+    completions = {}
+
+    def body(name):
+        yield from marcel.occupy(threads[name], 2.0, 5.0)
+        completions[name] = engine.now
+
+    threads = {name: marcel.create_thread(0, name=name) for name in ("x", "y")}
+    for name, thread in threads.items():
+        thread.start(body(name))
+    engine.run()
+    assert completions == {"x": 7.0, "y": 9.0}
+    assert (threads["x"].cpu_seconds, threads["x"].wait_seconds) == (2.0, 5.0)
+    with pytest.raises(ValueError):
+        next(marcel.occupy(threads["x"], -1.0, 0.0))
 
 
 def test_join_returns_body_value():
